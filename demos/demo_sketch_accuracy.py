@@ -2,8 +2,11 @@
 
 Counts subsets of 18 random weights under a budget. Exact dynamic
 programming carries one multiset entry per distinct subset sum; the sketched
-mode compresses every intermediate to logarithmic size while keeping the
-answer within the requested relative error.
+mode keeps every intermediate within the sketch's logarithmic size bound,
+floor(log|A| / log1p(alpha)) + 1 entries, while keeping the answer within
+the requested relative error. It compresses only values past that bound, so
+here, where a few hundred distinct sums stay far below it, approx mode
+returns the exact count.
 """
 
 import random

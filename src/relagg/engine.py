@@ -13,7 +13,7 @@ order and grouping are fixed and deterministic.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapExceeded, CyclicJoinError
 from .jointree import decomposition_violation
@@ -37,7 +37,6 @@ class Instrumentation:
     max_fold_depth: int = 0
     fold_count: int = 0
     max_value_size: int = 0
-    value_sizes: list = field(default_factory=list)
 
     def record_fold(self, k):
         self.fold_count += 1
@@ -49,7 +48,6 @@ class Instrumentation:
             size = len(value)
         except TypeError:
             return
-        self.value_sizes.append(size)
         self.max_value_size = max(self.max_value_size, size)
 
 

@@ -132,6 +132,14 @@ def validate(spec, db):
     Exact-mode brute-force evaluation through the oracle is not restricted
     by these checks; they gate the join-tree engine.
     """
+    if spec.mode == "approx" and not (
+        spec.epsilon > 0 and math.isfinite(spec.epsilon)
+    ):
+        return Rejection(
+            f"epsilon must be a finite number greater than 0, got {spec.epsilon}"
+        )
+    if any(math.isnan(ineq.threshold) for ineq in spec.inequalities):
+        return Rejection("inequality threshold L is NaN")
     if len(spec.inequalities) > 1:
         return Rejection(
             "more than one additive inequality: bounded-relative-error "

@@ -3,7 +3,11 @@
 The multiset sketch keeps one representative per geometric rank bucket: for
 k = 0, 1, ... the element of 1-based rank floor((1+eps)^k) survives, carrying
 the bucket's width as its count. Cumulative counts at any threshold t are
-preserved within [(1-eps), 1].
+preserved within [(1-eps), 1]. The output holds at most one entry per
+distinct boundary floor((1+eps)^k), k <= kmax = floor(log|A| / log1p(eps)),
+plus the top rank |A|. A multiset of at most kmax + 1 entries already meets
+that size bound, so it is returned unchanged: an exact value adds no error,
+and every call that does compress walks O(kmax + entries) = O(entries).
 
 The weighted-set sketch run-compresses keys in order of increasing cumulative
 aggregate: a run absorbs keys while the cumulative stays within a (1+eps)
@@ -19,23 +23,33 @@ from .weightedset import WeightedSet, ws_convolve, ws_plus
 
 
 def alpha_for(eps, m, n):
-    """Per-operation sketch parameter for a total error budget of eps."""
-    if eps <= 0:
+    """Per-operation sketch parameter for a total error budget of eps.
+
+    n is the largest table size; an all-empty database (n = 0) gets the
+    n = 2 budget, since its answer is the algebra's zero either way.
+    """
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
+    if m < 1 or n < 0:
+        raise ValueError("m must be at least 1 and n nonnegative")
     return eps / (m * m * math.log2(max(n, 2)) + m)
 
 
 def ms_sketch(a, eps):
-    """Rank-based compression of a multiset."""
-    if eps <= 0:
+    """Rank-based compression of a multiset.
+
+    Returns `a` itself when it has at most kmax + 1 entries: it then fits
+    the sketch's size bound already, and returning it exactly adds no error.
+    """
+    if not eps > 0:
         raise ValueError("eps must be positive")
     size = a.total
     if size <= 1:
         return a
     log_base = math.log1p(eps)
     kmax = math.floor(math.log(size) / log_base)
+    if len(a.entries) <= kmax + 1:
+        return a
     # Rank boundaries floor((1+eps)^k); floats can dip, so force monotone.
     prev_boundary = 0
     cum = []  # cumulative counts aligned with a.entries
@@ -76,7 +90,7 @@ def ws_sketch(a, eps):
     Requires the base (+) to be monotone: cumulative aggregates are then
     monotone along keys and geometric banding is well defined.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     base = a.base
     if base.plus_monotone not in ("increasing", "decreasing"):

@@ -104,6 +104,34 @@ def test_two_inequalities_exit_2(db1_dir, capsys):
     assert "NP-hard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+def test_bad_epsilon_exit_2(db1_dir, capsys, eps):
+    q = write_query(db1_dir, COUNT_LEQ9)
+    assert main([
+        "count", "--tables", str(db1_dir), "--query", q, "--epsilon", eps,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: epsilon") and err.count("\n") == 1
+
+
+def test_nan_threshold_exit_2(db1_dir, capsys):
+    q = write_query(db1_dir, dict(COUNT_LEQ9, inequality={"L": "nan"}))
+    assert main(["count", "--tables", str(db1_dir), "--query", q]) == 2
+    err = capsys.readouterr().err
+    assert "NaN" in err and err.count("\n") == 1
+
+
+def test_approx_on_empty_tables_is_zero(tmp_path, capsys):
+    (tmp_path / "t1.csv").write_text("a,b\n")
+    (tmp_path / "t2.csv").write_text("b,c\n")
+    q = write_query(tmp_path, COUNT_LEQ9)
+    assert main([
+        "count", "--tables", str(tmp_path), "--query", q,
+        "--epsilon", "0.1", "--output", "json",
+    ]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == 0
+
+
 def test_sumsum_and_sumprod(db1_dir, capsys):
     q = write_query(db1_dir, {
         "kind": "sumsum", "algebra": "sum",

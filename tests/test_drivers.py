@@ -6,9 +6,11 @@ import pytest
 from relagg import (
     AdditiveInequality,
     ApproxParams,
+    Database,
     FunctionSpec,
     QueryRejected,
     QuerySpec,
+    Table,
     count_rows,
     oracle_eval,
     run_query,
@@ -171,6 +173,25 @@ def test_count_approx_within_epsilon_random():
                 db, ineq, params=ApproxParams(epsilon=eps), mode="approx"
             )
             assert (1 - eps) * exact - 1e-9 <= got <= (1 + eps) * exact + 1e-9
+
+
+def test_count_approx_exact_on_many_to_many_star():
+    """Values on a many-to-many star stay within the sketch size bound, so
+    approx mode sketches nothing away and returns the exact count."""
+    rng = random.Random(127)
+    tables = []
+    for i in range(1, 4):
+        keys = [j % 10 for j in range(200)]
+        rng.shuffle(keys)
+        rows = tuple((float(k), float(rng.randint(0, 50))) for k in keys)
+        tables.append(Table(f"t{i}", ("k", f"x{i}"), rows))
+    db = Database(tables=tuple(tables))
+    ineq = AdditiveInequality(
+        g={f"x{i}": identity() for i in range(1, 4)}, threshold=60.0
+    )
+    exact = count_rows(db, ineq)
+    got = count_rows(db, ineq, params=ApproxParams(epsilon=0.1), mode="approx")
+    assert got == exact
 
 
 def test_knapsack_counts_match_dp():

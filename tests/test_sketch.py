@@ -25,10 +25,22 @@ MAX_PLUS = make_named("max-plus")
 def test_alpha_for():
     a = alpha_for(0.1, 3, 100)
     assert a == 0.1 / (9 * math.log2(100) + 3)
-    with pytest.raises(ValueError):
-        alpha_for(0.0, 3, 100)
+    for bad_eps in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            alpha_for(bad_eps, 3, 100)
     with pytest.raises(ValueError):
         alpha_for(0.1, 0, 100)
+    assert alpha_for(0.1, 3, 0) == alpha_for(0.1, 3, 2)
+
+
+def test_sketches_reject_bad_eps():
+    a = Multiset.from_values([1.0, 2.0, 3.0])
+    w = WeightedSet(((1.0, 2.0), (2.0, 3.0)), MIN_PLUS)
+    for bad_eps in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            ms_sketch(a, bad_eps)
+        with pytest.raises(ValueError):
+            ws_sketch(w, bad_eps)
 
 
 def test_ms_sketch_worked_example():
@@ -42,6 +54,27 @@ def test_ms_sketch_small_inputs_unchanged():
     a = Multiset(((5.0, 1),))
     assert ms_sketch(a, 0.5) is a
     assert ms_sketch(Multiset(), 0.5) == Multiset()
+
+
+def _kmax(a, eps):
+    return math.floor(math.log(a.total) / math.log1p(eps))
+
+
+def test_ms_sketch_returns_value_within_size_bound():
+    # 6 entries, total 48: kmax = floor(log2 48) = 5, so 6 = kmax + 1
+    a = Multiset(tuple((float(k), 8) for k in range(6)))
+    assert len(a) == _kmax(a, 1.0) + 1
+    assert ms_sketch(a, 1.0) is a
+
+
+def test_ms_sketch_compresses_past_size_bound():
+    # 7 entries, total 56: kmax = floor(log2 56) = 5, so 7 = kmax + 2
+    a = Multiset(tuple((float(k), 8) for k in range(7)))
+    assert len(a) == _kmax(a, 1.0) + 2
+    s = ms_sketch(a, 1.0)
+    assert len(s) < len(a)
+    assert s.total == a.total
+    assert ms_bound_ok(a, s, 1.0)
 
 
 def test_ms_sketch_preserves_total_and_extremes():
