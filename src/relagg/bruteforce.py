@@ -8,9 +8,8 @@ knapsack-counting and partition instances used as end-to-end fixtures.
 
 from dataclasses import dataclass
 
-from .algebra import Monoid, Semiring, make_named
 from .errors import CapExceeded, QueryRejected
-from .queryspec import AdditiveInequality, identity, scale
+from .queryspec import AdditiveInequality, checked_algebra, identity, scale
 from .tables import Database, Table
 
 DEFAULT_CAP = 10**7
@@ -71,18 +70,14 @@ def oracle_eval(db, spec, cap=DEFAULT_CAP):
     schema, rows = satisfying_rows(db, spec.inequalities, cap)
     if spec.kind == "count":
         return len(rows)
-    algebra = make_named(spec.algebra)
+    algebra = checked_algebra(spec.kind, spec.algebra)
     if spec.kind == "sumsum":
-        if not isinstance(algebra, Monoid):
-            raise QueryRejected(f"sumsum needs a monoid, got {spec.algebra!r}")
         total = algebra.identity
         for row in rows:
             for f, v in zip(schema, row):
                 if f in spec.F:
                     total = algebra.plus(total, spec.F[f](v))
         return total
-    if not isinstance(algebra, Semiring):
-        raise QueryRejected(f"sumprod needs a semiring, got {spec.algebra!r}")
     total = algebra.zero
     for row in rows:
         prod = algebra.one

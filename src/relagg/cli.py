@@ -10,6 +10,7 @@ import json
 import pathlib
 import sys
 import time
+from dataclasses import replace
 
 from . import bruteforce, drivers
 from .engine import Instrumentation
@@ -43,7 +44,11 @@ def _load_database(paths):
 
 def _load_spec(args):
     with open(args.query) as fh:
-        spec = spec_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise QueryRejected(f"query file is not JSON: {exc}") from None
+    spec = spec_from_json(obj)
     overrides = {}
     if getattr(args, "exact", False):
         overrides["mode"] = "exact"
@@ -51,8 +56,6 @@ def _load_spec(args):
         overrides["mode"] = "approx"
         overrides["epsilon"] = args.epsilon
     if overrides:
-        from dataclasses import replace
-
         spec = replace(spec, **overrides)
     return spec
 
@@ -80,44 +83,17 @@ def _run_engine(args, kind):
         raise QueryRejected(
             f"query file declares kind {spec.kind!r}, subcommand is {kind!r}"
         )
+    params = drivers.ApproxParams(spec.epsilon, alpha=args.alpha)
     instr = Instrumentation()
     start = time.perf_counter()
-    if spec.mode == "approx" and args.alpha is not None:
-        from .queryspec import validate
-
-        rejection = validate(spec, db)
-        if rejection is not None:
-            raise QueryRejected(rejection.reason)
-        params = drivers.ApproxParams(epsilon=spec.epsilon, alpha=args.alpha)
-        if spec.kind == "count":
-            result = drivers.count_rows(
-                db, spec.inequality, params=params, mode="approx", instr=instr
-            )
-        elif spec.kind == "sumsum":
-            result = drivers.sumsum(
-                db, spec.algebra, spec.F, spec.inequality,
-                params=params, mode="approx", instr=instr,
-            )
-        else:
-            result = drivers.sumprod(
-                db, spec.algebra, spec.F, spec.inequality,
-                params=params, mode="approx", instr=instr,
-            )
-    else:
-        result = drivers.run_query(db, spec, instr=instr)
+    result = drivers.run_query(db, spec, instr=instr, params=params)
     elapsed = time.perf_counter() - start
-    alpha = None
-    if spec.mode == "approx":
-        alpha = (
-            args.alpha
-            if args.alpha is not None
-            else drivers.ApproxParams(spec.epsilon).resolve_alpha(db.m, db.n)
-        )
+    approx = spec.mode == "approx"
     report = {
         "result": result,
         "mode": spec.mode,
-        "epsilon": spec.epsilon if spec.mode == "approx" else None,
-        "alpha": alpha,
+        "epsilon": spec.epsilon if approx else None,
+        "alpha": params.resolve_alpha(db.m, db.n) if approx else None,
         "sketch": {
             "max_value_size": instr.max_value_size,
             "max_fold_depth": instr.max_fold_depth,
@@ -207,7 +183,9 @@ def build_parser():
             p.add_argument("--epsilon", type=float, default=None)
             p.add_argument("--exact", action="store_true")
             p.add_argument("--alpha", type=float, default=None,
-                           help="override the per-operation sketch parameter")
+                           help="override the per-operation sketch parameter "
+                           "(finite, > 0); the error bound then no longer "
+                           "follows from epsilon")
             p.add_argument("--dump-sketch", action="store_true")
 
     p = sub.add_parser("decompose", help="print the join tree edge list")
@@ -216,7 +194,6 @@ def build_parser():
     for kind in ("count", "sumsum", "sumprod"):
         p = sub.add_parser(kind, help=f"run a {kind} query")
         add_common(p)
-        p.add_argument("--root", type=int, default=None)
 
     p = sub.add_parser("oracle", help="brute-force evaluation by materialization")
     add_common(p)

@@ -13,18 +13,12 @@ from the requested total relative error.
 import math
 from dataclasses import dataclass
 
-from .algebra import Monoid, Semiring, make_named, repeat
-from .engine import (
-    EngineConfig,
-    Instrumentation,
-    assign_features,
-    evaluate,
-    evaluate_to_root,
-)
+from .algebra import repeat
+from .engine import EngineConfig, assign_features, evaluate, evaluate_to_root
 from .errors import QueryRejected
 from .jointree import build_decomposition
 from .multiset import MS_EMPTY, MS_ONE, Multiset, ms_convolve, ms_triangle, ms_union
-from .queryspec import AdditiveInequality, Rejection, validate
+from .queryspec import AdditiveInequality, checked_algebra, in_carrier, validate
 from .sketch import alpha_for, approx_convolve, approx_union
 from .weightedset import lift, ws_convolve, ws_empty, ws_one, ws_plus, ws_triangle
 
@@ -33,34 +27,28 @@ DEFAULT_SKETCH_CAP = 10**6
 
 @dataclass
 class ApproxParams:
+    """Approx-mode settings; an alpha override must be finite and > 0."""
+
     epsilon: float
     alpha: float = None  # derived from epsilon unless overridden
     size_cap: int = DEFAULT_SKETCH_CAP
+
+    def __post_init__(self):
+        if self.alpha is not None and not (
+            self.alpha > 0 and math.isfinite(self.alpha)
+        ):
+            raise QueryRejected(
+                f"alpha must be a finite number greater than 0, got {self.alpha}"
+            )
 
     def resolve_alpha(self, m, n):
         return self.alpha if self.alpha is not None else alpha_for(self.epsilon, m, n)
 
 
-def _ms_config(db, mode, params, instr):
+def _config(db, mode, params, plus, times, zero, one):
+    """Engine operations: the exact ones, or in approx mode their sketches."""
     if mode == "exact":
-        return EngineConfig(
-            plus=ms_union, times=ms_convolve, zero=MS_EMPTY, one=MS_ONE
-        )
-    alpha = params.resolve_alpha(db.m, db.n)
-    return EngineConfig(
-        plus=lambda a, b: approx_union(a, b, alpha),
-        times=lambda a, b: approx_convolve(a, b, alpha),
-        zero=MS_EMPTY,
-        one=MS_ONE,
-        size_cap=params.size_cap,
-    )
-
-
-def _ws_config(db, base, mode, params, instr):
-    zero = ws_empty(base)
-    one = ws_one(base)
-    if mode == "exact":
-        return EngineConfig(plus=ws_plus, times=ws_convolve, zero=zero, one=one)
+        return EngineConfig(plus=plus, times=times, zero=zero, one=one)
     alpha = params.resolve_alpha(db.m, db.n)
     return EngineConfig(
         plus=lambda a, b: approx_union(a, b, alpha),
@@ -88,7 +76,7 @@ def count_rows(db, ineq=None, params=None, mode="exact", decomp=None, instr=None
     ineq = ineq or AdditiveInequality()
     params = params or ApproxParams(epsilon=0.1)
     decomp = decomp or build_decomposition(db)
-    config = _ms_config(db, mode, params, instr)
+    config = _config(db, mode, params, ms_union, ms_convolve, MS_EMPTY, MS_ONE)
     factors = _counting_factors(db, ineq)
     result = evaluate(db, decomp, factors, config, instr=instr)
     return ms_triangle(result, ineq.threshold)
@@ -102,17 +90,12 @@ def sumsum(db, monoid, F, ineq=None, params=None, mode="exact",
     every active-domain value is read off a root-table evaluation of the
     row-counting query, then the term is repeated that many times.
     """
-    if isinstance(monoid, str):
-        monoid = make_named(monoid)
-    if not isinstance(monoid, Monoid):
-        raise QueryRejected(f"sumsum needs a monoid, got {monoid!r}")
-    if not monoid.repeatable:
-        raise QueryRejected(f"monoid {monoid.name!r} is not repeatable")
+    monoid = checked_algebra("sumsum", monoid)
     ineq = ineq or AdditiveInequality()
     params = params or ApproxParams(epsilon=0.1)
     decomp = decomp or build_decomposition(db)
     owner, _ = assign_features(db)
-    config = _ms_config(db, mode, params, instr)
+    config = _config(db, mode, params, ms_union, ms_convolve, MS_EMPTY, MS_ONE)
     factors = _counting_factors(db, ineq)
 
     root_tables = {}
@@ -145,18 +128,14 @@ def sumprod(db, semiring, F, ineq=None, params=None, mode="exact",
 
     Features absent from F contribute the multiplicative identity.
     """
-    if isinstance(semiring, str):
-        semiring = make_named(semiring)
-    if not isinstance(semiring, Semiring):
-        raise QueryRejected(f"sumprod needs a semiring, got {semiring!r}")
-    if semiring.plus_monotone not in ("increasing", "decreasing"):
-        raise QueryRejected(
-            f"semiring {semiring.name!r} addition is not monotone"
-        )
+    semiring = checked_algebra("sumprod", semiring)
     ineq = ineq or AdditiveInequality()
     params = params or ApproxParams(epsilon=0.1)
     decomp = decomp or build_decomposition(db)
-    config = _ws_config(db, semiring, mode, params, instr)
+    config = _config(
+        db, mode, params, ws_plus, ws_convolve,
+        ws_empty(semiring), ws_one(semiring),
+    )
 
     factors = {}
     for feature in db.feature_tables:
@@ -173,9 +152,7 @@ def sumprod(db, semiring, F, ineq=None, params=None, mode="exact",
 
 
 def _checked_lift(g_val, f_val, base, feature):
-    if f_val not in (base.zero, base.one) and not (
-        f_val >= 0 and math.isfinite(f_val)
-    ):
+    if not in_carrier(f_val, base):
         raise QueryRejected(
             f"factor value {f_val} for feature {feature!r} lies outside the "
             "nonnegative carrier; negative terms cannot be approximated "
@@ -184,15 +161,16 @@ def _checked_lift(g_val, f_val, base, feature):
     return lift(g_val, f_val, base)
 
 
-def run_query(db, spec, instr=None):
+def run_query(db, spec, instr=None, params=None):
     """Dispatch a QuerySpec through validation to the matching driver.
 
+    `params` defaults to the spec's epsilon with alpha derived from it.
     Raises QueryRejected when validation fails.
     """
     rejection = validate(spec, db)
     if rejection is not None:
         raise QueryRejected(rejection.reason)
-    params = ApproxParams(epsilon=spec.epsilon)
+    params = params or ApproxParams(epsilon=spec.epsilon)
     if spec.kind == "count":
         return count_rows(
             db, spec.inequality, params=params, mode=spec.mode, instr=instr

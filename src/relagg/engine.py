@@ -7,9 +7,14 @@ neighbors until one table remains. All group folds use balanced binary
 combination so that a fold of k items has depth at most ceil(log2 k); this
 matters when the working operations are sketched (error grows with depth).
 
+Eliminating a leaf groups its rows by the features it shares with its
+parent, folds each group, and multiplies every parent row by the value of
+its group; a leaf that shares no feature is one group holding every row.
+
 The working operations may be an exact semiring or their sketched
 counterparts; with sketching the result is order dependent, so elimination
-order and grouping are fixed and deterministic.
+order and grouping are fixed and deterministic: each group folds its rows
+in table order.
 """
 
 import math
@@ -25,11 +30,7 @@ class EngineConfig:
     times: callable
     zero: object
     one: object
-    post: callable = None  # applied to each group value, product, and result
     size_cap: int = None  # abort when a carrier value grows past this
-
-    def apply_post(self, value):
-        return value if self.post is None else self.post(value)
 
 
 @dataclass
@@ -75,7 +76,7 @@ def balanced_fold(op, items, identity, instr=None):
     return items[0]
 
 
-def assign_features(db, decomp=None):
+def assign_features(db):
     """Each feature goes to the lowest-index table containing it.
 
     Returns a dict feature -> table index and the per-table partition as a
@@ -88,7 +89,7 @@ def assign_features(db, decomp=None):
     return owner, partition
 
 
-def _seed_tables(db, factors, config, instr):
+def _seed_tables(db, factors, config):
     _, partition = assign_features(db)
     tables = {}
     for i in range(1, db.m + 1):
@@ -119,7 +120,7 @@ def _check_size(value, config):
     return value
 
 
-def _eliminate(db, decomp, tables, config, root, instr):
+def _eliminate(decomp, tables, config, root, instr):
     adj = decomp.adjacency()
     alive = set(adj)
     while len(alive) > 1:
@@ -128,59 +129,30 @@ def _eliminate(db, decomp, tables, config, root, instr):
         )
         (j,) = adj[leaf]
         ti, tj = tables[leaf], tables[j]
-        shared = tuple(sorted(set(ti.schema) & set(tj.schema)))
+        shared = sorted(set(ti.schema) & set(tj.schema))
+        icols = [ti.schema.index(f) for f in shared]
+        jcols = [tj.schema.index(f) for f in shared]
 
-        if not shared:
-            total = balanced_fold(
-                config.plus, (q for _, q in ti.rows), config.zero, instr
+        keyed = {}
+        for row, q in ti.rows:
+            keyed.setdefault(tuple(row[c] for c in icols), []).append(q)
+        groups = {}
+        for key, items in keyed.items():
+            value = _check_size(
+                balanced_fold(config.plus, items, config.zero, instr), config
             )
-            total = _check_size(config.apply_post(total), config)
             if instr is not None:
-                instr.record_value(total)
-            new_rows = []
-            for row, q in tj.rows:
-                prod = _check_size(
-                    config.apply_post(config.times(q, total)), config
-                )
+                instr.record_value(value)
+            groups[key] = value
+        new_rows = []
+        for row, q in tj.rows:
+            key = tuple(row[c] for c in jcols)
+            if key in groups:
+                prod = _check_size(config.times(q, groups[key]), config)
                 if prod != config.zero:
                     new_rows.append((row, prod))
-            tj.rows = new_rows
-        else:
-            icols = [ti.schema.index(f) for f in shared]
-            jcols = [tj.schema.index(f) for f in shared]
-            keyed = [
-                (tuple(row[c] for c in icols), q) for row, q in ti.rows
-            ]
-            keyed.sort(key=lambda kv: kv[0])
-            groups = {}
-            start = 0
-            while start < len(keyed):
-                key = keyed[start][0]
-                end = start
-                while end < len(keyed) and keyed[end][0] == key:
-                    end += 1
-                value = balanced_fold(
-                    config.plus,
-                    (q for _, q in keyed[start:end]),
-                    config.zero,
-                    instr,
-                )
-                value = _check_size(config.apply_post(value), config)
-                if instr is not None:
-                    instr.record_value(value)
-                groups[key] = value
-                start = end
-            new_rows = []
-            for row, q in tj.rows:
-                key = tuple(row[c] for c in jcols)
-                if key in groups:
-                    prod = _check_size(
-                        config.apply_post(config.times(q, groups[key])), config
-                    )
-                    if prod != config.zero:
-                        new_rows.append((row, prod))
-                # rows with no matching group take the zero and are pruned
-            tj.rows = new_rows
+            # rows with no matching group take the zero and are pruned
+        tj.rows = new_rows
 
         adj[j].discard(leaf)
         del adj[leaf]
@@ -202,12 +174,12 @@ def evaluate(db, decomp, factors, config, root=None, instr=None):
     operations it is its approximation.
     """
     _validated(db, decomp)
-    tables = _seed_tables(db, factors, config, instr)
-    final = _eliminate(db, decomp, tables, config, root, instr)
+    tables = _seed_tables(db, factors, config)
+    final = _eliminate(decomp, tables, config, root, instr)
     result = balanced_fold(
         config.plus, (q for _, q in final.rows), config.zero, instr
     )
-    result = _check_size(config.apply_post(result), config)
+    result = _check_size(result, config)
     if instr is not None:
         instr.record_value(result)
     return result
@@ -218,5 +190,5 @@ def evaluate_to_root(db, decomp, factors, config, root, instr=None):
     _validated(db, decomp)
     if not (1 <= root <= db.m):
         raise ValueError(f"root index {root} out of range 1..{db.m}")
-    tables = _seed_tables(db, factors, config, instr)
-    return _eliminate(db, decomp, tables, config, root, instr)
+    tables = _seed_tables(db, factors, config)
+    return _eliminate(decomp, tables, config, root, instr)

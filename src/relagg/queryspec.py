@@ -16,6 +16,24 @@ from .tables import active_domain
 _INF = math.inf
 
 
+# Function kind -> (JSON parameter fields, function of x and the parameters).
+FUNCTION_KINDS = {
+    "constant": (("c",), lambda x, c: c),
+    "identity": ((), lambda x: x),
+    "scale": (("factor",), lambda x, factor: factor * x),
+    "affine": (("a", "b"), lambda x, a, b: a * x + b),
+    "square": ((), lambda x: x * x),
+    "abs_offset": (("y",), lambda x, y: abs(x - y)),
+    "sq_offset": (("y",), lambda x, y: (x - y) ** 2),
+    "scaled_square": (("alpha",), lambda x, alpha: x * x / (alpha * alpha)),
+    "indicator_eq": (
+        ("value", "then", "else"),
+        lambda x, value, then, other: then if x == value else other,
+    ),
+    "indicator_nonzero": ((), lambda x: 1.0 if x != 0 else 0.0),
+}
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """A small closed family of single-argument real functions."""
@@ -23,50 +41,17 @@ class FunctionSpec:
     kind: str
     params: tuple = ()
 
-    _ARITY = {
-        "constant": 1,       # c
-        "identity": 0,
-        "scale": 1,          # factor
-        "affine": 2,         # a, b -> a*x + b
-        "square": 0,
-        "abs_offset": 1,     # y -> |x - y|
-        "sq_offset": 1,      # y -> (x - y)^2
-        "scaled_square": 1,  # alpha -> x^2 / alpha^2
-        "indicator_eq": 3,   # value, then, else
-        "indicator_nonzero": 0,
-    }
-
     def __post_init__(self):
-        if self.kind not in self._ARITY:
+        if self.kind not in FUNCTION_KINDS:
             raise QueryRejected(f"unknown function kind {self.kind!r}")
-        want = self._ARITY[self.kind]
+        want = len(FUNCTION_KINDS[self.kind][0])
         if len(self.params) != want:
             raise QueryRejected(
                 f"{self.kind} takes {want} parameter(s), got {len(self.params)}"
             )
 
     def __call__(self, x):
-        k, p = self.kind, self.params
-        if k == "constant":
-            return p[0]
-        if k == "identity":
-            return x
-        if k == "scale":
-            return p[0] * x
-        if k == "affine":
-            return p[0] * x + p[1]
-        if k == "square":
-            return x * x
-        if k == "abs_offset":
-            return abs(x - p[0])
-        if k == "sq_offset":
-            return (x - p[0]) ** 2
-        if k == "scaled_square":
-            return x * x / (p[0] * p[0])
-        if k == "indicator_eq":
-            return p[1] if x == p[0] else p[2]
-        # indicator_nonzero
-        return 1.0 if x != 0 else 0.0
+        return FUNCTION_KINDS[self.kind][1](x, *self.params)
 
 
 def constant(c):
@@ -149,32 +134,17 @@ def validate(spec, db):
     if spec.kind == "count":
         return None
     try:
-        algebra = make_named(spec.algebra)
-    except KeyError as exc:
-        return Rejection(str(exc))
-
+        algebra = checked_algebra(spec.kind, spec.algebra)
+    except QueryRejected as exc:
+        return Rejection(exc.reason)
     if spec.kind == "sumsum":
-        if not isinstance(algebra, Monoid):
-            return Rejection(f"sumsum needs a monoid, got {spec.algebra!r}")
-        if not algebra.repeatable:
-            return Rejection(f"monoid {spec.algebra!r} is not repeatable")
-        if not algebra.no_error:
-            return Rejection(f"monoid {spec.algebra!r} addition introduces error")
-        if spec.mode == "approx":
-            sign = _term_sign(spec.F, db)
-            if sign is None:
-                return Rejection(
-                    "sumsum terms mix positive and negative values; relative "
-                    "error does not survive cancellation (the subtraction "
-                    "problem), so no approximation is attempted"
-                )
+        if spec.mode == "approx" and _term_sign(spec.F, db) is None:
+            return Rejection(
+                "sumsum terms mix positive and negative values; relative "
+                "error does not survive cancellation (the subtraction "
+                "problem), so no approximation is attempted"
+            )
         return None
-
-    # sumprod
-    if not isinstance(algebra, Semiring):
-        return Rejection(f"sumprod needs a semiring, got {spec.algebra!r}")
-    if algebra.plus_monotone not in ("increasing", "decreasing"):
-        return Rejection(f"semiring {spec.algebra!r} addition is not monotone")
     bad = _domain_violation(spec.F, algebra, db)
     if bad is not None:
         feature, value, fval = bad
@@ -184,6 +154,40 @@ def validate(spec, db):
             "cannot be approximated (the subtraction problem)"
         )
     return None
+
+
+def checked_algebra(kind, algebra):
+    """The monoid (sumsum) or semiring (sumprod) named or given by `algebra`.
+
+    Raises QueryRejected when it is unknown or cannot carry a `kind` query.
+    """
+    if isinstance(algebra, str):
+        try:
+            algebra = make_named(algebra)
+        except KeyError as exc:
+            raise QueryRejected(exc.args[0]) from None
+    if kind == "sumsum":
+        if not isinstance(algebra, Monoid):
+            raise QueryRejected(f"sumsum needs a monoid, got {algebra!r}")
+        if not algebra.repeatable:
+            raise QueryRejected(f"monoid {algebra.name!r} is not repeatable")
+        if not algebra.no_error:
+            raise QueryRejected(
+                f"monoid {algebra.name!r} addition introduces error"
+            )
+        return algebra
+    if not isinstance(algebra, Semiring):
+        raise QueryRejected(f"sumprod needs a semiring, got {algebra!r}")
+    if algebra.plus_monotone not in ("increasing", "decreasing"):
+        raise QueryRejected(f"semiring {algebra.name!r} addition is not monotone")
+    return algebra
+
+
+def in_carrier(value, algebra):
+    """True iff a factor value lies inside the nonnegative carrier."""
+    return value in (algebra.zero, algebra.one) or (
+        value >= 0 and math.isfinite(value)
+    )
 
 
 def _term_sign(F, db):
@@ -209,9 +213,7 @@ def _domain_violation(F, algebra, db):
             continue
         for v in active_domain(db, feature):
             fv = fn(v)
-            if fv in (algebra.zero, algebra.one):
-                continue
-            if not (fv >= 0 and math.isfinite(fv)):
+            if not in_carrier(fv, algebra):
                 return (feature, v, fv)
     return None
 
@@ -338,54 +340,59 @@ def _max_sqdist_halfspace(features, y, beta, L):
 # JSON wire format
 
 
+def _number(value, name):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise QueryRejected(f"{name} must be a number, got {value!r}") from None
+
+
+def _expect(value, cls, name):
+    """`value` if it is a JSON object (cls dict) or list (cls list)."""
+    if not isinstance(value, cls):
+        what = "object" if cls is dict else "list"
+        raise QueryRejected(f"{name} must be a JSON {what}, got {value!r}")
+    return value
+
+
 def function_from_json(obj):
-    if not isinstance(obj, dict) or "kind" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
         raise QueryRejected(f"bad function spec: {obj!r}")
     kind = obj["kind"]
-    fields = {
-        "constant": ("c",),
-        "identity": (),
-        "scale": ("factor",),
-        "affine": ("a", "b"),
-        "square": (),
-        "abs_offset": ("y",),
-        "sq_offset": ("y",),
-        "scaled_square": ("alpha",),
-        "indicator_eq": ("value", "then", "else"),
-        "indicator_nonzero": (),
-    }
-    if kind not in fields:
+    if kind not in FUNCTION_KINDS:
         raise QueryRejected(f"unknown function kind {kind!r}")
-    extra = set(obj) - {"kind", *fields[kind]}
+    fields = FUNCTION_KINDS[kind][0]
+    extra = set(obj) - {"kind", *fields}
     if extra:
         raise QueryRejected(f"unknown fields {sorted(extra)} in {kind} spec")
     try:
-        params = tuple(float(obj[f]) for f in fields[kind])
+        params = tuple(_number(obj[f], f"{kind} field {f!r}") for f in fields)
     except KeyError as exc:
         raise QueryRejected(f"{kind} spec missing field {exc}") from None
     return FunctionSpec(kind, params)
 
 
 def inequality_from_json(obj):
+    _expect(obj, dict, "inequality")
     extra = set(obj) - {"g", "L"}
     if extra:
         raise QueryRejected(f"unknown fields {sorted(extra)} in inequality")
-    g = {f: function_from_json(fn) for f, fn in obj.get("g", {}).items()}
-    threshold = float(obj.get("L", _INF))
+    g = {f: function_from_json(fn)
+         for f, fn in _expect(obj.get("g", {}), dict, "g").items()}
+    threshold = _number(obj.get("L", _INF), "L")
     return AdditiveInequality(g=g, threshold=threshold)
 
 
 def spec_from_json(obj):
     """Parse the query file format; unknown fields are rejected."""
-    if not isinstance(obj, dict):
-        raise QueryRejected("query file must hold a JSON object")
+    _expect(obj, dict, "query file")
     if "preset" in obj:
         extra = set(obj) - {"preset"}
         if extra:
             raise QueryRejected(
                 f"preset queries take no other fields, got {sorted(extra)}"
             )
-        pobj = dict(obj["preset"])
+        pobj = dict(_expect(obj["preset"], dict, "preset"))
         name = pobj.pop("name", None)
         if name is None:
             raise QueryRejected("preset object needs a 'name'")
@@ -402,13 +409,17 @@ def spec_from_json(obj):
     if "inequality" in obj:
         ineqs = (inequality_from_json(obj["inequality"]),)
     elif "inequalities" in obj:
-        ineqs = tuple(inequality_from_json(o) for o in obj["inequalities"])
-    F = {f: function_from_json(fn) for f, fn in obj.get("F", {}).items()}
+        ineqs = tuple(
+            inequality_from_json(o)
+            for o in _expect(obj["inequalities"], list, "inequalities")
+        )
+    F = {f: function_from_json(fn)
+         for f, fn in _expect(obj.get("F", {}), dict, "F").items()}
     return QuerySpec(
         kind=obj.get("kind", "count"),
         algebra=obj.get("algebra", "counting"),
         F=F,
         inequalities=ineqs,
-        epsilon=float(obj.get("epsilon", 0.1)),
+        epsilon=_number(obj.get("epsilon", 0.1), "epsilon"),
         mode=obj.get("mode", "exact"),
     )

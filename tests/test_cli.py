@@ -89,6 +89,47 @@ def test_alpha_override(db1_dir, capsys):
     assert report["alpha"] == 0.001
 
 
+@pytest.mark.parametrize("alpha", ["nan", "-1", "0", "inf"])
+def test_bad_alpha_exit_2(db1_dir, capsys, alpha):
+    q = write_query(db1_dir, COUNT_LEQ9)
+    assert main([
+        "count", "--tables", str(db1_dir), "--query", q,
+        "--epsilon", "0.1", "--alpha", alpha,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: alpha") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("query, reason", [
+    (dict(COUNT_LEQ9, epsilon="abc"), "epsilon must be a number"),
+    ({"kind": "count", "inequality": {"L": "x"}}, "L must be a number"),
+    ({"kind": "count", "inequality": {"L": None}}, "L must be a number"),
+    ({"kind": "count", "inequality": {
+        "g": {"a": {"kind": "scale", "factor": "x"}}}},
+     "'factor' must be a number"),
+    ({"kind": "count", "inequality": {"g": [1]}}, "g must be a JSON object"),
+    ({"kind": "count", "F": []}, "F must be a JSON object"),
+    ({"kind": "count", "inequalities": {"L": 1}},
+     "inequalities must be a JSON list"),
+    ({"preset": ["x"]}, "preset must be a JSON object"),
+])
+def test_malformed_query_file_exit_2(db1_dir, capsys, query, reason):
+    q = write_query(db1_dir, query)
+    assert main(["count", "--tables", str(db1_dir), "--query", q]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: ") and err.count("\n") == 1
+    assert reason in err
+
+
+def test_query_file_not_json_exit_2(db1_dir, capsys):
+    q = db1_dir / "query.json"
+    q.write_text('{"kind": ')
+    assert main(["count", "--tables", str(db1_dir), "--query", str(q)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: query file is not JSON")
+    assert err.count("\n") == 1
+
+
 def test_kind_mismatch_exit_2(db1_dir, capsys):
     q = write_query(db1_dir, COUNT_LEQ9)
     assert main(["sumsum", "--tables", str(db1_dir), "--query", q]) == 2

@@ -12,6 +12,7 @@ from relagg import (
     validate,
 )
 from relagg.queryspec import (
+    FUNCTION_KINDS,
     constant,
     function_from_json,
     identity,
@@ -208,6 +209,38 @@ def test_function_from_json():
         function_from_json({"kind": "identity", "bogus": 1})
     with pytest.raises(QueryRejected):
         function_from_json({"kind": "wat"})
+
+
+# One JSON spec per function kind (two for the piecewise ones), a point,
+# and the function's value there.
+KIND_CASES = [
+    ({"kind": "constant", "c": 4}, 2.0, 4.0),
+    ({"kind": "identity"}, 2.0, 2.0),
+    ({"kind": "scale", "factor": -3}, 2.0, -6.0),
+    ({"kind": "affine", "a": 2, "b": 1}, 3.0, 7.0),
+    ({"kind": "square"}, -3.0, 9.0),
+    ({"kind": "abs_offset", "y": 5}, 2.0, 3.0),
+    ({"kind": "sq_offset", "y": 5}, 2.0, 9.0),
+    ({"kind": "scaled_square", "alpha": 2}, 3.0, 2.25),
+    ({"kind": "indicator_eq", "value": 1, "then": 7, "else": 8}, 1.0, 7.0),
+    ({"kind": "indicator_eq", "value": 1, "then": 7, "else": 8}, 2.0, 8.0),
+    ({"kind": "indicator_nonzero"}, 0.0, 0.0),
+    ({"kind": "indicator_nonzero"}, -2.0, 1.0),
+]
+
+
+def test_kind_cases_cover_every_function_kind():
+    assert {obj["kind"] for obj, _, _ in KIND_CASES} == set(FUNCTION_KINDS)
+
+
+@pytest.mark.parametrize("obj, x, expected", KIND_CASES,
+                         ids=lambda v: v["kind"] if isinstance(v, dict) else None)
+def test_every_function_kind_from_json(obj, x, expected):
+    params = tuple(float(v) for k, v in obj.items() if k != "kind")
+    direct = FunctionSpec(obj["kind"], params)
+    parsed = function_from_json(obj)
+    assert parsed == direct
+    assert parsed(x) == direct(x) == expected
 
 
 def test_inequality_from_json():
