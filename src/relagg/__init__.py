@@ -41,9 +41,8 @@ from .queryspec import (
     QuerySpec,
     preset,
     spec_from_json,
-    validate,
 )
-from .sketch import alpha_for, approx_convolve, approx_union, ms_sketch, ws_sketch
+from .sketch import alpha_for, ms_sketch, ws_sketch
 from .tables import Database, Table, active_domain, load_table, stats
 from .weightedset import WeightedSet, lift, ws_convolve, ws_plus, ws_triangle
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: decompose, count, sumsum, sumprod, oracle, gen. Exit codes:
-0 success, 2 validation rejection, 3 cyclic join, 4 cap or overflow.
+0 success, 2 rejected query or unreadable input, 3 cyclic join,
+4 cap or overflow.
 JSON reports are deterministic for fixed inputs (timing is text-mode only).
 """
 
@@ -37,13 +38,23 @@ def _load_database(paths):
         raise TableError(f"no .csv tables found under {', '.join(paths)}")
     tables = []
     for f in files:
-        with open(f, newline="") as fh:
+        try:
+            fh = open(f, newline="")
+        except OSError as exc:
+            raise TableError(f"cannot read table {f}: {exc.strerror}") from None
+        with fh:
             tables.append(load_table(fh, name=f.stem, header=True))
     return Database(tables=tuple(tables))
 
 
 def _load_spec(args):
-    with open(args.query) as fh:
+    try:
+        fh = open(args.query)
+    except OSError as exc:
+        raise QueryRejected(
+            f"cannot read query file {args.query}: {exc.strerror}"
+        ) from None
+    with fh:
         try:
             obj = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -182,11 +193,6 @@ def build_parser():
             p.add_argument("--query", required=True, help="query spec JSON file")
             p.add_argument("--epsilon", type=float, default=None)
             p.add_argument("--exact", action="store_true")
-            p.add_argument("--alpha", type=float, default=None,
-                           help="override the per-operation sketch parameter "
-                           "(finite, > 0); the error bound then no longer "
-                           "follows from epsilon")
-            p.add_argument("--dump-sketch", action="store_true")
 
     p = sub.add_parser("decompose", help="print the join tree edge list")
     add_common(p, query=False)
@@ -194,6 +200,11 @@ def build_parser():
     for kind in ("count", "sumsum", "sumprod"):
         p = sub.add_parser(kind, help=f"run a {kind} query")
         add_common(p)
+        p.add_argument("--alpha", type=float, default=None,
+                       help="override the per-operation sketch parameter "
+                       "(finite, > 0); the error bound then no longer "
+                       "follows from epsilon")
+        p.add_argument("--dump-sketch", action="store_true")
 
     p = sub.add_parser("oracle", help="brute-force evaluation by materialization")
     add_common(p)

@@ -6,8 +6,16 @@ inequality term of each feature as a key (row counting: a singleton
 multiset; SumProd: a singleton weighted set pairing the key with the factor
 value). The final answer is the cumulative aggregate of the result at the
 inequality threshold. Exact mode uses the exact semiring operations; approx
-mode sketches after every operation with a per-operation budget derived
-from the requested total relative error.
+mode sketches the result of every operation (`ms_sketch` for multisets,
+`ws_sketch` for weighted sets) with a per-operation budget derived from the
+requested total relative error.
+
+The drivers are where a query is refused, so a direct call refuses exactly
+what `run_query` and the CLI refuse. Each precondition is checked once, at
+the one spot every path passes through: a bad epsilon or alpha by
+`ApproxParams`, a NaN threshold by `AdditiveInequality`, the algebra by
+`checked_algebra`, the carrier and sign of the terms by `sumprod` and
+`sumsum` before any evaluation, and a second inequality by `run_query`.
 """
 
 import math
@@ -18,44 +26,52 @@ from .engine import EngineConfig, assign_features, evaluate, evaluate_to_root
 from .errors import QueryRejected
 from .jointree import build_decomposition
 from .multiset import MS_EMPTY, MS_ONE, Multiset, ms_convolve, ms_triangle, ms_union
-from .queryspec import AdditiveInequality, checked_algebra, in_carrier, validate
-from .sketch import alpha_for, approx_convolve, approx_union
+from .queryspec import AdditiveInequality, checked_algebra
+from .sketch import alpha_for, ms_sketch, ws_sketch
+from .tables import active_domain
 from .weightedset import lift, ws_convolve, ws_empty, ws_one, ws_plus, ws_triangle
 
-DEFAULT_SKETCH_CAP = 10**6
+SKETCH_SIZE_CAP = 10**6  # approx mode aborts when a value outgrows this
 
 
-@dataclass
+def _positive_finite(name, value):
+    if not (value > 0 and math.isfinite(value)):
+        raise QueryRejected(
+            f"{name} must be a finite number greater than 0, got {value}"
+        )
+
+
+@dataclass(frozen=True)
 class ApproxParams:
-    """Approx-mode settings; an alpha override must be finite and > 0."""
+    """Approx-mode settings, checked in either mode.
+
+    epsilon and an alpha override must each be finite and > 0; frozen, so
+    no value can skip the check.
+    """
 
     epsilon: float
     alpha: float = None  # derived from epsilon unless overridden
-    size_cap: int = DEFAULT_SKETCH_CAP
 
     def __post_init__(self):
-        if self.alpha is not None and not (
-            self.alpha > 0 and math.isfinite(self.alpha)
-        ):
-            raise QueryRejected(
-                f"alpha must be a finite number greater than 0, got {self.alpha}"
-            )
+        _positive_finite("epsilon", self.epsilon)
+        if self.alpha is not None:
+            _positive_finite("alpha", self.alpha)
 
     def resolve_alpha(self, m, n):
         return self.alpha if self.alpha is not None else alpha_for(self.epsilon, m, n)
 
 
-def _config(db, mode, params, plus, times, zero, one):
+def _config(db, mode, params, plus, times, sketch, zero, one):
     """Engine operations: the exact ones, or in approx mode their sketches."""
     if mode == "exact":
         return EngineConfig(plus=plus, times=times, zero=zero, one=one)
     alpha = params.resolve_alpha(db.m, db.n)
     return EngineConfig(
-        plus=lambda a, b: approx_union(a, b, alpha),
-        times=lambda a, b: approx_convolve(a, b, alpha),
+        plus=lambda a, b: sketch(plus(a, b), alpha),
+        times=lambda a, b: sketch(times(a, b), alpha),
         zero=zero,
         one=one,
-        size_cap=params.size_cap,
+        size_cap=SKETCH_SIZE_CAP,
     )
 
 
@@ -67,7 +83,15 @@ def _counting_factors(db, ineq):
     return factors
 
 
-def count_rows(db, ineq=None, params=None, mode="exact", decomp=None, instr=None):
+def _term_values(F, db):
+    """(feature, value, F[feature](value)) over each feature's active domain."""
+    for feature, fn in sorted(F.items()):
+        if feature in db.feature_tables:
+            for v in active_domain(db, feature):
+                yield feature, v, fn(v)
+
+
+def count_rows(db, ineq=None, params=None, mode="exact", instr=None):
     """Number of join rows satisfying the inequality.
 
     Exact mode returns the integer count; approx mode a value within a
@@ -75,27 +99,38 @@ def count_rows(db, ineq=None, params=None, mode="exact", decomp=None, instr=None
     """
     ineq = ineq or AdditiveInequality()
     params = params or ApproxParams(epsilon=0.1)
-    decomp = decomp or build_decomposition(db)
-    config = _config(db, mode, params, ms_union, ms_convolve, MS_EMPTY, MS_ONE)
+    config = _config(
+        db, mode, params, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
+    )
     factors = _counting_factors(db, ineq)
-    result = evaluate(db, decomp, factors, config, instr=instr)
+    result = evaluate(db, build_decomposition(db), factors, config, instr=instr)
     return ms_triangle(result, ineq.threshold)
 
 
-def sumsum(db, monoid, F, ineq=None, params=None, mode="exact",
-           decomp=None, instr=None):
+def sumsum(db, monoid, F, ineq=None, params=None, mode="exact", instr=None):
     """Monoid fold of per-feature terms over qualifying join rows.
 
     For each feature (at its assigned table) the qualifying-row count of
     every active-domain value is read off a root-table evaluation of the
-    row-counting query, then the term is repeated that many times.
+    row-counting query, then the term is repeated that many times. Approx
+    mode refuses terms that mix signs over the active domains.
     """
     monoid = checked_algebra("sumsum", monoid)
+    if mode == "approx":
+        values = [fv for _, _, fv in _term_values(F, db)]
+        if any(fv > 0 for fv in values) and any(fv < 0 for fv in values):
+            raise QueryRejected(
+                "sumsum terms mix positive and negative values; relative "
+                "error does not survive cancellation (the subtraction "
+                "problem), so no approximation is attempted"
+            )
     ineq = ineq or AdditiveInequality()
     params = params or ApproxParams(epsilon=0.1)
-    decomp = decomp or build_decomposition(db)
+    decomp = build_decomposition(db)
     owner, _ = assign_features(db)
-    config = _config(db, mode, params, ms_union, ms_convolve, MS_EMPTY, MS_ONE)
+    config = _config(
+        db, mode, params, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
+    )
     factors = _counting_factors(db, ineq)
 
     root_tables = {}
@@ -122,18 +157,26 @@ def sumsum(db, monoid, F, ineq=None, params=None, mode="exact",
     return total
 
 
-def sumprod(db, semiring, F, ineq=None, params=None, mode="exact",
-            decomp=None, instr=None):
+def sumprod(db, semiring, F, ineq=None, params=None, mode="exact", instr=None):
     """Semiring SumProd over qualifying join rows.
 
-    Features absent from F contribute the multiplicative identity.
+    Features absent from F contribute the multiplicative identity. Factor
+    values must lie in the nonnegative carrier (besides the semiring's
+    identities), over every feature's active domain.
     """
     semiring = checked_algebra("sumprod", semiring)
+    for feature, v, fv in _term_values(F, db):
+        if not (fv in (semiring.zero, semiring.one)
+                or (fv >= 0 and math.isfinite(fv))):
+            raise QueryRejected(
+                f"factor value {fv} for feature {feature!r} at {v} lies "
+                "outside the nonnegative carrier; queries with negative terms "
+                "cannot be approximated (the subtraction problem)"
+            )
     ineq = ineq or AdditiveInequality()
     params = params or ApproxParams(epsilon=0.1)
-    decomp = decomp or build_decomposition(db)
     config = _config(
-        db, mode, params, ws_plus, ws_convolve,
+        db, mode, params, ws_plus, ws_convolve, ws_sketch,
         ws_empty(semiring), ws_one(semiring),
     )
 
@@ -144,33 +187,27 @@ def sumprod(db, semiring, F, ineq=None, params=None, mode="exact",
         if fn is None:
             factors[feature] = lambda v, g=g, s=semiring: lift(g(v), s.one, s)
         else:
-            factors[feature] = lambda v, g=g, fn=fn, s=semiring, f=feature: (
-                _checked_lift(g(v), fn(v), s, f)
+            factors[feature] = lambda v, g=g, fn=fn, s=semiring: (
+                lift(g(v), fn(v), s)
             )
-    result = evaluate(db, decomp, factors, config, instr=instr)
+    result = evaluate(db, build_decomposition(db), factors, config, instr=instr)
     return ws_triangle(result, ineq.threshold)
 
 
-def _checked_lift(g_val, f_val, base, feature):
-    if not in_carrier(f_val, base):
-        raise QueryRejected(
-            f"factor value {f_val} for feature {feature!r} lies outside the "
-            "nonnegative carrier; negative terms cannot be approximated "
-            "(the subtraction problem)"
-        )
-    return lift(g_val, f_val, base)
-
-
 def run_query(db, spec, instr=None, params=None):
-    """Dispatch a QuerySpec through validation to the matching driver.
+    """Dispatch a QuerySpec to the matching driver.
 
     `params` defaults to the spec's epsilon with alpha derived from it.
-    Raises QueryRejected when validation fails.
+    Refuses a second inequality, which no driver takes; every other
+    refusal is the driver's (QueryRejected).
     """
-    rejection = validate(spec, db)
-    if rejection is not None:
-        raise QueryRejected(rejection.reason)
     params = params or ApproxParams(epsilon=spec.epsilon)
+    if len(spec.inequalities) > 1:
+        raise QueryRejected(
+            "more than one additive inequality: bounded-relative-error "
+            "approximation of row counts under two additive inequalities "
+            "is NP-hard; this engine handles at most one"
+        )
     if spec.kind == "count":
         return count_rows(
             db, spec.inequality, params=params, mode=spec.mode, instr=instr

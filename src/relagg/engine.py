@@ -166,7 +166,7 @@ def _validated(db, decomp):
         raise CyclicJoinError(f"invalid decomposition: {violation}")
 
 
-def evaluate(db, decomp, factors, config, root=None, instr=None):
+def evaluate(db, decomp, factors, config, instr=None):
     """Value of the aggregate over the bag join.
 
     `factors` maps each feature name to a function value -> carrier.
@@ -175,7 +175,7 @@ def evaluate(db, decomp, factors, config, root=None, instr=None):
     """
     _validated(db, decomp)
     tables = _seed_tables(db, factors, config)
-    final = _eliminate(decomp, tables, config, root, instr)
+    final = _eliminate(decomp, tables, config, None, instr)
     result = balanced_fold(
         config.plus, (q for _, q in final.rows), config.zero, instr
     )

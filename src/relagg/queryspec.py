@@ -1,9 +1,11 @@
-"""Query specifications: per-feature functions, inequalities, validation.
+"""Query specifications: per-feature functions, inequalities, presets, JSON.
 
 A query is a SumSum/SumProd/row-count aggregate over the join, optionally
-restricted by one additive inequality sum_i g_i(x_i) <= L. Validation
-enforces the preconditions of the approximation algorithms and refuses what
-cannot be approximated (two inequalities, mixed-sign terms).
+restricted by one additive inequality sum_i g_i(x_i) <= L. Each object
+checks what it can check alone: a known function kind and arity, a
+threshold that is not NaN, a known query kind and mode. `checked_algebra`
+resolves the algebra of a query for the drivers and the oracle. Refusals
+that depend on the data or the mode are the drivers' (see `drivers`).
 """
 
 import math
@@ -11,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .algebra import Monoid, Semiring, make_named
 from .errors import QueryRejected
-from .tables import active_domain
 
 _INF = math.inf
 
@@ -76,6 +77,10 @@ class AdditiveInequality:
     g: dict = field(default_factory=dict)
     threshold: float = _INF
 
+    def __post_init__(self):
+        if math.isnan(self.threshold):
+            raise QueryRejected("inequality threshold L is NaN")
+
     def term(self, feature):
         return self.g.get(feature, ZERO_FN)
 
@@ -103,59 +108,6 @@ class QuerySpec:
         return self.inequalities[0] if self.inequalities else None
 
 
-@dataclass(frozen=True)
-class Rejection:
-    reason: str
-
-    def __str__(self):
-        return self.reason
-
-
-def validate(spec, db):
-    """Structured rejection when the engine cannot run this query, else None.
-
-    Exact-mode brute-force evaluation through the oracle is not restricted
-    by these checks; they gate the join-tree engine.
-    """
-    if spec.mode == "approx" and not (
-        spec.epsilon > 0 and math.isfinite(spec.epsilon)
-    ):
-        return Rejection(
-            f"epsilon must be a finite number greater than 0, got {spec.epsilon}"
-        )
-    if any(math.isnan(ineq.threshold) for ineq in spec.inequalities):
-        return Rejection("inequality threshold L is NaN")
-    if len(spec.inequalities) > 1:
-        return Rejection(
-            "more than one additive inequality: bounded-relative-error "
-            "approximation of row counts under two additive inequalities "
-            "is NP-hard; this engine handles at most one"
-        )
-    if spec.kind == "count":
-        return None
-    try:
-        algebra = checked_algebra(spec.kind, spec.algebra)
-    except QueryRejected as exc:
-        return Rejection(exc.reason)
-    if spec.kind == "sumsum":
-        if spec.mode == "approx" and _term_sign(spec.F, db) is None:
-            return Rejection(
-                "sumsum terms mix positive and negative values; relative "
-                "error does not survive cancellation (the subtraction "
-                "problem), so no approximation is attempted"
-            )
-        return None
-    bad = _domain_violation(spec.F, algebra, db)
-    if bad is not None:
-        feature, value, fval = bad
-        return Rejection(
-            f"factor value {fval} for feature {feature!r} at {value} lies "
-            "outside the nonnegative carrier; queries with negative terms "
-            "cannot be approximated (the subtraction problem)"
-        )
-    return None
-
-
 def checked_algebra(kind, algebra):
     """The monoid (sumsum) or semiring (sumprod) named or given by `algebra`.
 
@@ -181,41 +133,6 @@ def checked_algebra(kind, algebra):
     if algebra.plus_monotone not in ("increasing", "decreasing"):
         raise QueryRejected(f"semiring {algebra.name!r} addition is not monotone")
     return algebra
-
-
-def in_carrier(value, algebra):
-    """True iff a factor value lies inside the nonnegative carrier."""
-    return value in (algebra.zero, algebra.one) or (
-        value >= 0 and math.isfinite(value)
-    )
-
-
-def _term_sign(F, db):
-    """'+', '-', or None if F values mix signs over the active domains."""
-    has_pos = has_neg = False
-    for feature, fn in F.items():
-        if feature not in db.feature_tables:
-            continue
-        for v in active_domain(db, feature):
-            fv = fn(v)
-            if fv > 0:
-                has_pos = True
-            elif fv < 0:
-                has_neg = True
-    if has_pos and has_neg:
-        return None
-    return "-" if has_neg else "+"
-
-
-def _domain_violation(F, algebra, db):
-    for feature, fn in sorted(F.items()):
-        if feature not in db.feature_tables:
-            continue
-        for v in active_domain(db, feature):
-            fv = fn(v)
-            if not in_carrier(fv, algebra):
-                return (feature, v, fv)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +163,7 @@ def preset(name, params):
     if not features:
         raise QueryRejected(f"preset {name!r} needs a 'features' list")
     mode = params.pop("mode", "exact")
-    epsilon = params.pop("epsilon", 0.1)
+    epsilon = _number(params.pop("epsilon", 0.1), "epsilon")
     try:
         spec = builders[name](list(features), **params)
     except TypeError as exc:

@@ -14,12 +14,15 @@ aggregate: a run absorbs keys while the cumulative stays within a (1+eps)
 geometric band of the last retained boundary, then collapses to its last key
 carrying the base (+)-aggregate of the run's weights. Cumulative aggregates
 at every original key are preserved within a (1+eps) factor either way.
+
+Approx mode applies a sketch after every exact operation: the drivers
+compose sketch(op(a, b), alpha) with the sketch of their carrier.
 """
 
 import math
 
-from .multiset import MS_EMPTY, Multiset, ms_convolve, ms_union
-from .weightedset import WeightedSet, ws_convolve, ws_plus
+from .multiset import Multiset
+from .weightedset import WeightedSet
 
 
 def alpha_for(eps, m, n):
@@ -142,41 +145,3 @@ def _leaves_band(value, band_base, eps):
         # the named bases (e.g. -inf); treat any change as a band break.
         return value != band_base
     return value > (1 + eps) * band_base
-
-
-def approx_union(a, b, alpha):
-    """Sketch of the exact union; alpha <= 0 degrades to the exact union."""
-    exact = _union(a, b)
-    if alpha <= 0:
-        return exact
-    return _sketch(exact, alpha)
-
-
-def approx_convolve(a, b, alpha):
-    """Sketch of the exact convolution; alpha <= 0 degrades to exact."""
-    exact = _convolve(a, b)
-    if alpha <= 0:
-        return exact
-    return _sketch(exact, alpha)
-
-
-def _union(a, b):
-    if isinstance(a, Multiset) and isinstance(b, Multiset):
-        return ms_union(a, b)
-    if isinstance(a, WeightedSet) and isinstance(b, WeightedSet):
-        return ws_plus(a, b)
-    raise TypeError(f"mismatched operands: {type(a).__name__}, {type(b).__name__}")
-
-
-def _convolve(a, b):
-    if isinstance(a, Multiset) and isinstance(b, Multiset):
-        return ms_convolve(a, b)
-    if isinstance(a, WeightedSet) and isinstance(b, WeightedSet):
-        return ws_convolve(a, b)
-    raise TypeError(f"mismatched operands: {type(a).__name__}, {type(b).__name__}")
-
-
-def _sketch(value, eps):
-    if isinstance(value, Multiset):
-        return ms_sketch(value, eps)
-    return ws_sketch(value, eps)

@@ -39,7 +39,6 @@ import conftest
 from relagg.cli import main as cli_main
 from relagg.multiset import ms_convolve, ms_union
 from relagg.queryspec import identity
-from relagg.sketch import approx_convolve, approx_union
 from relagg.weightedset import ws_convolve, ws_plus
 from conftest import (
     gyo_acyclic,
@@ -183,12 +182,9 @@ def test_criterion_4_sketch_error_composes():
     for _ in range(500):
         a, b = _random_ms(rng, max_count=20), _random_ms(rng, max_count=20)
         sa, sb = ms_sketch(a, beta), ms_sketch(b, gamma)
-        for op, exact_op in (
-            (approx_union, ms_union),
-            (approx_convolve, ms_convolve),
-        ):
-            exact = exact_op(a, b)
-            got = op(sa, sb, alpha)
+        for op in (ms_union, ms_convolve):
+            exact = op(a, b)
+            got = ms_sketch(op(sa, sb), alpha)
             lo_factor = (1 - beta - gamma) * (1 - alpha)
             for t, _ in exact.entries:
                 ref = ms_triangle(exact, t)
@@ -202,9 +198,9 @@ def test_criterion_4_sketch_error_composes():
         a, b = _random_ws_nonneg(rng, base), _random_ws_nonneg(rng, base)
         sa, sb = ws_sketch(a, beta), ws_sketch(b, gamma)
         hi_factor = (1 + beta) * (1 + gamma) * (1 + alpha)
-        for op, exact_op in ((approx_union, ws_plus), (approx_convolve, ws_convolve)):
-            exact = exact_op(a, b)
-            got = op(sa, sb, alpha)
+        for op in (ws_plus, ws_convolve):
+            exact = op(a, b)
+            got = ws_sketch(op(sa, sb), alpha)
             for e, _ in exact.entries:
                 ref = ws_triangle(exact, e)
                 val = ws_triangle(got, e)

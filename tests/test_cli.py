@@ -155,6 +155,41 @@ def test_bad_epsilon_exit_2(db1_dir, capsys, eps):
     assert err.startswith("rejected: epsilon") and err.count("\n") == 1
 
 
+def test_exact_query_with_bad_epsilon_exit_2(db1_dir, capsys):
+    q = write_query(db1_dir, dict(COUNT_LEQ9, mode="exact", epsilon=-1))
+    assert main(["count", "--tables", str(db1_dir), "--query", q]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: epsilon") and err.count("\n") == 1
+
+
+def test_missing_query_file_exit_2(db1_dir, capsys):
+    missing = str(db1_dir / "missing.json")
+    assert main(["count", "--tables", str(db1_dir), "--query", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: cannot read query file")
+    assert err.count("\n") == 1
+    assert "missing.json" in err
+
+
+def test_missing_tables_path_exit_2(tmp_path, capsys):
+    q = write_query(tmp_path, COUNT_LEQ9)
+    missing = str(tmp_path / "nothere.csv")
+    assert main(["count", "--tables", missing, "--query", q]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot read table")
+    assert err.count("\n") == 1
+    assert "nothere.csv" in err
+
+
+@pytest.mark.parametrize("flag", [["--alpha", "0.1"], ["--dump-sketch"]])
+def test_oracle_has_no_sketch_flags(db1_dir, capsys, flag):
+    q = write_query(db1_dir, COUNT_LEQ9)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--tables", str(db1_dir), "--query", q, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_nan_threshold_exit_2(db1_dir, capsys):
     q = write_query(db1_dir, dict(COUNT_LEQ9, inequality={"L": "nan"}))
     assert main(["count", "--tables", str(db1_dir), "--query", q]) == 2

@@ -203,3 +203,41 @@ def test_knapsack_counts_match_dp():
         capacity = rng.randint(0, sum(weights) + 2)
         db, ineq = gen_knapsack(weights, capacity)
         assert count_rows(db, ineq) == knapsack_count_dp(weights, capacity)
+
+
+# A direct driver call refuses exactly what run_query and the CLI refuse.
+
+
+def _cross_2x2():
+    return Database(tables=(
+        Table("t1", ("a",), ((1.0,), (2.0,))),
+        Table("t2", ("b",), ((3.0,), (4.0,))),
+    ))
+
+
+def test_count_rejects_nan_threshold():
+    db = _cross_2x2()
+    with pytest.raises(QueryRejected, match="NaN"):
+        count_rows(db, AdditiveInequality(g=identity_fns(db), threshold=math.nan))
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+def test_count_approx_rejects_bad_epsilon(eps):
+    with pytest.raises(QueryRejected, match="epsilon"):
+        count_rows(
+            _cross_2x2(), params=ApproxParams(epsilon=eps), mode="approx"
+        )
+
+
+def test_sumsum_approx_rejects_mixed_signs():
+    db = _cross_2x2()
+    F = {"a": identity(), "b": scale(-1.0)}
+    assert sumsum(db, "sum", F) == 6.0 - 14.0
+    with pytest.raises(QueryRejected, match="subtraction"):
+        sumsum(db, "sum", F, mode="approx")
+
+
+def test_approx_params_cannot_be_changed_past_the_check():
+    params = ApproxParams(epsilon=0.1)
+    with pytest.raises(AttributeError):
+        params.epsilon = -1.0

@@ -8,8 +8,8 @@ from relagg import (
     QueryRejected,
     QuerySpec,
     preset,
+    run_query,
     spec_from_json,
-    validate,
 )
 from relagg.queryspec import (
     FUNCTION_KINDS,
@@ -64,50 +64,52 @@ def test_queryspec_rejects_bad_kind_and_mode():
         QuerySpec(kind="count", mode="guess")
 
 
+# The query preconditions are checked by the drivers; run_query reaches them.
+
+
 def test_validate_two_inequalities_rejected(db1):
     spec = QuerySpec(
         kind="count",
         inequalities=(AdditiveInequality(), AdditiveInequality()),
     )
-    rej = validate(spec, db1)
-    assert rej is not None
-    assert "NP-hard" in rej.reason
+    with pytest.raises(QueryRejected, match="NP-hard"):
+        run_query(db1, spec)
 
 
 def test_validate_count_accepted(db1):
-    assert validate(QuerySpec(kind="count"), db1) is None
+    assert run_query(db1, QuerySpec(kind="count")) == 3
 
 
 def test_validate_sumsum_monoid_required(db1):
     spec = QuerySpec(kind="sumsum", algebra="min-plus")
-    assert validate(spec, db1) is not None
+    with pytest.raises(QueryRejected, match="monoid"):
+        run_query(db1, spec)
 
 
 def test_validate_sumsum_mixed_sign_approx_rejected(db1):
     F = {"a": scale(1.0), "c": scale(-1.0)}
     exact = QuerySpec(kind="sumsum", algebra="sum", F=F, mode="exact")
-    assert validate(exact, db1) is None
+    assert run_query(db1, exact) == 3.0 - 18.0
     approx = QuerySpec(kind="sumsum", algebra="sum", F=F, mode="approx")
-    rej = validate(approx, db1)
-    assert rej is not None
-    assert "subtraction" in rej.reason
+    with pytest.raises(QueryRejected, match="subtraction"):
+        run_query(db1, approx)
 
 
 def test_validate_sumprod_negative_factor_rejected(db1):
     spec = QuerySpec(kind="sumprod", algebra="counting", F={"a": scale(-1.0)})
-    rej = validate(spec, db1)
-    assert rej is not None
-    assert "nonnegative" in rej.reason
+    with pytest.raises(QueryRejected, match="nonnegative"):
+        run_query(db1, spec)
 
 
 def test_validate_sumprod_tropical_accepted(db1):
     spec = QuerySpec(kind="sumprod", algebra="min-plus", F={"a": identity()})
-    assert validate(spec, db1) is None
+    assert run_query(db1, spec) == 1.0
 
 
 def test_validate_unknown_algebra(db1):
     spec = QuerySpec(kind="sumprod", algebra="quaternion")
-    assert validate(spec, db1) is not None
+    with pytest.raises(QueryRejected, match="quaternion"):
+        run_query(db1, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,13 @@ from relagg import (
     Multiset,
     WeightedSet,
     alpha_for,
-    approx_convolve,
-    approx_union,
     make_named,
     ms_sketch,
     ms_triangle,
     ws_sketch,
     ws_triangle,
 )
-from relagg.multiset import ms_convolve, ms_union
-from relagg.weightedset import ws_convolve, ws_plus
+from relagg.multiset import ms_union
 
 MIN_PLUS = make_named("min-plus")
 MAX_PLUS = make_named("max-plus")
@@ -177,27 +174,6 @@ def test_ws_sketch_never_grows():
             assert len(ws_sketch(a, 0.5)) <= len(a)
 
 
-def test_approx_ops_alpha_zero_is_exact():
-    a = Multiset.from_values([1.0, 2.0, 2.0])
-    b = Multiset.from_values([0.0, 1.0])
-    assert approx_union(a, b, 0.0) == ms_union(a, b)
-    assert approx_convolve(a, b, 0.0) == ms_convolve(a, b)
-
-
-def test_approx_ops_dispatch_weighted():
-    a = WeightedSet(((1.0, 2.0),), MIN_PLUS)
-    b = WeightedSet(((2.0, 3.0),), MIN_PLUS)
-    assert approx_union(a, b, 0.0) == ws_plus(a, b)
-    assert approx_convolve(a, b, 0.0) == ws_convolve(a, b)
-
-
-def test_approx_ops_mixed_types_rejected():
-    a = Multiset.from_values([1.0])
-    b = WeightedSet(((1.0, 1.0),), MIN_PLUS)
-    with pytest.raises(TypeError):
-        approx_union(a, b, 0.1)
-
-
 def test_approx_union_error_composes():
     """Sketched inputs re-sketched after the exact op stay in the
     (1-beta-ish)(1-alpha) ... (1+...)(1+alpha) envelope for counts."""
@@ -214,7 +190,7 @@ def test_approx_union_error_composes():
             for k in sorted(rng.sample(range(40), rng.randint(1, 12)))
         ))
         exact = ms_union(a, b)
-        approx = approx_union(ms_sketch(a, beta), ms_sketch(b, gamma), alpha)
+        approx = ms_sketch(ms_union(ms_sketch(a, beta), ms_sketch(b, gamma)), alpha)
         for t, _ in exact.entries:
             ref = ms_triangle(exact, t)
             got = ms_triangle(approx, t)
