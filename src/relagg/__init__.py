@@ -20,7 +20,6 @@ from .engine import (
     assign_features,
     balanced_fold,
     evaluate,
-    evaluate_to_root,
 )
 from .errors import (
     CapExceeded,

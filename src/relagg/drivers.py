@@ -4,32 +4,40 @@ Each driver reduces its query to a SumProd evaluation over a dynamic
 programming semiring and runs the join-tree engine. Leaf factors carry the
 inequality term of each feature as a key (row counting: a singleton
 multiset; SumProd: a singleton weighted set pairing the key with the factor
-value). The final answer is the cumulative aggregate of the result at the
-inequality threshold. Exact mode uses the exact semiring operations; approx
-mode sketches the result of every operation (`ms_sketch` for multisets,
-`ws_sketch` for weighted sets) with a per-operation budget derived from the
-requested total relative error.
+value). The answer is the root value's cumulative aggregate at the
+threshold, Delta_L(v) = (+)_{k <= L} v[k]. The engine stops before the
+root's last product; `threshold_read` reads each root row's Delta_L(q (x) g)
+off q and g, and the driver folds these scalars, so no root product or fold
+is built. Exact mode uses the exact semiring operations; approx mode
+sketches the result of every operation the engine runs (`ms_sketch` for
+multisets, `ws_sketch` for weighted sets) with a per-operation budget
+derived from the requested total relative error.
 
 The drivers are where a query is refused, so a direct call refuses exactly
 what `run_query` and the CLI refuse. Each precondition is checked once, at
 the one spot every path passes through: a bad epsilon or alpha by
-`ApproxParams`, a NaN threshold by `AdditiveInequality`, the algebra by
-`checked_algebra`, the carrier and sign of the terms by `sumprod` and
-`sumsum` before any evaluation, and a second inequality by `run_query`.
+`ApproxParams`, the mode by `_config`, a NaN threshold by
+`AdditiveInequality`, the algebra by `checked_algebra`, the carrier and sign
+of the terms by `sumprod` and `sumsum` before any evaluation, and a second
+inequality by `run_query`.
 """
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 
 from .algebra import repeat
-from .engine import EngineConfig, assign_features, evaluate, evaluate_to_root
+from .engine import EngineConfig, assign_features, evaluate
 from .errors import QueryRejected
 from .jointree import build_decomposition
-from .multiset import MS_EMPTY, MS_ONE, Multiset, ms_convolve, ms_triangle, ms_union
+from .multiset import MS_EMPTY, MS_ONE, Multiset, ms_convolve, ms_union
 from .queryspec import AdditiveInequality, checked_algebra
 from .sketch import alpha_for, ms_sketch, ws_sketch
 from .tables import active_domain
-from .weightedset import lift, ws_convolve, ws_empty, ws_one, ws_plus, ws_triangle
+from .weightedset import lift, ws_convolve, ws_empty, ws_one, ws_plus
 
 SKETCH_SIZE_CAP = 10**6  # approx mode aborts when a value outgrows this
 
@@ -63,6 +71,8 @@ class ApproxParams:
 
 def _config(db, mode, params, plus, times, sketch, zero, one):
     """Engine operations: the exact ones, or in approx mode their sketches."""
+    if mode not in ("exact", "approx"):
+        raise QueryRejected(f"unknown mode {mode!r}")
     if mode == "exact":
         return EngineConfig(plus=plus, times=times, zero=zero, one=one)
     alpha = params.resolve_alpha(db.m, db.n)
@@ -73,6 +83,39 @@ def _config(db, mode, params, plus, times, sketch, zero, one):
         one=one,
         size_cap=SKETCH_SIZE_CAP,
     )
+
+
+def threshold_read(threshold, plus, times, zero):
+    """`read(a, b)` = Delta_L(a (x) b), L = threshold, without a (x) b.
+
+    Delta_L is additive over (+), and across a product one sorted read:
+    Delta_L(a (x) b) = (+)_{(k, w) in a} w (x) Delta_{L-k}(b), taken from
+    b's prefix aggregates, built once per b. `(plus, times, zero)` are the
+    weights' operations; a `Multiset` is the counting case (add, mul, 0).
+    A pair qualifies iff `k_a + k_b <= L`, as its key in a (x) b would;
+    `k_b <= L - k_a` disagrees with that under rounding either way, so the
+    bisect on `L - k_a` is corrected at the boundary with the sum itself.
+    """
+    prefixes = {}  # id(b) -> (b, keys, prefix aggregates); holding b pins its id
+
+    def read(a, b):
+        if id(b) not in prefixes:
+            sums = list(accumulate((w for _, w in b.entries), plus, initial=zero))
+            prefixes[id(b)] = (b, [k for k, _ in b.entries], sums)
+        _, keys, sums = prefixes[id(b)]
+        total = zero
+        for ka, wa in a.entries:
+            i = bisect.bisect_right(keys, threshold - ka)
+            while i and ka + keys[i - 1] > threshold:
+                i -= 1
+            while i < len(keys) and ka + keys[i] <= threshold:
+                i += 1
+            if not i:
+                break  # a's keys ascend, so no later one qualifies either
+            total = plus(total, times(wa, sums[i]))
+        return total
+
+    return read
 
 
 def _counting_factors(db, ineq):
@@ -103,17 +146,18 @@ def count_rows(db, ineq=None, params=None, mode="exact", instr=None):
         db, mode, params, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
     )
     factors = _counting_factors(db, ineq)
-    result = evaluate(db, build_decomposition(db), factors, config, instr=instr)
-    return ms_triangle(result, ineq.threshold)
+    rows = evaluate(db, build_decomposition(db), factors, config, instr=instr)
+    read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
+    return sum(read(q, g) for _, q, g in rows)
 
 
 def sumsum(db, monoid, F, ineq=None, params=None, mode="exact", instr=None):
     """Monoid fold of per-feature terms over qualifying join rows.
 
     For each feature (at its assigned table) the qualifying-row count of
-    every active-domain value is read off a root-table evaluation of the
-    row-counting query, then the term is repeated that many times. Approx
-    mode refuses terms that mix signs over the active domains.
+    every active-domain value is read off the rows of a row-counting
+    evaluation rooted at that table, then the term is repeated that many
+    times. Approx mode refuses terms that mix signs over the active domains.
     """
     monoid = checked_algebra("sumsum", monoid)
     if mode == "approx":
@@ -132,24 +176,23 @@ def sumsum(db, monoid, F, ineq=None, params=None, mode="exact", instr=None):
         db, mode, params, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
     )
     factors = _counting_factors(db, ineq)
+    read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
 
-    root_tables = {}
+    root_counts = {}  # root table -> (row, qualifying join rows through it)
     total = monoid.identity
     for feature in sorted(F):
         if feature not in db.feature_tables:
             continue
         fn = F[feature]
         root = owner[feature]
-        if root not in root_tables:
-            root_tables[root] = evaluate_to_root(
-                db, decomp, factors, config, root, instr=instr
-            )
-        table = root_tables[root]
-        col = table.schema.index(feature)
+        if root not in root_counts:
+            rows = evaluate(db, decomp, factors, config, root=root, instr=instr)
+            root_counts[root] = [(row, read(q, g)) for row, q, g in rows]
+        col = db.table(root).schema.index(feature)
         counts = {}
-        for row, q in table.rows:
+        for row, c in root_counts[root]:
             v = row[col]
-            counts[v] = counts.get(v, 0) + ms_triangle(q, ineq.threshold)
+            counts[v] = counts.get(v, 0) + c
         for v in sorted(counts):
             u = max(0, round(counts[v]))
             if u:
@@ -190,8 +233,10 @@ def sumprod(db, semiring, F, ineq=None, params=None, mode="exact", instr=None):
             factors[feature] = lambda v, g=g, fn=fn, s=semiring: (
                 lift(g(v), fn(v), s)
             )
-    result = evaluate(db, build_decomposition(db), factors, config, instr=instr)
-    return ws_triangle(result, ineq.threshold)
+    rows = evaluate(db, build_decomposition(db), factors, config, instr=instr)
+    s = semiring
+    read = threshold_read(ineq.threshold, s.plus, s.times, s.zero)
+    return reduce(s.plus, (read(q, g) for _, q, g in rows), s.zero)
 
 
 def run_query(db, spec, instr=None, params=None):

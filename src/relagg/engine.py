@@ -10,6 +10,9 @@ matters when the working operations are sketched (error grows with depth).
 Eliminating a leaf groups its rows by the features it shares with its
 parent, folds each group, and multiplies every parent row by the value of
 its group; a leaf that shares no feature is one group holding every row.
+The last elimination stops before that product: `evaluate` returns each
+root row's value q with its group value g, so neither q (x) g nor the root's
+whole value, their fold, is ever built (the drivers read them at a threshold).
 
 The working operations may be an exact semiring or their sketched
 counterparts; with sketching the result is order dependent, so elimination
@@ -52,13 +55,6 @@ class Instrumentation:
         self.max_value_size = max(self.max_value_size, size)
 
 
-@dataclass
-class EngineTable:
-    index: int
-    schema: tuple[str, ...]
-    rows: list  # (value tuple, aggregate)
-
-
 def balanced_fold(op, items, identity, instr=None):
     """Fold by pairing neighbors; depth is ceil(log2 k) for k items."""
     items = list(items)
@@ -89,7 +85,8 @@ def assign_features(db):
     return owner, partition
 
 
-def _seed_tables(db, factors, config):
+def _seed_rows(db, factors, config):
+    """Table index -> list of (row, aggregate) pairs."""
     _, partition = assign_features(db)
     tables = {}
     for i in range(1, db.m + 1):
@@ -102,7 +99,7 @@ def _seed_tables(db, factors, config):
             for f, c in zip(assigned, cols):
                 q = config.times(q, factors[f](row[c]))
             rows.append((row, q))
-        tables[i] = EngineTable(index=i, schema=src.schema, rows=rows)
+        tables[i] = rows
     return tables
 
 
@@ -120,21 +117,23 @@ def _check_size(value, config):
     return value
 
 
-def _eliminate(decomp, tables, config, root, instr):
+def _eliminate(db, decomp, tables, config, root, instr):
     adj = decomp.adjacency()
     alive = set(adj)
-    while len(alive) > 1:
+    if len(alive) == 1:
+        return [(row, q, config.one) for row, q in tables[alive.pop()]]
+    while True:
         leaf = min(
             v for v in alive if len(adj[v]) == 1 and v != root
         )
         (j,) = adj[leaf]
-        ti, tj = tables[leaf], tables[j]
-        shared = sorted(set(ti.schema) & set(tj.schema))
-        icols = [ti.schema.index(f) for f in shared]
-        jcols = [tj.schema.index(f) for f in shared]
+        si, sj = db.table(leaf).schema, db.table(j).schema
+        shared = sorted(set(si) & set(sj))
+        icols = [si.index(f) for f in shared]
+        jcols = [sj.index(f) for f in shared]
 
         keyed = {}
-        for row, q in ti.rows:
+        for row, q in tables[leaf]:
             keyed.setdefault(tuple(row[c] for c in icols), []).append(q)
         groups = {}
         for key, items in keyed.items():
@@ -144,51 +143,39 @@ def _eliminate(decomp, tables, config, root, instr):
             if instr is not None:
                 instr.record_value(value)
             groups[key] = value
-        new_rows = []
-        for row, q in tj.rows:
+        matched = []
+        for row, q in tables[j]:
             key = tuple(row[c] for c in jcols)
             if key in groups:
-                prod = _check_size(config.times(q, groups[key]), config)
-                if prod != config.zero:
-                    new_rows.append((row, prod))
+                matched.append((row, q, groups[key]))
             # rows with no matching group take the zero and are pruned
-        tj.rows = new_rows
+        if len(alive) == 2:
+            return matched
+        tables[j] = []
+        for row, q, g in matched:
+            prod = _check_size(config.times(q, g), config)
+            if prod != config.zero:
+                tables[j].append((row, prod))
 
         adj[j].discard(leaf)
         del adj[leaf]
         alive.discard(leaf)
-    return tables[next(iter(alive))]
 
 
-def _validated(db, decomp):
+def evaluate(db, decomp, factors, config, root=None, instr=None):
+    """The rows of the table left last, as (row, q, g) triples.
+
+    `factors` maps each feature name to a function value -> carrier. q is
+    the row's value and g its group value from the last child eliminated
+    into it, or `config.one` when there is none. The aggregate over the bag
+    join is the (+)-fold of q (x) g over the rows, which is not built. With
+    sketched operations q and g are approximations. `root` (a table index)
+    chooses the table left last; by default the elimination order does.
+    """
     violation = decomposition_violation(db, decomp)
     if violation is not None:
         raise CyclicJoinError(f"invalid decomposition: {violation}")
-
-
-def evaluate(db, decomp, factors, config, instr=None):
-    """Value of the aggregate over the bag join.
-
-    `factors` maps each feature name to a function value -> carrier.
-    With exact semiring operations this is the SumProd value; with sketched
-    operations it is its approximation.
-    """
-    _validated(db, decomp)
-    tables = _seed_tables(db, factors, config)
-    final = _eliminate(decomp, tables, config, None, instr)
-    result = balanced_fold(
-        config.plus, (q for _, q in final.rows), config.zero, instr
-    )
-    result = _check_size(result, config)
-    if instr is not None:
-        instr.record_value(result)
-    return result
-
-
-def evaluate_to_root(db, decomp, factors, config, root, instr=None):
-    """The root table with its aggregate column, before the final fold."""
-    _validated(db, decomp)
-    if not (1 <= root <= db.m):
+    if root is not None and not (1 <= root <= db.m):
         raise ValueError(f"root index {root} out of range 1..{db.m}")
-    tables = _seed_tables(db, factors, config)
-    return _eliminate(decomp, tables, config, root, instr)
+    tables = _seed_rows(db, factors, config)
+    return _eliminate(db, decomp, tables, config, root, instr)

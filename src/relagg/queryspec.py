@@ -3,9 +3,9 @@
 A query is a SumSum/SumProd/row-count aggregate over the join, optionally
 restricted by one additive inequality sum_i g_i(x_i) <= L. Each object
 checks what it can check alone: a known function kind and arity, a
-threshold that is not NaN, a known query kind and mode. `checked_algebra`
-resolves the algebra of a query for the drivers and the oracle. Refusals
-that depend on the data or the mode are the drivers' (see `drivers`).
+threshold that is not NaN, a known query kind. `checked_algebra` resolves
+the algebra of a query for the drivers and the oracle. The mode and the
+refusals that depend on the data or the mode are the drivers'.
 """
 
 import math
@@ -100,8 +100,6 @@ class QuerySpec:
     def __post_init__(self):
         if self.kind not in ("count", "sumsum", "sumprod"):
             raise QueryRejected(f"unknown query kind {self.kind!r}")
-        if self.mode not in ("exact", "approx"):
-            raise QueryRejected(f"unknown mode {self.mode!r}")
 
     @property
     def inequality(self):

@@ -2,9 +2,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import settings
 
 from relagg import AdditiveInequality, Database, FunctionSpec, Table
 from relagg.bruteforce import materialize
+
+# Tier-1 runs are reproducible: the same examples every run, none stored.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

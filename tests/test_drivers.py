@@ -2,21 +2,35 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from relagg import (
     AdditiveInequality,
     ApproxParams,
     Database,
     FunctionSpec,
+    Instrumentation,
+    Multiset,
     QueryRejected,
     QuerySpec,
     Table,
+    WeightedSet,
+    build_decomposition,
     count_rows,
+    evaluate,
+    make_named,
+    ms_convolve,
+    ms_triangle,
     oracle_eval,
     run_query,
     sumprod,
     sumsum,
+    ws_convolve,
+    ws_triangle,
 )
+from relagg.drivers import threshold_read
+from relagg.engine import EngineConfig
+from relagg.multiset import MS_EMPTY, MS_ONE, ms_singleton, ms_union
 from relagg.queryspec import identity, scale
 from conftest import (
     identity_fns,
@@ -241,3 +255,119 @@ def test_approx_params_cannot_be_changed_past_the_check():
     params = ApproxParams(epsilon=0.1)
     with pytest.raises(AttributeError):
         params.epsilon = -1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda db: count_rows(db, mode="aprox"),
+    lambda db: sumsum(db, "sum", {"a": identity()}, mode="exakt"),
+    lambda db: sumprod(db, "counting", {}, mode="aprox"),
+], ids=["count_rows", "sumsum", "sumprod"])
+def test_driver_rejects_unknown_mode(call):
+    with pytest.raises(QueryRejected, match="unknown mode"):
+        call(_cross_2x2())
+
+
+# The fused read equals the threshold of the built product, on every carrier.
+
+
+@st.composite
+def _read_cases(draw):
+    """Two carriers as sorted (key, count, tropical weight) triples, and a
+    threshold that is often the exact sum of a key pair or its neighbour."""
+    key = st.floats(-10.0, 10.0, allow_nan=False)
+    entries = st.lists(
+        st.tuples(key, st.integers(1, 5), st.floats(-100.0, 100.0)),
+        max_size=8, unique_by=lambda e: e[0],
+    ).map(sorted)
+    a, b = draw(entries), draw(entries)
+    threshold = draw(st.floats(-25.0, 25.0))
+    if a and b and draw(st.booleans()):
+        pair = draw(st.sampled_from(a))[0] + draw(st.sampled_from(b))[0]
+        threshold = draw(st.sampled_from([
+            math.nextafter(pair, -math.inf), pair, math.nextafter(pair, math.inf)
+        ]))
+    return a, b, threshold
+
+
+def _read(a, b, threshold, base):
+    return threshold_read(threshold, base.plus, base.times, base.zero)(a, b)
+
+
+@given(_read_cases())
+# k_a + k_b <= L holds but k_b <= L - k_a does not
+@example(([(0.3101475693193326, 1, 0.0)], [(0.7298317482601286, 1, 0.0)],
+          1.0399793175794612))
+# k_b <= L - k_a holds but k_a + k_b <= L does not
+@example(([(0.5124999345029883, 1, 0.0)], [(1.2924942760674862, 1, 0.0)],
+          1.8049942105704744))
+def test_threshold_read_equals_threshold_of_product(case):
+    a, b, threshold = case
+    ma, mb = (Multiset(tuple((k, c) for k, c, _ in e)) for e in (a, b))
+    assert _read(ma, mb, threshold, make_named("counting")) == ms_triangle(
+        ms_convolve(ma, mb), threshold
+    )
+    # counting weighs a key by its count, the tropical bases by its weight
+    for name, col in (("counting", 1), ("min-plus", 2), ("max-plus", 2)):
+        base = make_named(name)
+        wa, wb = (
+            WeightedSet(tuple((e[0], e[col]) for e in x), base)
+            for x in (a, b)
+        )
+        assert _read(wa, wb, threshold, base) == ws_triangle(
+            ws_convolve(wa, wb), threshold
+        )
+
+
+# The root's last products and its final fold are never built.
+
+
+def _cross_real(m, n, seed):
+    """m tables of n rows: a real key x_i and an integer value y_i each."""
+    rng = random.Random(seed)
+    return Database(tables=tuple(
+        Table(f"t{i}", (f"x{i}", f"y{i}"), tuple(
+            (rng.random(), float(rng.randint(0, 9))) for _ in range(n)
+        ))
+        for i in range(1, m + 1)
+    ))
+
+
+def _check_against_oracle(db, ineq):
+    ys = {f: identity() for f in db.feature_tables if f.startswith("y")}
+    instr = Instrumentation()
+    exact = count_rows(db, ineq, instr=instr)
+    assert exact == oracle_eval(db, QuerySpec(kind="count", inequalities=(ineq,)))
+    for kind, driver, algebra in (
+        ("sumsum", sumsum, "sum"),
+        ("sumprod", sumprod, "counting"),
+        ("sumprod", sumprod, "max-plus"),
+    ):
+        spec = QuerySpec(kind=kind, algebra=algebra, F=ys, inequalities=(ineq,))
+        assert driver(db, algebra, ys, ineq) == oracle_eval(db, spec)
+    got = count_rows(db, ineq, params=ApproxParams(epsilon=0.1), mode="approx")
+    assert abs(got - exact) <= 0.1 * exact
+    return instr
+
+
+def test_root_product_is_never_built():
+    db = _cross_real(3, 40, seed=5)
+    ineq = AdditiveInequality(
+        g={f"x{i}": identity() for i in range(1, 4)}, threshold=1.5
+    )
+    instr = _check_against_oracle(db, ineq)
+    # the root's group value has 40 * 40 entries; q (x) g would have 64 000
+    assert instr.max_value_size <= 1600
+
+
+def test_one_table_rows_read_with_one():
+    db = _cross_real(1, 40, seed=6)
+    config = EngineConfig(
+        plus=ms_union, times=ms_convolve, zero=MS_EMPTY, one=MS_ONE
+    )
+    factors = {f: ms_singleton for f in db.feature_tables}
+    rows = evaluate(db, build_decomposition(db), factors, config)
+    assert [row for row, _, _ in rows] == list(db.table(1).rows)
+    assert all(g is MS_ONE for _, _, g in rows)
+    _check_against_oracle(
+        db, AdditiveInequality(g={"x1": identity()}, threshold=0.5)
+    )

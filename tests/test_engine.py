@@ -14,7 +14,6 @@ from relagg import (
     balanced_fold,
     build_decomposition,
     evaluate,
-    evaluate_to_root,
     make_named,
 )
 from relagg.bruteforce import materialize
@@ -28,6 +27,15 @@ MAX_PLUS = make_named("max-plus")
 
 def config_for(s):
     return EngineConfig(plus=s.plus, times=s.times, zero=s.zero, one=s.one)
+
+
+def join_value(db, decomp, factors, config, instr=None):
+    """The aggregate over the whole join: the fold of q (x) g over the
+    root rows that `evaluate` returns."""
+    rows = evaluate(db, decomp, factors, config, instr=instr)
+    return balanced_fold(
+        config.plus, (config.times(q, g) for _, q, g in rows), config.zero
+    )
 
 
 def ones(db):
@@ -60,22 +68,21 @@ def test_assign_features(db1):
 
 def test_count_join_rows(db1):
     decomp = build_decomposition(db1)
-    assert evaluate(db1, decomp, ones(db1), config_for(COUNTING)) == 3
+    assert join_value(db1, decomp, ones(db1), config_for(COUNTING)) == 3
 
 
 def test_tropical_sums(db1):
     decomp = build_decomposition(db1)
     # join rows (1,1,5), (1,2,6), (1,2,7) with sums 7, 9, 10
-    assert evaluate(db1, decomp, idents(db1), config_for(MIN_PLUS)) == 7
-    assert evaluate(db1, decomp, idents(db1), config_for(MAX_PLUS)) == 10
+    assert join_value(db1, decomp, idents(db1), config_for(MIN_PLUS)) == 7
+    assert join_value(db1, decomp, idents(db1), config_for(MAX_PLUS)) == 10
 
 
-def test_evaluate_to_root_keeps_rows(db1):
+def test_evaluate_keeps_root_rows(db1):
     decomp = build_decomposition(db1)
-    final = evaluate_to_root(db1, decomp, ones(db1), config_for(COUNTING), root=2)
-    assert final.index == 2
+    rows = evaluate(db1, decomp, ones(db1), config_for(COUNTING), root=2)
     # t2 rows joined back: b=1 matches once, b=2 matches once each
-    assert sorted((row, q) for row, q in final.rows) == [
+    assert sorted((row, q * g) for row, q, g in rows) == [
         ((1.0, 5.0), 1),
         ((2.0, 6.0), 1),
         ((2.0, 7.0), 1),
@@ -85,7 +92,7 @@ def test_evaluate_to_root_keeps_rows(db1):
 def test_root_out_of_range(db1):
     decomp = build_decomposition(db1)
     with pytest.raises(ValueError):
-        evaluate_to_root(db1, decomp, ones(db1), config_for(COUNTING), root=5)
+        evaluate(db1, decomp, ones(db1), config_for(COUNTING), root=5)
 
 
 def test_invalid_decomposition_rejected(db1):
@@ -102,7 +109,7 @@ def test_dangling_rows_pruned():
         Table("t2", ("a",), ((2.0,), (3.0,))),
     ))
     decomp = build_decomposition(db)
-    assert evaluate(db, decomp, ones(db), config_for(COUNTING)) == 1
+    assert join_value(db, decomp, ones(db), config_for(COUNTING)) == 1
 
 
 def test_cross_product():
@@ -111,13 +118,13 @@ def test_cross_product():
         Table("t2", ("b",), ((1.0,), (2.0,), (3.0,))),
     ))
     decomp = build_decomposition(db)
-    assert evaluate(db, decomp, ones(db), config_for(COUNTING)) == 6
+    assert join_value(db, decomp, ones(db), config_for(COUNTING)) == 6
     for empty in (0, 1):
         tables = list(db.tables)
         tables[empty] = Table(tables[empty].name, tables[empty].schema, ())
         cut = Database(tables=tuple(tables))
         decomp = build_decomposition(cut)
-        assert evaluate(cut, decomp, ones(cut), config_for(COUNTING)) == 0
+        assert join_value(cut, decomp, ones(cut), config_for(COUNTING)) == 0
 
 
 def test_multiset_carrier_size_cap():
@@ -141,12 +148,12 @@ def test_matches_materialized_join_random():
         db = random_acyclic_db(rng)
         decomp = build_decomposition(db)
         join = materialize(db)
-        assert evaluate(db, decomp, ones(db), config_for(COUNTING)) == len(join)
+        assert join_value(db, decomp, ones(db), config_for(COUNTING)) == len(join)
         if join.rows:
             sums = [sum(row) for row in join.rows]
-            got = evaluate(db, decomp, idents(db), config_for(MIN_PLUS))
+            got = join_value(db, decomp, idents(db), config_for(MIN_PLUS))
             assert got == min(sums)
-            got = evaluate(db, decomp, idents(db), config_for(MAX_PLUS))
+            got = join_value(db, decomp, idents(db), config_for(MAX_PLUS))
             assert got == max(sums)
 
 

@@ -57,11 +57,11 @@ def test_inequality_row_sum():
     assert ineq.row_sum(("a", "b", "c"), (1.0, 3.0, 99.0)) == 7.0
 
 
-def test_queryspec_rejects_bad_kind_and_mode():
+def test_queryspec_rejects_bad_kind_and_mode(db1):
     with pytest.raises(QueryRejected):
         QuerySpec(kind="median")
-    with pytest.raises(QueryRejected):
-        QuerySpec(kind="count", mode="guess")
+    with pytest.raises(QueryRejected, match="unknown mode"):
+        run_query(db1, QuerySpec(kind="count", mode="guess"))
 
 
 # The query preconditions are checked by the drivers; run_query reaches them.
