@@ -30,14 +30,14 @@ from functools import reduce
 from itertools import accumulate
 
 from .algebra import repeat
-from .engine import EngineConfig, assign_features, evaluate
+from .engine import EngineConfig, assign_features, balanced_fold, evaluate
 from .errors import QueryRejected
 from .jointree import build_decomposition
-from .multiset import MS_EMPTY, MS_ONE, Multiset, ms_convolve, ms_union
+from .multiset import MS_EMPTY, MS_ONE, Multiset, ms_convolve, ms_sum, ms_union
 from .queryspec import AdditiveInequality, checked_algebra
 from .sketch import alpha_for, ms_sketch, ws_sketch
 from .tables import active_domain
-from .weightedset import lift, ws_convolve, ws_empty, ws_one, ws_plus
+from .weightedset import lift, ws_convolve, ws_empty, ws_one, ws_plus, ws_sum
 
 SKETCH_SIZE_CAP = 10**6  # approx mode aborts when a value outgrows this
 
@@ -69,15 +69,17 @@ class ApproxParams:
         return self.alpha if self.alpha is not None else alpha_for(self.epsilon, m, n)
 
 
-def _config(db, mode, params, plus, times, sketch, zero, one):
-    """Engine operations: the exact ones, or in approx mode their sketches."""
+def _config(db, mode, params, plus, plus_all, times, sketch, zero, one):
+    """Engine operations: the exact ones, groups folded by `plus_all` in one
+    pass, or their sketches, groups folded by a balanced sketched `plus`."""
     if mode not in ("exact", "approx"):
         raise QueryRejected(f"unknown mode {mode!r}")
     if mode == "exact":
-        return EngineConfig(plus=plus, times=times, zero=zero, one=one)
+        return EngineConfig(fold=plus_all, times=times, zero=zero, one=one)
     alpha = params.resolve_alpha(db.m, db.n)
+    step = lambda a, b: sketch(plus(a, b), alpha)
     return EngineConfig(
-        plus=lambda a, b: sketch(plus(a, b), alpha),
+        fold=lambda items: balanced_fold(step, items, zero),
         times=lambda a, b: sketch(times(a, b), alpha),
         zero=zero,
         one=one,
@@ -143,7 +145,7 @@ def count_rows(db, ineq=None, params=None, mode="exact", instr=None):
     ineq = ineq or AdditiveInequality()
     params = params or ApproxParams(epsilon=0.1)
     config = _config(
-        db, mode, params, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
+        db, mode, params, ms_union, ms_sum, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
     )
     factors = _counting_factors(db, ineq)
     rows = evaluate(db, build_decomposition(db), factors, config, instr=instr)
@@ -173,7 +175,7 @@ def sumsum(db, monoid, F, ineq=None, params=None, mode="exact", instr=None):
     decomp = build_decomposition(db)
     owner, _ = assign_features(db)
     config = _config(
-        db, mode, params, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
+        db, mode, params, ms_union, ms_sum, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
     )
     factors = _counting_factors(db, ineq)
     read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
@@ -219,7 +221,7 @@ def sumprod(db, semiring, F, ineq=None, params=None, mode="exact", instr=None):
     ineq = ineq or AdditiveInequality()
     params = params or ApproxParams(epsilon=0.1)
     config = _config(
-        db, mode, params, ws_plus, ws_convolve, ws_sketch,
+        db, mode, params, ws_plus, ws_sum, ws_convolve, ws_sketch,
         ws_empty(semiring), ws_one(semiring),
     )
 

@@ -3,9 +3,9 @@
 Evaluates a SumProd-style aggregate over the bag join of a database without
 materializing the join: each table gets an aggregate column seeded from the
 per-feature leaf factors, then leaves of the join tree are folded into their
-neighbors until one table remains. All group folds use balanced binary
-combination so that a fold of k items has depth at most ceil(log2 k); this
-matters when the working operations are sketched (error grows with depth).
+neighbors until one table remains. Exact mode folds each group in one pass
+(`ms_sum`, `ws_sum`); approx mode folds it with `balanced_fold`, of depth
+ceil(log2 k) for k items, since sketch error grows with depth.
 
 Eliminating a leaf groups its rows by the features it shares with its
 parent, folds each group, and multiplies every parent row by the value of
@@ -22,6 +22,7 @@ in table order.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import CapExceeded, CyclicJoinError
 from .jointree import decomposition_violation
@@ -29,7 +30,7 @@ from .jointree import decomposition_violation
 
 @dataclass
 class EngineConfig:
-    plus: callable
+    fold: callable  # nonempty list of values -> their (+)-fold
     times: callable
     zero: object
     one: object
@@ -55,11 +56,9 @@ class Instrumentation:
         self.max_value_size = max(self.max_value_size, size)
 
 
-def balanced_fold(op, items, identity, instr=None):
+def balanced_fold(op, items, identity):
     """Fold by pairing neighbors; depth is ceil(log2 k) for k items."""
     items = list(items)
-    if instr is not None:
-        instr.record_fold(len(items))
     if not items:
         return identity
     while len(items) > 1:
@@ -86,7 +85,7 @@ def assign_features(db):
 
 
 def _seed_rows(db, factors, config):
-    """Table index -> list of (row, aggregate) pairs."""
+    """Table index -> list of (row, product of its factors, or one) pairs."""
     _, partition = assign_features(db)
     tables = {}
     for i in range(1, db.m + 1):
@@ -95,10 +94,8 @@ def _seed_rows(db, factors, config):
         cols = [src.schema.index(f) for f in assigned]
         rows = []
         for row in src.rows:
-            q = config.one
-            for f, c in zip(assigned, cols):
-                q = config.times(q, factors[f](row[c]))
-            rows.append((row, q))
+            values = [factors[f](row[c]) for f, c in zip(assigned, cols)]
+            rows.append((row, reduce(config.times, values) if values else config.one))
         tables[i] = rows
     return tables
 
@@ -137,10 +134,9 @@ def _eliminate(db, decomp, tables, config, root, instr):
             keyed.setdefault(tuple(row[c] for c in icols), []).append(q)
         groups = {}
         for key, items in keyed.items():
-            value = _check_size(
-                balanced_fold(config.plus, items, config.zero, instr), config
-            )
+            value = _check_size(config.fold(items), config)
             if instr is not None:
+                instr.record_fold(len(items))
                 instr.record_value(value)
             groups[key] = value
         matched = []

@@ -3,6 +3,8 @@
 These are the carrier of the exact row-counting dynamic program: union adds
 frequencies, convolution sums keys pairwise and multiplies frequencies.
 Counts are exact Python integers, so frequencies as large as n^m are safe.
+The operations build results with `Multiset._trusted`, which skips the
+constructor's check; each docstring says why its result passes it.
 """
 
 import bisect
@@ -21,6 +23,13 @@ class Multiset:
             if prev is not None and key <= prev:
                 raise ValueError("keys must be strictly increasing")
             prev = key
+
+    @classmethod
+    def _trusted(cls, entries):
+        """Without the check: the caller keeps the invariant."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "entries", entries)
+        return value
 
     @property
     def total(self):
@@ -56,7 +65,8 @@ def ms_singleton(key, count=1):
 
 
 def ms_union(a, b):
-    """Multiset union: frequencies add."""
+    """Multiset union: frequencies add. A sorted merge keeps keys strictly
+    increasing; counts are operand counts or their sums."""
     if not a.entries:
         return b
     if not b.entries:
@@ -79,11 +89,25 @@ def ms_union(a, b):
             ib += 1
     merged.extend(ea[ia:])
     merged.extend(eb[ib:])
-    return Multiset(tuple(merged))
+    return Multiset._trusted(tuple(merged))
+
+
+def ms_sum(values):
+    """Union of a list of multisets in one pass: k values of s entries cost
+    O(k s) plus one sort, against O(k s log k) for a fold of `ms_union`.
+    Sorted unique keys; counts are sums of positive ints."""
+    if len(values) == 1:
+        return values[0]
+    acc = {}
+    for value in values:
+        for key, count in value.entries:
+            acc[key] = acc.get(key, 0) + count
+    return Multiset._trusted(tuple(sorted(acc.items())))
 
 
 def ms_convolve(a, b):
-    """Pairwise key sums with frequency products; total multiplies."""
+    """Pairwise key sums with frequency products; total multiplies.
+    Sorted unique keys; counts are sums of products of positive ints."""
     if not a.entries or not b.entries:
         return MS_EMPTY
     acc = {}
@@ -91,7 +115,7 @@ def ms_convolve(a, b):
         for kb, cb in b.entries:
             key = ka + kb
             acc[key] = acc.get(key, 0) + ca * cb
-    return Multiset(tuple(sorted(acc.items())))
+    return Multiset._trusted(tuple(sorted(acc.items())))
 
 
 def ms_triangle(a, t):

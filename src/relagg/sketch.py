@@ -14,6 +14,8 @@ aggregate: a run absorbs keys while the cumulative stays within a (1+eps)
 geometric band of the last retained boundary, then collapses to its last key
 carrying the base (+)-aggregate of the run's weights. Cumulative aggregates
 at every original key are preserved within a (1+eps) factor either way.
+A weighted set within the band pass's size bound is returned unchanged too.
+Results are built with the carriers' `_trusted`, skipping the entry check.
 
 Approx mode applies a sketch after every exact operation: the drivers
 compose sketch(op(a, b), alpha) with the sketch of their carrier.
@@ -43,6 +45,7 @@ def ms_sketch(a, eps):
 
     Returns `a` itself when it has at most kmax + 1 entries: it then fits
     the sketch's size bound already, and returning it exactly adds no error.
+    Otherwise its keys are a's, equal ones merged; counts are rank widths.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -84,14 +87,24 @@ def ms_sketch(a, eps):
         else:
             out.append((key, boundary - prev_boundary))
         prev_boundary = boundary
-    return Multiset(tuple(out))
+    return Multiset._trusted(tuple(out))
 
 
 def ws_sketch(a, eps):
     """Band-based run compression of a weighted set.
 
     Requires the base (+) to be monotone: cumulative aggregates are then
-    monotone along keys and geometric banding is well defined.
+    monotone along keys and geometric banding is well defined. The output
+    keeps distinct keys of `a`, sorted, with base zeros dropped.
+
+    Returns `a` itself when it has at most 2 ceil(log(hi/lo) / log1p(eps))
+    + 4 entries, lo and hi the smallest and largest positive finite
+    cumulative aggregates: on the nonnegative carrier the band pass returns
+    no more. It keeps the first key and the last of each run: one entry per
+    band base, plus one. A run closes at an aggregate t > (1+eps) base, and
+    the base after the next close is >= t. So positive bases lie in [lo, hi]
+    and grow by more than (1+eps) every two closes, the last to close lies
+    below hi / (1+eps), and at most two bases are 0.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -100,14 +113,16 @@ def ws_sketch(a, eps):
         raise ValueError(
             f"base {base.name!r} addition is not monotone; cannot sketch"
         )
-    if len(a.entries) <= 1:
-        return a
     # Cumulative aggregate at each key (fold over keys <= e, ascending).
     tri = []
     acc = base.zero
     for _, weight in a.entries:
         acc = base.plus(acc, weight)
         tri.append(acc)
+    positive = [t for t in tri if 0 < t < math.inf]
+    span = math.log(max(positive)) - math.log(min(positive)) if positive else 0.0
+    if len(a.entries) <= 2 * math.ceil(span / math.log1p(eps)) + 4:
+        return a
     order = range(len(a.entries))
     if base.plus_monotone == "decreasing":
         order = reversed(order)
@@ -134,7 +149,7 @@ def ws_sketch(a, eps):
         retained.append((a.entries[last][0], run_agg))
     retained = [(k, w) for k, w in retained if w != base.zero]
     retained.sort()
-    return WeightedSet(tuple(retained), base)
+    return WeightedSet._trusted(tuple(retained), base)
 
 
 def _leaves_band(value, band_base, eps):

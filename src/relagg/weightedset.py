@@ -5,7 +5,8 @@ drawn from a base semiring (the weight plays the role of a possibly
 fractional multiplicity). Union combines weights with the base (+);
 convolution sums keys and combines weights with the base (x). Entries whose
 weight equals the base zero are dropped, keeping the representation
-canonical.
+canonical. The operations build results with `WeightedSet._trusted`, which
+skips the constructor's check; each docstring says why its result passes it.
 """
 
 import bisect
@@ -27,6 +28,14 @@ class WeightedSet:
             if prev is not None and key <= prev:
                 raise ValueError("keys must be strictly increasing")
             prev = key
+
+    @classmethod
+    def _trusted(cls, entries, base):
+        """Without the check: the caller keeps the invariant."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "entries", entries)
+        object.__setattr__(value, "base", base)
+        return value
 
     def weight(self, key):
         i = bisect.bisect_left(self.entries, (key,))
@@ -65,7 +74,8 @@ def _require_same_base(a, b):
 
 
 def ws_plus(a, b):
-    """Pointwise base (+) on the key union; base-zero results are dropped."""
+    """Pointwise base (+) on the key union; base-zero results are dropped.
+    A sorted merge keeps keys strictly increasing."""
     _require_same_base(a, b)
     base = a.base
     if not a.entries:
@@ -92,12 +102,25 @@ def ws_plus(a, b):
             ib += 1
     merged.extend(ea[ia:])
     merged.extend(eb[ib:])
-    return WeightedSet(tuple(merged), base)
+    return WeightedSet._trusted(tuple(merged), base)
+
+
+def ws_sum(values):
+    """`ws_plus` of a nonempty list in one pass: weights of each key combine
+    with the base (+) in list order, base zeros are dropped at the end, and
+    the unique keys are sorted once."""
+    base, acc = values[0].base, {}
+    for value in values:
+        _require_same_base(values[0], value)
+        for key, w in value.entries:
+            acc[key] = base.plus(acc[key], w) if key in acc else w
+    entries = tuple((k, w) for k, w in sorted(acc.items()) if w != base.zero)
+    return WeightedSet._trusted(entries, base)
 
 
 def ws_convolve(a, b):
     """Key-sum convolution: weights multiply with the base (x), colliding
-    keys aggregate with the base (+)."""
+    keys aggregate with the base (+); sorted unique keys, base zeros dropped."""
     _require_same_base(a, b)
     base = a.base
     if not a.entries or not b.entries:
@@ -114,7 +137,7 @@ def ws_convolve(a, b):
     entries = tuple(
         (k, w) for k, w in sorted(acc.items()) if w != base.zero
     )
-    return WeightedSet(entries, base)
+    return WeightedSet._trusted(entries, base)
 
 
 def ws_triangle(a, ell):

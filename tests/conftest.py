@@ -3,8 +3,16 @@ from collections import Counter
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from relagg import AdditiveInequality, Database, FunctionSpec, Table
+from relagg import (
+    AdditiveInequality,
+    Database,
+    FunctionSpec,
+    Multiset,
+    Table,
+    WeightedSet,
+)
 from relagg.bruteforce import materialize
 
 # Tier-1 runs are reproducible: the same examples every run, none stored.
@@ -27,6 +35,27 @@ def identity_fns(db):
 
 def sum_leq(db, threshold):
     return AdditiveInequality(g=identity_fns(db), threshold=threshold)
+
+
+# ---------------------------------------------------------------------------
+# Shared hypothesis strategies for carrier values
+
+
+def multisets():
+    """Multisets over small integer-valued keys, so operands share keys."""
+    return st.dictionaries(
+        st.integers(-10, 10).map(float), st.integers(1, 4), max_size=6
+    ).map(lambda d: Multiset(tuple(sorted(d.items()))))
+
+
+def weighted_sets(base, weights=st.integers(-5, 5), max_size=5):
+    """Weighted sets over `base` with integer-valued weights (exact under
+    the counting base's + and x), base-zero weights left out."""
+    return st.dictionaries(
+        st.integers(-8, 8).map(float),
+        weights.map(float).filter(lambda w: w != base.zero),
+        max_size=max_size,
+    ).map(lambda d: WeightedSet(tuple(sorted(d.items())), base))
 
 
 # One line per acceptance criterion, shown after the run summary.

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -28,9 +29,10 @@ from relagg import (
     ws_convolve,
     ws_triangle,
 )
+from relagg import drivers, engine, multiset
 from relagg.drivers import threshold_read
 from relagg.engine import EngineConfig
-from relagg.multiset import MS_EMPTY, MS_ONE, ms_singleton, ms_union
+from relagg.multiset import MS_EMPTY, MS_ONE, ms_singleton, ms_sum
 from relagg.queryspec import identity, scale
 from conftest import (
     identity_fns,
@@ -362,7 +364,7 @@ def test_root_product_is_never_built():
 def test_one_table_rows_read_with_one():
     db = _cross_real(1, 40, seed=6)
     config = EngineConfig(
-        plus=ms_union, times=ms_convolve, zero=MS_EMPTY, one=MS_ONE
+        fold=ms_sum, times=ms_convolve, zero=MS_EMPTY, one=MS_ONE
     )
     factors = {f: ms_singleton for f in db.feature_tables}
     rows = evaluate(db, build_decomposition(db), factors, config)
@@ -371,3 +373,40 @@ def test_one_table_rows_read_with_one():
     _check_against_oracle(
         db, AdditiveInequality(g={"x1": identity()}, threshold=0.5)
     )
+
+
+# Exact mode folds each group in one pass and checks only the leaf factors.
+
+
+def test_exact_count_folds_in_one_pass(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    fold = counted("balanced_fold", engine.balanced_fold)
+    union = counted("ms_union", multiset.ms_union)
+    for module in (engine, drivers):
+        monkeypatch.setattr(module, "balanced_fold", fold, raising=False)
+    for module in (multiset, drivers):
+        monkeypatch.setattr(module, "ms_union", union)
+    monkeypatch.setattr(
+        Multiset, "__post_init__", counted("check", Multiset.__post_init__)
+    )
+    db = _cross_real(3, 12, seed=7)
+    ineq = AdditiveInequality(
+        g={f"x{i}": identity() for i in range(1, 4)}, threshold=1.5
+    )
+    exact = count_rows(db, ineq)
+    leaf_factors = sum(len(t.schema) * len(t.rows) for t in db.tables)
+    assert calls["balanced_fold"] == calls["ms_union"] == 0
+    assert 0 < calls["check"] <= leaf_factors
+    calls.clear()
+    got = count_rows(db, ineq, mode="approx")
+    assert calls["balanced_fold"] > 0 and calls["ms_union"] > 0
+    assert abs(got - exact) <= 0.1 * exact
+    spec = QuerySpec(kind="count", inequalities=(ineq,))
+    assert exact == oracle_eval(db, spec)

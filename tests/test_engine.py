@@ -13,11 +13,12 @@ from relagg import (
     assign_features,
     balanced_fold,
     build_decomposition,
+    count_rows,
     evaluate,
     make_named,
 )
 from relagg.bruteforce import materialize
-from relagg.multiset import MS_EMPTY, ms_convolve, ms_singleton, ms_union
+from relagg.multiset import MS_EMPTY, ms_convolve, ms_singleton, ms_sum
 from conftest import random_acyclic_db
 
 COUNTING = make_named("counting")
@@ -26,16 +27,17 @@ MAX_PLUS = make_named("max-plus")
 
 
 def config_for(s):
-    return EngineConfig(plus=s.plus, times=s.times, zero=s.zero, one=s.one)
+    return EngineConfig(
+        fold=lambda items: balanced_fold(s.plus, items, s.zero),
+        times=s.times, zero=s.zero, one=s.one,
+    )
 
 
 def join_value(db, decomp, factors, config, instr=None):
     """The aggregate over the whole join: the fold of q (x) g over the
     root rows that `evaluate` returns."""
     rows = evaluate(db, decomp, factors, config, instr=instr)
-    return balanced_fold(
-        config.plus, (config.times(q, g) for _, q, g in rows), config.zero
-    )
+    return config.fold([config.times(q, g) for _, q, g in rows])
 
 
 def ones(db):
@@ -53,10 +55,17 @@ def test_balanced_fold_values():
 
 
 def test_balanced_fold_depth():
-    instr = Instrumentation()
-    balanced_fold(lambda x, y: x + y, range(100), 0, instr)
-    assert instr.max_fold_depth == math.ceil(math.log2(100))
-    assert instr.fold_count == 1
+    """One group of 100 leaf rows records depth ceil(log2 100) in either
+    mode: exact folds it in one pass, approx by balanced_fold."""
+    db = Database(tables=(
+        Table("t1", ("a", "b"), tuple((1.0, float(i)) for i in range(100))),
+        Table("t2", ("a",), ((1.0,),)),
+    ))
+    for mode in ("exact", "approx"):
+        instr = Instrumentation()
+        assert count_rows(db, mode=mode, instr=instr) == 100
+        assert instr.max_fold_depth == math.ceil(math.log2(100))
+        assert instr.fold_count == 1
 
 
 def test_assign_features(db1):
@@ -134,7 +143,7 @@ def test_multiset_carrier_size_cap():
     ))
     decomp = build_decomposition(db)
     config = EngineConfig(
-        plus=ms_union, times=ms_convolve, zero=MS_EMPTY,
+        fold=ms_sum, times=ms_convolve, zero=MS_EMPTY,
         one=ms_singleton(0.0), size_cap=5,
     )
     factors = {f: (lambda v: ms_singleton(v)) for f in db.feature_tables}
@@ -161,7 +170,7 @@ def test_instrumentation_records_sizes(db1):
     decomp = build_decomposition(db1)
     instr = Instrumentation()
     config = EngineConfig(
-        plus=ms_union, times=ms_convolve, zero=MS_EMPTY, one=ms_singleton(0.0)
+        fold=ms_sum, times=ms_convolve, zero=MS_EMPTY, one=ms_singleton(0.0)
     )
     factors = {f: (lambda v: ms_singleton(v)) for f in db1.feature_tables}
     evaluate(db1, decomp, factors, config, instr=instr)

@@ -1,8 +1,11 @@
-import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relagg import Multiset, ms_convolve, ms_triangle, ms_union
+from conftest import multisets
+from relagg import Multiset, ms_convolve, ms_sketch, ms_sum, ms_triangle, ms_union
 from relagg.multiset import MS_EMPTY, MS_ONE, ms_singleton
 
 
@@ -61,37 +64,41 @@ def test_triangle():
     assert a.total == ms_triangle(a, float("inf"))
 
 
-def _random_ms(rng, max_keys=6, max_count=4):
-    keys = sorted(rng.sample(range(-10, 11), rng.randint(0, max_keys)))
-    return Multiset(tuple((float(k), rng.randint(1, max_count)) for k in keys))
+@settings(max_examples=300)
+@given(multisets(), multisets())
+def test_totals_compose(a, b):
+    assert ms_union(a, b).total == a.total + b.total
+    assert ms_convolve(a, b).total == a.total * b.total
 
 
-def test_totals_compose():
-    rng = random.Random(17)
-    for _ in range(300):
-        a, b = _random_ms(rng), _random_ms(rng)
-        assert ms_union(a, b).total == a.total + b.total
-        assert ms_convolve(a, b).total == a.total * b.total
+@settings(max_examples=300)
+@given(multisets(), multisets(), multisets())
+def test_semiring_laws_random(a, b, c):
+    assert ms_union(a, b) == ms_union(b, a)
+    assert ms_convolve(a, b) == ms_convolve(b, a)
+    assert ms_union(ms_union(a, b), c) == ms_union(a, ms_union(b, c))
+    assert ms_convolve(ms_convolve(a, b), c) == ms_convolve(a, ms_convolve(b, c))
+    assert ms_convolve(a, ms_union(b, c)) == ms_union(
+        ms_convolve(a, b), ms_convolve(a, c)
+    )
 
 
-def test_semiring_laws_random():
-    rng = random.Random(23)
-    for _ in range(300):
-        a, b, c = _random_ms(rng), _random_ms(rng), _random_ms(rng)
-        assert ms_union(a, b) == ms_union(b, a)
-        assert ms_convolve(a, b) == ms_convolve(b, a)
-        assert ms_union(ms_union(a, b), c) == ms_union(a, ms_union(b, c))
-        assert ms_convolve(ms_convolve(a, b), c) == ms_convolve(
-            a, ms_convolve(b, c)
-        )
-        assert ms_convolve(a, ms_union(b, c)) == ms_union(
-            ms_convolve(a, b), ms_convolve(a, c)
-        )
+@settings(max_examples=200)
+@given(multisets(), multisets(), st.integers(-15, 15))
+def test_triangle_distributes_over_union(a, b, t):
+    t = float(t)
+    assert ms_triangle(ms_union(a, b), t) == ms_triangle(a, t) + ms_triangle(b, t)
 
 
-def test_triangle_distributes_over_union():
-    rng = random.Random(29)
-    for _ in range(200):
-        a, b = _random_ms(rng), _random_ms(rng)
-        t = float(rng.randint(-15, 15))
-        assert ms_triangle(ms_union(a, b), t) == ms_triangle(a, t) + ms_triangle(b, t)
+@given(st.lists(multisets(), max_size=6))
+def test_ms_sum_equals_union_fold(xs):
+    assert ms_sum(xs) == reduce(ms_union, xs, MS_EMPTY)
+
+
+@given(multisets(), multisets(), st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+def test_trusted_results_pass_the_check(a, b, eps):
+    """Every result built without the constructor's check passes it."""
+    product = ms_convolve(a, b)
+    for r in (ms_union(a, b), product, ms_sum([a, b, a]), ms_sketch(product, eps)):
+        assert isinstance(r.entries, tuple)
+        assert Multiset(r.entries) == r

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import weighted_sets
 from relagg import (
     Multiset,
     WeightedSet,
@@ -17,6 +20,7 @@ from relagg.multiset import ms_union
 
 MIN_PLUS = make_named("min-plus")
 MAX_PLUS = make_named("max-plus")
+COUNTING = make_named("counting")
 
 
 def test_alpha_for():
@@ -148,6 +152,58 @@ def test_ws_sketch_cumulative_bound():
 def test_ws_sketch_small_inputs_unchanged():
     a = WeightedSet(((1.0, 2.0),), MIN_PLUS)
     assert ws_sketch(a, 0.5) is a
+
+
+def _unit_steps(base, n):
+    """n keys whose cumulative aggregates are 1, 2, ..., n under `base`."""
+    weights = {
+        "counting": [1.0] * n,
+        "max-plus": [float(k + 1) for k in range(n)],
+        "min-plus": [float(n - k) for k in range(n)],
+    }[base.name]
+    return WeightedSet(tuple((float(k), w) for k, w in enumerate(weights)), base)
+
+
+def _ws_size_bound(a, eps):
+    """2 ceil(log(hi/lo) / log1p(eps)) + 4, lo and hi the extreme positive
+    finite cumulative aggregates."""
+    tri = [ws_triangle(a, k) for k, _ in a.entries]
+    positive = [t for t in tri if 0 < t < math.inf]
+    span = math.log(max(positive) / min(positive)) if positive else 0.0
+    return 2 * math.ceil(span / math.log1p(eps)) + 4
+
+
+@pytest.mark.parametrize("base", [COUNTING, MAX_PLUS, MIN_PLUS], ids=lambda b: b.name)
+def test_ws_sketch_returns_value_within_size_bound(base):
+    # aggregates 1..12 at eps 1: 2 ceil(log2 12) + 4 = 12 entries
+    a = _unit_steps(base, 12)
+    assert len(a) == _ws_size_bound(a, 1.0)
+    assert ws_sketch(a, 1.0) is a
+
+
+@pytest.mark.parametrize("base", [COUNTING, MAX_PLUS, MIN_PLUS], ids=lambda b: b.name)
+def test_ws_sketch_compresses_past_size_bound(base):
+    # aggregates 1..13: the bound is still 12; bands close at 3, 5 and 9
+    a = _unit_steps(base, 13)
+    assert len(a) == _ws_size_bound(a, 1.0) + 1
+    s = ws_sketch(a, 1.0)
+    assert len(s) == 5
+    assert ws_bound_ok(a, s, 1.0)
+
+
+@given(
+    st.one_of(*(
+        weighted_sets(base, st.integers(0, 50), max_size=17)
+        for base in (COUNTING, MAX_PLUS, MIN_PLUS)
+    )),
+    st.sampled_from([0.05, 0.5, 1.0, 3.0]),
+)
+def test_ws_sketch_output_within_size_bound(a, eps):
+    """The band pass never returns more entries than the skip's bound, on
+    the nonnegative carrier."""
+    s = ws_sketch(a, eps)
+    assert len(s) <= _ws_size_bound(a, eps)
+    assert ws_bound_ok(a, s, eps)
 
 
 def test_ws_sketch_requires_monotone_base():

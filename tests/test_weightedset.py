@@ -1,14 +1,34 @@
 import math
-import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relagg import WeightedSet, lift, make_named, ws_convolve, ws_plus, ws_triangle
+from conftest import weighted_sets
+from relagg import (
+    WeightedSet,
+    lift,
+    make_named,
+    ws_convolve,
+    ws_plus,
+    ws_sketch,
+    ws_sum,
+    ws_triangle,
+)
 from relagg.weightedset import ws_empty, ws_one
 
 MIN_PLUS = make_named("min-plus")
 MAX_PLUS = make_named("max-plus")
 COUNTING = make_named("counting")
+BASES = (MIN_PLUS, MAX_PLUS, COUNTING)
+
+
+def sets_over(bases, n, **kwargs):
+    """n weighted sets over one base drawn from `bases`."""
+    return st.one_of(
+        *(st.tuples(*[weighted_sets(base, **kwargs)] * n) for base in bases)
+    )
 
 
 def test_construction_rules():
@@ -74,38 +94,42 @@ def test_triangle_counting_base():
     assert ws_triangle(a, 3.0) == 7.0
 
 
-def _random_ws(rng, base, max_keys=5):
-    keys = sorted(rng.sample(range(-8, 9), rng.randint(0, max_keys)))
-    entries = []
-    for k in keys:
-        w = float(rng.randint(-5, 5))
-        if w != base.zero:
-            entries.append((float(k), w))
-    return WeightedSet(tuple(entries), base)
+@settings(max_examples=600)
+@given(sets_over(BASES, 3))
+def test_semiring_laws_random(sets):
+    a, b, c = sets
+    assert ws_plus(a, b) == ws_plus(b, a)
+    assert ws_convolve(a, b) == ws_convolve(b, a)
+    assert ws_plus(ws_plus(a, b), c) == ws_plus(a, ws_plus(b, c))
+    assert ws_convolve(ws_convolve(a, b), c) == ws_convolve(a, ws_convolve(b, c))
+    assert ws_convolve(a, ws_plus(b, c)) == ws_plus(
+        ws_convolve(a, b), ws_convolve(a, c)
+    )
 
 
-def test_semiring_laws_random():
-    rng = random.Random(41)
-    for base in (MIN_PLUS, MAX_PLUS, COUNTING):
-        for _ in range(200):
-            a, b, c = (_random_ws(rng, base) for _ in range(3))
-            assert ws_plus(a, b) == ws_plus(b, a)
-            assert ws_convolve(a, b) == ws_convolve(b, a)
-            assert ws_plus(ws_plus(a, b), c) == ws_plus(a, ws_plus(b, c))
-            assert ws_convolve(ws_convolve(a, b), c) == ws_convolve(
-                a, ws_convolve(b, c)
-            )
-            assert ws_convolve(a, ws_plus(b, c)) == ws_plus(
-                ws_convolve(a, b), ws_convolve(a, c)
-            )
+@settings(max_examples=400)
+@given(sets_over((MIN_PLUS, MAX_PLUS), 2), st.integers(-12, 12))
+def test_triangle_distributes_over_plus(sets, ell):
+    a, b = sets
+    ell = float(ell)
+    assert ws_triangle(ws_plus(a, b), ell) == a.base.plus(
+        ws_triangle(a, ell), ws_triangle(b, ell)
+    )
 
 
-def test_triangle_distributes_over_plus():
-    rng = random.Random(43)
-    for base in (MIN_PLUS, MAX_PLUS):
-        for _ in range(200):
-            a, b = _random_ws(rng, base), _random_ws(rng, base)
-            ell = float(rng.randint(-12, 12))
-            assert ws_triangle(ws_plus(a, b), ell) == base.plus(
-                ws_triangle(a, ell), ws_triangle(b, ell)
-            )
+@given(st.one_of(
+    *(st.lists(weighted_sets(base), min_size=1, max_size=6) for base in BASES)
+))
+def test_ws_sum_equals_plus_fold(xs):
+    assert ws_sum(xs) == reduce(ws_plus, xs, ws_empty(xs[0].base))
+
+
+@given(sets_over(BASES, 2, weights=st.integers(0, 9)),
+       st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+def test_trusted_results_pass_the_check(sets, eps):
+    """Every result built without the constructor's check passes it."""
+    a, b = sets
+    product = ws_convolve(a, b)
+    for r in (ws_plus(a, b), product, ws_sum([a, b, a]), ws_sketch(product, eps)):
+        assert isinstance(r.entries, tuple)
+        assert WeightedSet(r.entries, r.base) == r
