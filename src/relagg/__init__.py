@@ -18,7 +18,6 @@ from .engine import (
     EngineConfig,
     Instrumentation,
     assign_features,
-    balanced_fold,
     evaluate,
 )
 from .errors import (
@@ -33,7 +32,7 @@ from .jointree import (
     build_decomposition,
     verify_decomposition,
 )
-from .multiset import Multiset, ms_convolve, ms_sum, ms_triangle, ms_union
+from .multiset import Multiset, ms_convolve, ms_triangle, ms_union
 from .queryspec import (
     AdditiveInequality,
     FunctionSpec,
@@ -43,6 +42,6 @@ from .queryspec import (
 )
 from .sketch import alpha_for, ms_sketch, ws_sketch
 from .tables import Database, Table, active_domain, load_table, stats
-from .weightedset import WeightedSet, lift, ws_convolve, ws_plus, ws_sum, ws_triangle
+from .weightedset import WeightedSet, lift, ws_convolve, ws_plus, ws_triangle
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Commutative monoids and semirings over the extended reals.
 
 Carriers are plain floats (or ints) extended with +/-infinity. Each named
-structure records the metadata the approximation algorithms need: whether
-addition is monotone, whether it introduces error, and whether folding k
-copies of a value is stable under perturbation of k ("repeatable").
+structure records the metadata the approximation algorithms need: for a
+semiring, whether addition is monotone; for a monoid, whether addition
+introduces error and whether folding k copies of a value is stable under
+perturbation of k ("repeatable").
 """
 
 import math
@@ -23,8 +24,6 @@ class Semiring:
     one: float
     # 'increasing' means x (+) y >= max(x, y); 'decreasing' means <= min(x, y)
     plus_monotone: str = "none"
-    plus_no_error: bool = True
-    times_bounded_error: bool = True
 
     def __repr__(self):
         return f"Semiring({self.name!r})"

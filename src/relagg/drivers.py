@@ -9,9 +9,11 @@ threshold, Delta_L(v) = (+)_{k <= L} v[k]. The engine stops before the
 root's last product; `threshold_read` reads each root row's Delta_L(q (x) g)
 off q and g, and the driver folds these scalars, so no root product or fold
 is built. Exact mode uses the exact semiring operations; approx mode
-sketches the result of every operation the engine runs (`ms_sketch` for
-multisets, `ws_sketch` for weighted sets) with a per-operation budget
-derived from the requested total relative error.
+sketches the result of every group fold and every product the engine runs
+(`ms_sketch` for multisets, `ws_sketch` for weighted sets) with a
+per-operation budget derived from the requested total relative error. A
+group folds in one n-ary union, so it is sketched once, not once per
+pairwise union.
 
 The drivers are where a query is refused, so a direct call refuses exactly
 what `run_query` and the CLI refuse. Each precondition is checked once, at
@@ -30,14 +32,14 @@ from functools import reduce
 from itertools import accumulate
 
 from .algebra import repeat
-from .engine import EngineConfig, assign_features, balanced_fold, evaluate
+from .engine import EngineConfig, assign_features, evaluate
 from .errors import QueryRejected
 from .jointree import build_decomposition
-from .multiset import MS_EMPTY, MS_ONE, Multiset, ms_convolve, ms_sum, ms_union
+from .multiset import MS_EMPTY, MS_ONE, Multiset, ms_convolve, ms_union
 from .queryspec import AdditiveInequality, checked_algebra
 from .sketch import alpha_for, ms_sketch, ws_sketch
 from .tables import active_domain
-from .weightedset import lift, ws_convolve, ws_empty, ws_one, ws_plus, ws_sum
+from .weightedset import lift, ws_convolve, ws_empty, ws_one, ws_plus
 
 SKETCH_SIZE_CAP = 10**6  # approx mode aborts when a value outgrows this
 
@@ -69,17 +71,16 @@ class ApproxParams:
         return self.alpha if self.alpha is not None else alpha_for(self.epsilon, m, n)
 
 
-def _config(db, mode, params, plus, plus_all, times, sketch, zero, one):
-    """Engine operations: the exact ones, groups folded by `plus_all` in one
-    pass, or their sketches, groups folded by a balanced sketched `plus`."""
+def _config(db, mode, params, plus, times, sketch, zero, one):
+    """Engine operations: the exact ones, or each group's n-ary `plus` and
+    each product sketched once."""
     if mode not in ("exact", "approx"):
         raise QueryRejected(f"unknown mode {mode!r}")
     if mode == "exact":
-        return EngineConfig(fold=plus_all, times=times, zero=zero, one=one)
+        return EngineConfig(fold=plus, times=times, zero=zero, one=one)
     alpha = params.resolve_alpha(db.m, db.n)
-    step = lambda a, b: sketch(plus(a, b), alpha)
     return EngineConfig(
-        fold=lambda items: balanced_fold(step, items, zero),
+        fold=lambda *items: sketch(plus(*items), alpha),
         times=lambda a, b: sketch(times(a, b), alpha),
         zero=zero,
         one=one,
@@ -145,7 +146,7 @@ def count_rows(db, ineq=None, params=None, mode="exact", instr=None):
     ineq = ineq or AdditiveInequality()
     params = params or ApproxParams(epsilon=0.1)
     config = _config(
-        db, mode, params, ms_union, ms_sum, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
+        db, mode, params, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
     )
     factors = _counting_factors(db, ineq)
     rows = evaluate(db, build_decomposition(db), factors, config, instr=instr)
@@ -175,7 +176,7 @@ def sumsum(db, monoid, F, ineq=None, params=None, mode="exact", instr=None):
     decomp = build_decomposition(db)
     owner, _ = assign_features(db)
     config = _config(
-        db, mode, params, ms_union, ms_sum, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
+        db, mode, params, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
     )
     factors = _counting_factors(db, ineq)
     read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
@@ -221,7 +222,7 @@ def sumprod(db, semiring, F, ineq=None, params=None, mode="exact", instr=None):
     ineq = ineq or AdditiveInequality()
     params = params or ApproxParams(epsilon=0.1)
     config = _config(
-        db, mode, params, ws_plus, ws_sum, ws_convolve, ws_sketch,
+        db, mode, params, ws_plus, ws_convolve, ws_sketch,
         ws_empty(semiring), ws_one(semiring),
     )
 

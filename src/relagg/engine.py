@@ -3,9 +3,10 @@
 Evaluates a SumProd-style aggregate over the bag join of a database without
 materializing the join: each table gets an aggregate column seeded from the
 per-feature leaf factors, then leaves of the join tree are folded into their
-neighbors until one table remains. Exact mode folds each group in one pass
-(`ms_sum`, `ws_sum`); approx mode folds it with `balanced_fold`, of depth
-ceil(log2 k) for k items, since sketch error grows with depth.
+neighbors until one table remains. Each group is folded by one
+`config.fold(*values)` call: the drivers pass the carrier's n-ary union,
+sketched once in approx mode, so a group adds one sketch to the composition
+depth whatever its size.
 
 Eliminating a leaf groups its rows by the features it shares with its
 parent, folds each group, and multiplies every parent row by the value of
@@ -30,7 +31,7 @@ from .jointree import decomposition_violation
 
 @dataclass
 class EngineConfig:
-    fold: callable  # nonempty list of values -> their (+)-fold
+    fold: callable  # fold(*values), one or more -> their (+)-fold
     times: callable
     zero: object
     one: object
@@ -39,7 +40,7 @@ class EngineConfig:
 
 @dataclass
 class Instrumentation:
-    max_fold_depth: int = 0
+    max_fold_depth: int = 0  # ceil(log2 k) of the largest group, k its rows
     fold_count: int = 0
     max_value_size: int = 0
 
@@ -54,21 +55,6 @@ class Instrumentation:
         except TypeError:
             return
         self.max_value_size = max(self.max_value_size, size)
-
-
-def balanced_fold(op, items, identity):
-    """Fold by pairing neighbors; depth is ceil(log2 k) for k items."""
-    items = list(items)
-    if not items:
-        return identity
-    while len(items) > 1:
-        nxt = []
-        for i in range(0, len(items) - 1, 2):
-            nxt.append(op(items[i], items[i + 1]))
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
 
 
 def assign_features(db):
@@ -134,7 +120,7 @@ def _eliminate(db, decomp, tables, config, root, instr):
             keyed.setdefault(tuple(row[c] for c in icols), []).append(q)
         groups = {}
         for key, items in keyed.items():
-            value = _check_size(config.fold(items), config)
+            value = _check_size(config.fold(*items), config)
             if instr is not None:
                 instr.record_fold(len(items))
                 instr.record_value(value)

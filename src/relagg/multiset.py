@@ -2,9 +2,10 @@
 
 These are the carrier of the exact row-counting dynamic program: union adds
 frequencies, convolution sums keys pairwise and multiplies frequencies.
-Counts are exact Python integers, so frequencies as large as n^m are safe.
-The operations build results with `Multiset._trusted`, which skips the
-constructor's check; each docstring says why its result passes it.
+Union takes any number of operands, so the engine folds a group of rows in
+one call. Counts are exact Python integers, so frequencies as large as n^m
+are safe. The operations build results with `Multiset._trusted`, which
+skips the constructor's check; each docstring says why its result passes it.
 """
 
 import bisect
@@ -64,42 +65,16 @@ def ms_singleton(key, count=1):
     return Multiset(((key, count),))
 
 
-def ms_union(a, b):
-    """Multiset union: frequencies add. A sorted merge keeps keys strictly
-    increasing; counts are operand counts or their sums."""
-    if not a.entries:
-        return b
-    if not b.entries:
-        return a
-    merged = []
-    ia = ib = 0
-    ea, eb = a.entries, b.entries
-    while ia < len(ea) and ib < len(eb):
-        ka, ca = ea[ia]
-        kb, cb = eb[ib]
-        if ka < kb:
-            merged.append((ka, ca))
-            ia += 1
-        elif kb < ka:
-            merged.append((kb, cb))
-            ib += 1
-        else:
-            merged.append((ka, ca + cb))
-            ia += 1
-            ib += 1
-    merged.extend(ea[ia:])
-    merged.extend(eb[ib:])
-    return Multiset._trusted(tuple(merged))
-
-
-def ms_sum(values):
-    """Union of a list of multisets in one pass: k values of s entries cost
-    O(k s) plus one sort, against O(k s log k) for a fold of `ms_union`.
-    Sorted unique keys; counts are sums of positive ints."""
-    if len(values) == 1:
-        return values[0]
+def ms_union(*values):
+    """Union of any number of multisets: frequencies add. One dict over
+    every entry and one sort, so k values of s entries cost O(k s) plus the
+    sort. A lone nonempty operand is returned as it is. Sorted unique keys;
+    counts are sums of positive ints."""
+    nonempty = [value for value in values if value.entries]
+    if len(nonempty) == 1:
+        return nonempty[0]
     acc = {}
-    for value in values:
+    for value in nonempty:
         for key, count in value.entries:
             acc[key] = acc.get(key, 0) + count
     return Multiset._trusted(tuple(sorted(acc.items())))

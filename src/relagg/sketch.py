@@ -17,8 +17,10 @@ at every original key are preserved within a (1+eps) factor either way.
 A weighted set within the band pass's size bound is returned unchanged too.
 Results are built with the carriers' `_trusted`, skipping the entry check.
 
-Approx mode applies a sketch after every exact operation: the drivers
-compose sketch(op(a, b), alpha) with the sketch of their carrier.
+Approx mode applies a sketch after every exact operation the engine runs:
+the drivers compose sketch(plus(*group), alpha) for a group fold and
+sketch(times(a, b), alpha) for a product, with the sketch of their carrier.
+Each elimination step on a path therefore composes two sketches.
 """
 
 import math
@@ -29,6 +31,12 @@ from .weightedset import WeightedSet
 
 def alpha_for(eps, m, n):
     """Per-operation sketch parameter for a total error budget of eps.
+
+    Divides eps by m^2 log2 n + m, a worst-case depth that counts
+    ceil(log2 n) sketches per group fold. A group folds in one sketched
+    n-ary union, so a plan composes two sketches per elimination step: the
+    depth budgeted here exceeds the depth the plan reaches, and alpha is
+    smaller than the plan needs.
 
     n is the largest table size; an all-empty database (n = 0) gets the
     n = 2 budget, since its answer is the algebra's zero either way.

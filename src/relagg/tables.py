@@ -118,11 +118,6 @@ class Database:
     def d(self):
         return len(self.feature_tables)
 
-    @property
-    def features(self):
-        """All feature names, sorted."""
-        return sorted(self.feature_tables)
-
     def table(self, i):
         """Table by 1-based index."""
         return self.tables[i - 1]

@@ -2,11 +2,12 @@
 
 The generalization of the counting multiset: each real key carries a weight
 drawn from a base semiring (the weight plays the role of a possibly
-fractional multiplicity). Union combines weights with the base (+);
-convolution sums keys and combines weights with the base (x). Entries whose
-weight equals the base zero are dropped, keeping the representation
-canonical. The operations build results with `WeightedSet._trusted`, which
-skips the constructor's check; each docstring says why its result passes it.
+fractional multiplicity). Union combines weights with the base (+) and,
+as for multisets, takes any number of operands; convolution sums keys and
+combines weights with the base (x). Entries whose weight equals the base
+zero are dropped, keeping the representation canonical. The operations
+build results with `WeightedSet._trusted`, which skips the constructor's
+check; each docstring says why its result passes it.
 """
 
 import bisect
@@ -73,45 +74,18 @@ def _require_same_base(a, b):
         )
 
 
-def ws_plus(a, b):
-    """Pointwise base (+) on the key union; base-zero results are dropped.
-    A sorted merge keeps keys strictly increasing."""
-    _require_same_base(a, b)
-    base = a.base
-    if not a.entries:
-        return b
-    if not b.entries:
-        return a
-    merged = []
-    ia = ib = 0
-    ea, eb = a.entries, b.entries
-    while ia < len(ea) and ib < len(eb):
-        ka, wa = ea[ia]
-        kb, wb = eb[ib]
-        if ka < kb:
-            merged.append((ka, wa))
-            ia += 1
-        elif kb < ka:
-            merged.append((kb, wb))
-            ib += 1
-        else:
-            w = base.plus(wa, wb)
-            if w != base.zero:
-                merged.append((ka, w))
-            ia += 1
-            ib += 1
-    merged.extend(ea[ia:])
-    merged.extend(eb[ib:])
-    return WeightedSet._trusted(tuple(merged), base)
-
-
-def ws_sum(values):
-    """`ws_plus` of a nonempty list in one pass: weights of each key combine
-    with the base (+) in list order, base zeros are dropped at the end, and
-    the unique keys are sorted once."""
-    base, acc = values[0].base, {}
-    for value in values:
-        _require_same_base(values[0], value)
+def ws_plus(first, *rest):
+    """Pointwise base (+) of one or more weighted sets over one base. One
+    dict over every entry: the weights of a key combine in operand order,
+    base-zero results are dropped, and the keys are sorted once. A lone
+    nonempty operand is returned as it is."""
+    for value in rest:
+        _require_same_base(first, value)
+    nonempty = [value for value in (first, *rest) if value.entries]
+    if len(nonempty) == 1:
+        return nonempty[0]
+    base, acc = first.base, {}
+    for value in nonempty:
         for key, w in value.entries:
             acc[key] = base.plus(acc[key], w) if key in acc else w
     entries = tuple((k, w) for k, w in sorted(acc.items()) if w != base.zero)

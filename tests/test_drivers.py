@@ -29,10 +29,10 @@ from relagg import (
     ws_convolve,
     ws_triangle,
 )
-from relagg import drivers, engine, multiset
+from relagg import drivers
 from relagg.drivers import threshold_read
 from relagg.engine import EngineConfig
-from relagg.multiset import MS_EMPTY, MS_ONE, ms_singleton, ms_sum
+from relagg.multiset import MS_EMPTY, MS_ONE, ms_singleton, ms_union
 from relagg.queryspec import identity, scale
 from conftest import (
     identity_fns,
@@ -364,7 +364,7 @@ def test_root_product_is_never_built():
 def test_one_table_rows_read_with_one():
     db = _cross_real(1, 40, seed=6)
     config = EngineConfig(
-        fold=ms_sum, times=ms_convolve, zero=MS_EMPTY, one=MS_ONE
+        fold=ms_union, times=ms_convolve, zero=MS_EMPTY, one=MS_ONE
     )
     factors = {f: ms_singleton for f in db.feature_tables}
     rows = evaluate(db, build_decomposition(db), factors, config)
@@ -375,10 +375,14 @@ def test_one_table_rows_read_with_one():
     )
 
 
-# Exact mode folds each group in one pass and checks only the leaf factors.
+# Each group folds in one union in both modes, and only leaf factors are
+# checked.
 
 
 def test_exact_count_folds_in_one_pass(monkeypatch):
+    """In either mode a group folds in one `ms_union` call, and only leaf
+    factors pass the constructor's check; approx mode sketches each group
+    and each product at most once."""
     calls = Counter()
 
     def counted(name, fn):
@@ -387,12 +391,8 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    fold = counted("balanced_fold", engine.balanced_fold)
-    union = counted("ms_union", multiset.ms_union)
-    for module in (engine, drivers):
-        monkeypatch.setattr(module, "balanced_fold", fold, raising=False)
-    for module in (multiset, drivers):
-        monkeypatch.setattr(module, "ms_union", union)
+    for name in ("ms_union", "ms_convolve", "ms_sketch"):
+        monkeypatch.setattr(drivers, name, counted(name, getattr(drivers, name)))
     monkeypatch.setattr(
         Multiset, "__post_init__", counted("check", Multiset.__post_init__)
     )
@@ -400,13 +400,16 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
     ineq = AdditiveInequality(
         g={f"x{i}": identity() for i in range(1, 4)}, threshold=1.5
     )
-    exact = count_rows(db, ineq)
     leaf_factors = sum(len(t.schema) * len(t.rows) for t in db.tables)
-    assert calls["balanced_fold"] == calls["ms_union"] == 0
-    assert 0 < calls["check"] <= leaf_factors
-    calls.clear()
-    got = count_rows(db, ineq, mode="approx")
-    assert calls["balanced_fold"] > 0 and calls["ms_union"] > 0
-    assert abs(got - exact) <= 0.1 * exact
-    spec = QuerySpec(kind="count", inequalities=(ineq,))
-    assert exact == oracle_eval(db, spec)
+    answers = {}
+    for mode in ("exact", "approx"):
+        calls.clear()
+        instr = Instrumentation()
+        answers[mode] = count_rows(db, ineq, mode=mode, instr=instr)
+        assert calls["ms_union"] == instr.fold_count > 0
+        assert 0 < calls["check"] <= leaf_factors
+    # the counts of the approx run, the last one
+    assert 0 < calls["ms_sketch"] <= instr.fold_count + calls["ms_convolve"]
+    exact = answers["exact"]
+    assert abs(answers["approx"] - exact) <= 0.1 * exact
+    assert exact == oracle_eval(db, QuerySpec(kind="count", inequalities=(ineq,)))

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import reduce
 
 import pytest
 
@@ -11,14 +12,13 @@ from relagg import (
     Table,
     Database,
     assign_features,
-    balanced_fold,
     build_decomposition,
     count_rows,
     evaluate,
     make_named,
 )
 from relagg.bruteforce import materialize
-from relagg.multiset import MS_EMPTY, ms_convolve, ms_singleton, ms_sum
+from relagg.multiset import MS_EMPTY, ms_convolve, ms_singleton, ms_union
 from conftest import random_acyclic_db
 
 COUNTING = make_named("counting")
@@ -28,7 +28,7 @@ MAX_PLUS = make_named("max-plus")
 
 def config_for(s):
     return EngineConfig(
-        fold=lambda items: balanced_fold(s.plus, items, s.zero),
+        fold=lambda *items: reduce(s.plus, items, s.zero),
         times=s.times, zero=s.zero, one=s.one,
     )
 
@@ -37,7 +37,7 @@ def join_value(db, decomp, factors, config, instr=None):
     """The aggregate over the whole join: the fold of q (x) g over the
     root rows that `evaluate` returns."""
     rows = evaluate(db, decomp, factors, config, instr=instr)
-    return config.fold([config.times(q, g) for _, q, g in rows])
+    return config.fold(*[config.times(q, g) for _, q, g in rows])
 
 
 def ones(db):
@@ -48,15 +48,10 @@ def idents(db, one=0.0):
     return {f: (lambda v: v) for f in db.feature_tables}
 
 
-def test_balanced_fold_values():
-    assert balanced_fold(lambda x, y: x + y, [1, 2, 3, 4, 5], 0) == 15
-    assert balanced_fold(lambda x, y: x + y, [], 9) == 9
-    assert balanced_fold(min, [4], None) == 4
-
-
-def test_balanced_fold_depth():
-    """One group of 100 leaf rows records depth ceil(log2 100) in either
-    mode: exact folds it in one pass, approx by balanced_fold."""
+def test_fold_records_group_size():
+    """One group of 100 leaf rows is recorded as one fold of depth
+    ceil(log2 100) in either mode: the recorded depth is the group's size,
+    since both modes fold a group in one call."""
     db = Database(tables=(
         Table("t1", ("a", "b"), tuple((1.0, float(i)) for i in range(100))),
         Table("t2", ("a",), ((1.0,),)),
@@ -143,7 +138,7 @@ def test_multiset_carrier_size_cap():
     ))
     decomp = build_decomposition(db)
     config = EngineConfig(
-        fold=ms_sum, times=ms_convolve, zero=MS_EMPTY,
+        fold=ms_union, times=ms_convolve, zero=MS_EMPTY,
         one=ms_singleton(0.0), size_cap=5,
     )
     factors = {f: (lambda v: ms_singleton(v)) for f in db.feature_tables}
@@ -170,7 +165,7 @@ def test_instrumentation_records_sizes(db1):
     decomp = build_decomposition(db1)
     instr = Instrumentation()
     config = EngineConfig(
-        fold=ms_sum, times=ms_convolve, zero=MS_EMPTY, one=ms_singleton(0.0)
+        fold=ms_union, times=ms_convolve, zero=MS_EMPTY, one=ms_singleton(0.0)
     )
     factors = {f: (lambda v: ms_singleton(v)) for f in db1.feature_tables}
     evaluate(db1, decomp, factors, config, instr=instr)

@@ -1,5 +1,4 @@
 import math
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,6 @@ from relagg import (
     ws_convolve,
     ws_plus,
     ws_sketch,
-    ws_sum,
     ws_triangle,
 )
 from relagg.weightedset import ws_empty, ws_one
@@ -69,9 +67,18 @@ def test_convolve_identities():
     assert ws_convolve(a, ws_empty(MAX_PLUS)) == ws_empty(MAX_PLUS)
 
 
+def test_plus_identity():
+    a = WeightedSet(((1.0, 4.0),), MIN_PLUS)
+    assert ws_plus(a) is a
+    assert ws_plus(a, ws_empty(MIN_PLUS)) is a
+    assert ws_plus(ws_empty(MIN_PLUS), a, ws_empty(MIN_PLUS)) is a
+
+
 def test_base_mismatch_rejected():
     with pytest.raises(ValueError, match="mismatch"):
         ws_plus(ws_one(MIN_PLUS), ws_one(MAX_PLUS))
+    with pytest.raises(ValueError, match="mismatch"):
+        ws_plus(ws_one(MIN_PLUS), ws_empty(MIN_PLUS), ws_empty(MAX_PLUS))
 
 
 def test_zero_weights_dropped():
@@ -120,8 +127,16 @@ def test_triangle_distributes_over_plus(sets, ell):
 @given(st.one_of(
     *(st.lists(weighted_sets(base), min_size=1, max_size=6) for base in BASES)
 ))
-def test_ws_sum_equals_plus_fold(xs):
-    assert ws_sum(xs) == reduce(ws_plus, xs, ws_empty(xs[0].base))
+def test_plus_equals_per_key_fold(xs):
+    """Each key's weight is the base (+)-fold of the operands' weights at
+    it, in operand order; base zeros are dropped."""
+    base = xs[0].base
+    keys = sorted({key for x in xs for key, _ in x.entries})
+    weights = [(key, base.zero) for key in keys]
+    for x in xs:
+        weights = [(key, base.plus(w, x.weight(key))) for key, w in weights]
+    expected = tuple((key, w) for key, w in weights if w != base.zero)
+    assert ws_plus(*xs) == WeightedSet(expected, base)
 
 
 @given(sets_over(BASES, 2, weights=st.integers(0, 9)),
@@ -130,6 +145,6 @@ def test_trusted_results_pass_the_check(sets, eps):
     """Every result built without the constructor's check passes it."""
     a, b = sets
     product = ws_convolve(a, b)
-    for r in (ws_plus(a, b), product, ws_sum([a, b, a]), ws_sketch(product, eps)):
+    for r in (ws_plus(a, b), product, ws_plus(a, b, a), ws_sketch(product, eps)):
         assert isinstance(r.entries, tuple)
         assert WeightedSet(r.entries, r.base) == r
