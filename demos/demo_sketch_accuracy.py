@@ -4,14 +4,15 @@ Counts subsets of 18 random weights under a budget. Exact dynamic
 programming carries one multiset entry per distinct subset sum; the sketched
 mode keeps every intermediate within the sketch's logarithmic size bound,
 floor(log|A| / log1p(alpha)) + 1 entries, while keeping the answer within
-the requested relative error. It compresses only values past that bound, so
-here, where a few hundred distinct sums stay far below it, approx mode
-returns the exact count.
+the requested relative error eps: alpha = (1+eps)^(1/D) - 1, where
+D = 2m - 3 is the number of sketches an m-table plan composes. It
+compresses only values past that bound, so here, where a few hundred
+distinct sums stay far below it, approx mode returns the exact count.
 """
 
 import random
 
-from relagg import ApproxParams, Instrumentation, count_rows, gen_knapsack
+from relagg import Instrumentation, count_rows, gen_knapsack
 
 rng = random.Random(5)
 weights = [rng.randint(1, 60) for _ in range(18)]
@@ -27,9 +28,7 @@ print(f"  exact: {exact}  (largest intermediate: {instr.max_value_size} entries)
 
 for eps in (0.3, 0.1, 0.02):
     instr = Instrumentation()
-    got = count_rows(
-        db, ineq, params=ApproxParams(epsilon=eps), mode="approx", instr=instr
-    )
+    got = count_rows(db, ineq, epsilon=eps, mode="approx", instr=instr)
     err = abs(got - exact) / exact
     print(
         f"  eps={eps:<5} -> {got}  "

@@ -13,7 +13,7 @@ from .bruteforce import (
     materialize,
     oracle_eval,
 )
-from .drivers import ApproxParams, count_rows, run_query, sumprod, sumsum
+from .drivers import count_rows, run_query, sumprod, sumsum
 from .engine import (
     EngineConfig,
     Instrumentation,

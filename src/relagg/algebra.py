@@ -12,6 +12,8 @@ import operator
 from dataclasses import dataclass
 from itertools import product
 
+from .errors import CapExceeded
+
 INF = math.inf
 
 
@@ -42,11 +44,16 @@ class Monoid:
 
 
 def _tropical_times(zero):
-    # I_0 annihilates; avoids inf + -inf = nan outside the carrier.
+    # I_0 annihilates; avoids inf + -inf = nan outside the carrier. Any
+    # other infinite sum overflowed: min-plus would read it as its zero
+    # and drop the row, max-plus would leave its carrier.
     def times(a, b):
         if a == zero or b == zero:
             return zero
-        return a + b
+        c = a + b
+        if math.isinf(c):
+            raise CapExceeded(f"{a} + {b} overflows the float range")
+        return c
 
     return times
 

@@ -18,6 +18,7 @@ from .engine import Instrumentation
 from .errors import CapExceeded, CyclicJoinError, QueryRejected, TableError
 from .jointree import build_decomposition
 from .queryspec import spec_from_json
+from .sketch import alpha_for
 from .tables import Database, dump_table, load_table
 
 EXIT_OK = 0
@@ -94,17 +95,16 @@ def _run_engine(args, kind):
         raise QueryRejected(
             f"query file declares kind {spec.kind!r}, subcommand is {kind!r}"
         )
-    params = drivers.ApproxParams(spec.epsilon, alpha=args.alpha)
     instr = Instrumentation()
     start = time.perf_counter()
-    result = drivers.run_query(db, spec, instr=instr, params=params)
+    result = drivers.run_query(db, spec, instr=instr)
     elapsed = time.perf_counter() - start
     approx = spec.mode == "approx"
     report = {
         "result": result,
         "mode": spec.mode,
         "epsilon": spec.epsilon if approx else None,
-        "alpha": params.resolve_alpha(db.m, db.n) if approx else None,
+        "alpha": alpha_for(spec.epsilon, db.m) if approx else None,
         "sketch": {
             "max_value_size": instr.max_value_size,
             "max_fold_depth": instr.max_fold_depth,
@@ -200,10 +200,6 @@ def build_parser():
     for kind in ("count", "sumsum", "sumprod"):
         p = sub.add_parser(kind, help=f"run a {kind} query")
         add_common(p)
-        p.add_argument("--alpha", type=float, default=None,
-                       help="override the per-operation sketch parameter "
-                       "(finite, > 0); the error bound then no longer "
-                       "follows from epsilon")
         p.add_argument("--dump-sketch", action="store_true")
 
     p = sub.add_parser("oracle", help="brute-force evaluation by materialization")

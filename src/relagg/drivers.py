@@ -11,23 +11,21 @@ off q and g, and the driver folds these scalars, so no root product or fold
 is built. Exact mode uses the exact semiring operations; approx mode
 sketches the result of every group fold and every product the engine runs
 (`ms_sketch` for multisets, `ws_sketch` for weighted sets) with a
-per-operation budget derived from the requested total relative error. A
-group folds in one n-ary union, so it is sketched once, not once per
-pairwise union.
+per-sketch parameter alpha = alpha_for(epsilon, m), so the answer is within
+(1 +/- epsilon) of the exact one. A group folds in one n-ary union, so it is
+sketched once, not once per pairwise union.
 
 The drivers are where a query is refused, so a direct call refuses exactly
 what `run_query` and the CLI refuse. Each precondition is checked once, at
-the one spot every path passes through: a bad epsilon or alpha by
-`ApproxParams`, the mode by `_config`, a NaN threshold by
-`AdditiveInequality`, the algebra by `checked_algebra`, the carrier and sign
-of the terms by `sumprod` and `sumsum` before any evaluation, and a second
-inequality by `run_query`.
+the one spot every path passes through: a bad epsilon (in either mode) and
+the mode by `_config`, a NaN threshold by `AdditiveInequality`, the algebra
+by `checked_algebra`, the carrier and sign of the terms by `sumprod` and
+`sumsum` before any evaluation, and a second inequality by `run_query`.
 """
 
 import bisect
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 
@@ -44,41 +42,18 @@ from .weightedset import lift, ws_convolve, ws_empty, ws_one, ws_plus
 SKETCH_SIZE_CAP = 10**6  # approx mode aborts when a value outgrows this
 
 
-def _positive_finite(name, value):
-    if not (value > 0 and math.isfinite(value)):
-        raise QueryRejected(
-            f"{name} must be a finite number greater than 0, got {value}"
-        )
-
-
-@dataclass(frozen=True)
-class ApproxParams:
-    """Approx-mode settings, checked in either mode.
-
-    epsilon and an alpha override must each be finite and > 0; frozen, so
-    no value can skip the check.
-    """
-
-    epsilon: float
-    alpha: float = None  # derived from epsilon unless overridden
-
-    def __post_init__(self):
-        _positive_finite("epsilon", self.epsilon)
-        if self.alpha is not None:
-            _positive_finite("alpha", self.alpha)
-
-    def resolve_alpha(self, m, n):
-        return self.alpha if self.alpha is not None else alpha_for(self.epsilon, m, n)
-
-
-def _config(db, mode, params, plus, times, sketch, zero, one):
+def _config(db, mode, epsilon, plus, times, sketch, zero, one):
     """Engine operations: the exact ones, or each group's n-ary `plus` and
-    each product sketched once."""
+    each product sketched once with alpha_for(epsilon, m)."""
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise QueryRejected(
+            f"epsilon must be a finite number greater than 0, got {epsilon}"
+        )
     if mode not in ("exact", "approx"):
         raise QueryRejected(f"unknown mode {mode!r}")
     if mode == "exact":
         return EngineConfig(fold=plus, times=times, zero=zero, one=one)
-    alpha = params.resolve_alpha(db.m, db.n)
+    alpha = alpha_for(epsilon, db.m)
     return EngineConfig(
         fold=lambda *items: sketch(plus(*items), alpha),
         times=lambda a, b: sketch(times(a, b), alpha),
@@ -137,16 +112,15 @@ def _term_values(F, db):
                 yield feature, v, fn(v)
 
 
-def count_rows(db, ineq=None, params=None, mode="exact", instr=None):
+def count_rows(db, ineq=None, epsilon=0.1, mode="exact", instr=None):
     """Number of join rows satisfying the inequality.
 
     Exact mode returns the integer count; approx mode a value within a
     (1 +/- epsilon) factor of it.
     """
     ineq = ineq or AdditiveInequality()
-    params = params or ApproxParams(epsilon=0.1)
     config = _config(
-        db, mode, params, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
+        db, mode, epsilon, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
     )
     factors = _counting_factors(db, ineq)
     rows = evaluate(db, build_decomposition(db), factors, config, instr=instr)
@@ -154,7 +128,7 @@ def count_rows(db, ineq=None, params=None, mode="exact", instr=None):
     return sum(read(q, g) for _, q, g in rows)
 
 
-def sumsum(db, monoid, F, ineq=None, params=None, mode="exact", instr=None):
+def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     """Monoid fold of per-feature terms over qualifying join rows.
 
     For each feature (at its assigned table) the qualifying-row count of
@@ -172,11 +146,10 @@ def sumsum(db, monoid, F, ineq=None, params=None, mode="exact", instr=None):
                 "problem), so no approximation is attempted"
             )
     ineq = ineq or AdditiveInequality()
-    params = params or ApproxParams(epsilon=0.1)
     decomp = build_decomposition(db)
     owner, _ = assign_features(db)
     config = _config(
-        db, mode, params, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
+        db, mode, epsilon, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
     )
     factors = _counting_factors(db, ineq)
     read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
@@ -203,7 +176,7 @@ def sumsum(db, monoid, F, ineq=None, params=None, mode="exact", instr=None):
     return total
 
 
-def sumprod(db, semiring, F, ineq=None, params=None, mode="exact", instr=None):
+def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     """Semiring SumProd over qualifying join rows.
 
     Features absent from F contribute the multiplicative identity. Factor
@@ -220,9 +193,8 @@ def sumprod(db, semiring, F, ineq=None, params=None, mode="exact", instr=None):
                 "cannot be approximated (the subtraction problem)"
             )
     ineq = ineq or AdditiveInequality()
-    params = params or ApproxParams(epsilon=0.1)
     config = _config(
-        db, mode, params, ws_plus, ws_convolve, ws_sketch,
+        db, mode, epsilon, ws_plus, ws_convolve, ws_sketch,
         ws_empty(semiring), ws_one(semiring),
     )
 
@@ -242,30 +214,21 @@ def sumprod(db, semiring, F, ineq=None, params=None, mode="exact", instr=None):
     return reduce(s.plus, (read(q, g) for _, q, g in rows), s.zero)
 
 
-def run_query(db, spec, instr=None, params=None):
-    """Dispatch a QuerySpec to the matching driver.
+def run_query(db, spec, instr=None):
+    """Dispatch a QuerySpec to the matching driver, with the spec's epsilon.
 
-    `params` defaults to the spec's epsilon with alpha derived from it.
     Refuses a second inequality, which no driver takes; every other
     refusal is the driver's (QueryRejected).
     """
-    params = params or ApproxParams(epsilon=spec.epsilon)
     if len(spec.inequalities) > 1:
         raise QueryRejected(
             "more than one additive inequality: bounded-relative-error "
             "approximation of row counts under two additive inequalities "
             "is NP-hard; this engine handles at most one"
         )
+    opts = dict(epsilon=spec.epsilon, mode=spec.mode, instr=instr)
     if spec.kind == "count":
-        return count_rows(
-            db, spec.inequality, params=params, mode=spec.mode, instr=instr
-        )
+        return count_rows(db, spec.inequality, **opts)
     if spec.kind == "sumsum":
-        return sumsum(
-            db, spec.algebra, spec.F, spec.inequality,
-            params=params, mode=spec.mode, instr=instr,
-        )
-    return sumprod(
-        db, spec.algebra, spec.F, spec.inequality,
-        params=params, mode=spec.mode, instr=instr,
-    )
+        return sumsum(db, spec.algebra, spec.F, spec.inequality, **opts)
+    return sumprod(db, spec.algebra, spec.F, spec.inequality, **opts)

@@ -19,8 +19,8 @@ Results are built with the carriers' `_trusted`, skipping the entry check.
 
 Approx mode applies a sketch after every exact operation the engine runs:
 the drivers compose sketch(plus(*group), alpha) for a group fold and
-sketch(times(a, b), alpha) for a product, with the sketch of their carrier.
-Each elimination step on a path therefore composes two sketches.
+sketch(times(a, b), alpha) for a product, with the sketch of their carrier,
+and `alpha_for` derives alpha from the requested total error eps.
 """
 
 import math
@@ -29,23 +29,24 @@ from .multiset import Multiset
 from .weightedset import WeightedSet
 
 
-def alpha_for(eps, m, n):
-    """Per-operation sketch parameter for a total error budget of eps.
+def alpha_for(eps, m):
+    """Per-sketch parameter alpha with which an m-table plan stays within eps.
 
-    Divides eps by m^2 log2 n + m, a worst-case depth that counts
-    ceil(log2 n) sketches per group fold. A group folds in one sketched
-    n-ary union, so a plan composes two sketches per elimination step: the
-    depth budgeted here exceeds the depth the plan reaches, and alpha is
-    smaller than the plan needs.
-
-    n is the largest table size; an all-empty database (n = 0) gets the
-    n = 2 budget, since its answer is the algebra's zero either way.
+    alpha = (1+eps)^(1/D) - 1, D = max(2m - 3, 1). Each sketch on the plan
+    keeps cumulative aggregates within one (1 +/- alpha) factor, and the
+    factors compose: a union's error is its worse operand's, a product's
+    error factors multiply, and seeding products of singletons come back
+    unchanged from either sketch. Each of the m - 1 eliminations adds one
+    sketched group fold, and each but the last one sketched product (the
+    root's last product is never built), so a root value carries at most
+    D = 2m - 3 factors: (1+alpha)^D = 1+eps, and
+    (1-alpha)^D >= 1 - D alpha >= 1 - eps since alpha <= eps / D.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if m < 1 or n < 0:
-        raise ValueError("m must be at least 1 and n nonnegative")
-    return eps / (m * m * math.log2(max(n, 2)) + m)
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    return math.expm1(math.log1p(eps) / max(2 * m - 3, 1))
 
 
 def ms_sketch(a, eps):
@@ -112,7 +113,9 @@ def ws_sketch(a, eps):
     band base, plus one. A run closes at an aggregate t > (1+eps) base, and
     the base after the next close is >= t. So positive bases lie in [lo, hi]
     and grow by more than (1+eps) every two closes, the last to close lies
-    below hi / (1+eps), and at most two bases are 0.
+    below hi / (1+eps), and at most two bases are 0. The bound is never
+    below 4, so an input of at most 4 entries is returned before the
+    cumulative pass.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -121,6 +124,8 @@ def ws_sketch(a, eps):
         raise ValueError(
             f"base {base.name!r} addition is not monotone; cannot sketch"
         )
+    if len(a.entries) <= 4:
+        return a
     # Cumulative aggregate at each key (fold over keys <= e, ascending).
     tri = []
     acc = base.zero

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from relagg import (
-    ApproxParams,
     CyclicJoinError,
     FunctionSpec,
     Multiset,
@@ -263,12 +262,11 @@ def test_criterion_6_approx_within_epsilon():
             kind="sumsum", algebra="sum", F=Fp, inequalities=(ineq,)
         ))
         for eps in (0.1, 0.3):
-            params = ApproxParams(epsilon=eps)
-            got = count_rows(db, ineq, params=params, mode="approx")
+            got = count_rows(db, ineq, epsilon=eps, mode="approx")
             if not ((1 - eps) * count_ref - 1e-9 <= got
                     <= (1 + eps) * count_ref + 1e-9):
                 ok = False
-            got = sumsum(db, "sum", Fp, ineq, params=params, mode="approx")
+            got = sumsum(db, "sum", Fp, ineq, epsilon=eps, mode="approx")
             if not ((1 - eps) * sumsum_ref - 1e-9 <= got
                     <= (1 + eps) * sumsum_ref + 1e-9):
                 ok = False
@@ -276,7 +274,7 @@ def test_criterion_6_approx_within_epsilon():
                 exact = oracle_eval(db, QuerySpec(
                     kind="sumprod", algebra=name, F=Fp, inequalities=(ineq,)
                 ))
-                got = sumprod(db, name, Fp, ineq, params=params, mode="approx")
+                got = sumprod(db, name, Fp, ineq, epsilon=eps, mode="approx")
                 base = make_named(name)
                 if exact == base.zero:
                     if got != exact:
@@ -299,9 +297,7 @@ def test_criterion_7_knapsack_20_weights():
     db, ineq = gen_knapsack(weights, capacity)
     start = time.perf_counter()
     exact = count_rows(db, ineq)
-    approx = count_rows(
-        db, ineq, params=ApproxParams(epsilon=0.1), mode="approx"
-    )
+    approx = count_rows(db, ineq, epsilon=0.1, mode="approx")
     elapsed = time.perf_counter() - start
     ok = (
         exact == expected
@@ -346,7 +342,7 @@ def test_criterion_8_near_linear_scaling(monkeypatch):
         db = _chain_db(n, rng)
         ineq = random_affine_inequality(rng, db)
         work[0] = 0
-        count_rows(db, ineq, params=ApproxParams(epsilon=0.5), mode="approx")
+        count_rows(db, ineq, epsilon=0.5, mode="approx")
         works[n] = work[0]
     ratio = works[2000] / works[1000]
     report(8, f"doubling input scales work by {ratio:.2f}x (< 3)", ratio < 3)

@@ -1,8 +1,13 @@
 import json
+import pathlib
+import shlex
 
 import pytest
 
-from relagg.cli import main
+from relagg import alpha_for
+from relagg.cli import build_parser, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -65,6 +70,7 @@ def test_count_json_report_is_deterministic(db1_dir, capsys):
     report = json.loads(outs[0])
     assert report["status"] == "ok"
     assert report["mode"] == "approx"
+    assert report["alpha"] == alpha_for(0.1, 2)
     assert 0.9 * 2 <= report["result"] <= 1.1 * 2
 
 
@@ -77,27 +83,6 @@ def test_epsilon_and_exact_overrides(db1_dir, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["mode"] == "exact"
     assert report["result"] == 2
-
-
-def test_alpha_override(db1_dir, capsys):
-    q = write_query(db1_dir, COUNT_LEQ9)
-    assert main([
-        "count", "--tables", str(db1_dir), "--query", q,
-        "--epsilon", "0.1", "--alpha", "0.001", "--output", "json",
-    ]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["alpha"] == 0.001
-
-
-@pytest.mark.parametrize("alpha", ["nan", "-1", "0", "inf"])
-def test_bad_alpha_exit_2(db1_dir, capsys, alpha):
-    q = write_query(db1_dir, COUNT_LEQ9)
-    assert main([
-        "count", "--tables", str(db1_dir), "--query", q,
-        "--epsilon", "0.1", "--alpha", alpha,
-    ]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("rejected: alpha") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("query, reason", [
@@ -188,6 +173,46 @@ def test_oracle_has_no_sketch_flags(db1_dir, capsys, flag):
         main(["oracle", "--tables", str(db1_dir), "--query", q, *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_count_has_no_alpha_flag(db1_dir, capsys):
+    q = write_query(db1_dir, COUNT_LEQ9)
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--tables", str(db1_dir), "--query", q,
+              "--epsilon", "0.1", "--alpha", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algebra", ["min-plus", "max-plus"])
+def test_tropical_overflow_exit_4(tmp_path, capsys, algebra):
+    (tmp_path / "t1.csv").write_text("a,b\n1e308,0\n")
+    (tmp_path / "t2.csv").write_text("b,c\n0,1e308\n")
+    q = write_query(tmp_path, {
+        "kind": "sumprod", "algebra": algebra,
+        "F": {"a": {"kind": "identity"}, "c": {"kind": "identity"}},
+    })
+    assert main(["sumprod", "--tables", str(tmp_path), "--query", q]) == 4
+    err = capsys.readouterr().err
+    assert "overflow" in err and err.count("\n") == 1
+
+
+def test_readme_command_lines_parse():
+    """Every `relagg ...` line of README's command-line block parses."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [
+        line.split(" #", 1)[0] for line in block.splitlines()
+        if line.startswith("relagg ")
+    ]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
 
 
 def test_nan_threshold_exit_2(db1_dir, capsys):

@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from relagg import (
     AdditiveInequality,
-    ApproxParams,
+    CapExceeded,
     Database,
     FunctionSpec,
     Instrumentation,
@@ -56,9 +56,7 @@ def test_count_with_threshold(db1):
 
 def test_count_approx_is_close(db1):
     exact = count_rows(db1, sum_leq(db1, 9.0))
-    got = count_rows(
-        db1, sum_leq(db1, 9.0), params=ApproxParams(epsilon=0.1), mode="approx"
-    )
+    got = count_rows(db1, sum_leq(db1, 9.0), epsilon=0.1, mode="approx")
     assert (1 - 0.1) * exact <= got <= (1 + 0.1) * exact
 
 
@@ -185,9 +183,7 @@ def test_count_approx_within_epsilon_random():
         ineq = random_affine_inequality(rng, db)
         exact = count_rows(db, ineq)
         for eps in (0.1, 0.5):
-            got = count_rows(
-                db, ineq, params=ApproxParams(epsilon=eps), mode="approx"
-            )
+            got = count_rows(db, ineq, epsilon=eps, mode="approx")
             assert (1 - eps) * exact - 1e-9 <= got <= (1 + eps) * exact + 1e-9
 
 
@@ -206,7 +202,7 @@ def test_count_approx_exact_on_many_to_many_star():
         g={f"x{i}": identity() for i in range(1, 4)}, threshold=60.0
     )
     exact = count_rows(db, ineq)
-    got = count_rows(db, ineq, params=ApproxParams(epsilon=0.1), mode="approx")
+    got = count_rows(db, ineq, epsilon=0.1, mode="approx")
     assert got == exact
 
 
@@ -240,9 +236,7 @@ def test_count_rejects_nan_threshold():
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
 def test_count_approx_rejects_bad_epsilon(eps):
     with pytest.raises(QueryRejected, match="epsilon"):
-        count_rows(
-            _cross_2x2(), params=ApproxParams(epsilon=eps), mode="approx"
-        )
+        count_rows(_cross_2x2(), epsilon=eps, mode="approx")
 
 
 def test_sumsum_approx_rejects_mixed_signs():
@@ -251,12 +245,6 @@ def test_sumsum_approx_rejects_mixed_signs():
     assert sumsum(db, "sum", F) == 6.0 - 14.0
     with pytest.raises(QueryRejected, match="subtraction"):
         sumsum(db, "sum", F, mode="approx")
-
-
-def test_approx_params_cannot_be_changed_past_the_check():
-    params = ApproxParams(epsilon=0.1)
-    with pytest.raises(AttributeError):
-        params.epsilon = -1.0
 
 
 @pytest.mark.parametrize("call", [
@@ -346,7 +334,7 @@ def _check_against_oracle(db, ineq):
     ):
         spec = QuerySpec(kind=kind, algebra=algebra, F=ys, inequalities=(ineq,))
         assert driver(db, algebra, ys, ineq) == oracle_eval(db, spec)
-    got = count_rows(db, ineq, params=ApproxParams(epsilon=0.1), mode="approx")
+    got = count_rows(db, ineq, epsilon=0.1, mode="approx")
     assert abs(got - exact) <= 0.1 * exact
     return instr
 
@@ -413,3 +401,68 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
     exact = answers["exact"]
     assert abs(answers["approx"] - exact) <= 0.1 * exact
     assert exact == oracle_eval(db, QuerySpec(kind="count", inequalities=(ineq,)))
+
+
+# The epsilon guarantee at the worst depth a 5-table plan reaches,
+# 2m - 3 = 7 sketches, with values large enough that sketches compress.
+
+
+def _binary_keyed(schemas, seed):
+    """20 rows per table: join keys in {0, 1} and one uniform real x_i."""
+    rng = random.Random(seed)
+    return Database(tables=tuple(
+        Table(f"t{i}", (*keys, f"x{i}"), tuple(
+            (*(float(rng.randint(0, 1)) for _ in keys), rng.random())
+            for _ in range(20)
+        ))
+        for i, keys in enumerate(schemas, 1)
+    ))
+
+
+@pytest.mark.parametrize("schemas", [
+    [("k1",), ("k1", "k2"), ("k2", "k3"), ("k3", "k4"), ("k4",)],
+    [("k1", "k2", "k3", "k4"), ("k1",), ("k2",), ("k3",), ("k4",)],
+], ids=["chain", "star"])
+def test_approx_within_epsilon_at_worst_depth(monkeypatch, schemas):
+    db = _binary_keyed(schemas, seed=1)
+    xs = {f"x{i}": identity() for i in range(1, 6)}
+    ineq = AdditiveInequality(g=xs, threshold=1.5)
+    queries = {
+        "count": lambda **kw: count_rows(db, ineq, **kw),
+        "sum": lambda **kw: sumsum(db, "sum", xs, ineq, **kw),
+        "min-plus": lambda **kw: sumprod(db, "min-plus", xs, ineq, **kw),
+        "max-plus": lambda **kw: sumprod(db, "max-plus", xs, ineq, **kw),
+    }
+    exact = {name: query() for name, query in queries.items()}
+
+    compressed = Counter()
+
+    def counted(name, fn):
+        def wrapper(a, eps):
+            out = fn(a, eps)
+            compressed[name] += len(out) < len(a)
+            return out
+        return wrapper
+
+    for name in ("ms_sketch", "ws_sketch"):
+        monkeypatch.setattr(drivers, name, counted(name, getattr(drivers, name)))
+    for eps in (0.1, 0.3):
+        for name, query in queries.items():
+            got = query(epsilon=eps, mode="approx")
+            assert abs(got - exact[name]) <= eps * exact[name], (name, eps)
+    assert compressed["ms_sketch"] and compressed["ws_sketch"]
+
+
+@pytest.mark.parametrize("name", ["min-plus", "max-plus"])
+def test_tropical_overflow_is_refused(name):
+    """1e308 + 1e308 is inf: min-plus would read it as its zero and drop
+    the row, and max-plus would leave its carrier."""
+    db = Database(tables=(
+        Table("t1", ("a", "b"), ((1e308, 0.0),)),
+        Table("t2", ("b", "c"), ((0.0, 1e308),)),
+    ))
+    F = {"a": identity(), "c": identity()}
+    with pytest.raises(CapExceeded, match="overflow"):
+        sumprod(db, name, F)
+    with pytest.raises(CapExceeded, match="overflow"):
+        oracle_eval(db, QuerySpec(kind="sumprod", algebra=name, F=F))

@@ -24,14 +24,19 @@ COUNTING = make_named("counting")
 
 
 def test_alpha_for():
-    a = alpha_for(0.1, 3, 100)
-    assert a == 0.1 / (9 * math.log2(100) + 3)
+    """At the worst depth an m-table plan reaches, D = 2m - 3 sketches, the
+    composed factors stay within (1 +/- eps)."""
+    for m in range(1, 9):
+        depth = max(2 * m - 3, 1)
+        for eps in (1e-3, 0.1, 0.5, 2.0):
+            a = alpha_for(eps, m)
+            assert (1 + a) ** depth <= (1 + eps) * (1 + 1e-12)
+            assert (1 - a) ** depth >= 1 - eps
     for bad_eps in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
-            alpha_for(bad_eps, 3, 100)
+            alpha_for(bad_eps, 3)
     with pytest.raises(ValueError):
-        alpha_for(0.1, 0, 100)
-    assert alpha_for(0.1, 3, 0) == alpha_for(0.1, 3, 2)
+        alpha_for(0.1, 0)
 
 
 def test_sketches_reject_bad_eps():
@@ -152,6 +157,23 @@ def test_ws_sketch_cumulative_bound():
 def test_ws_sketch_small_inputs_unchanged():
     a = WeightedSet(((1.0, 2.0),), MIN_PLUS)
     assert ws_sketch(a, 0.5) is a
+
+
+def test_ws_sketch_returns_four_entries_without_cumulative_pass():
+    """The skip bound is never below 4, so at most 4 entries come back
+    before any base (+)."""
+    from relagg.algebra import Semiring
+
+    calls = []
+
+    def plus(x, y):
+        calls.append((x, y))
+        return x + y
+
+    counted = Semiring("counted", plus, COUNTING.times, 0, 1, "increasing")
+    a = WeightedSet(((1.0, 1.0), (2.0, 100.0), (3.0, 1e4), (4.0, 1e6)), counted)
+    assert ws_sketch(a, 1e-3) is a
+    assert calls == []
 
 
 def _unit_steps(base, n):
