@@ -14,12 +14,7 @@ from .bruteforce import (
     oracle_eval,
 )
 from .drivers import count_rows, run_query, sumprod, sumsum
-from .engine import (
-    EngineConfig,
-    Instrumentation,
-    assign_features,
-    evaluate,
-)
+from .engine import Instrumentation
 from .errors import (
     CapExceeded,
     CyclicJoinError,

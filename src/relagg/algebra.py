@@ -58,11 +58,23 @@ def _tropical_times(zero):
     return times
 
 
+def _counting_op(op, symbol):
+    # An infinite result of finite operands overflowed: a count or weight
+    # read as inf would be silently wrong.
+    def checked(a, b):
+        c = op(a, b)
+        if c in (INF, -INF) and a not in (INF, -INF) and b not in (INF, -INF):
+            raise CapExceeded(f"{a} {symbol} {b} overflows the float range")
+        return c
+
+    return checked
+
+
 _SEMIRINGS = {
     "counting": Semiring(
         name="counting",
-        plus=operator.add,
-        times=operator.mul,
+        plus=_counting_op(operator.add, "+"),
+        times=_counting_op(operator.mul, "*"),
         zero=0,
         one=1,
         plus_monotone="increasing",  # on the nonnegative carrier

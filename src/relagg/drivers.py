@@ -6,14 +6,17 @@ inequality term of each feature as a key (row counting: a singleton
 multiset; SumProd: a singleton weighted set pairing the key with the factor
 value). The answer is the root value's cumulative aggregate at the
 threshold, Delta_L(v) = (+)_{k <= L} v[k]. The engine stops before the
-root's last product; `threshold_read` reads each root row's Delta_L(q (x) g)
-off q and g, and the driver folds these scalars, so no root product or fold
-is built. Exact mode uses the exact semiring operations; approx mode
-sketches the result of every group fold and every product the engine runs
-(`ms_sketch` for multisets, `ws_sketch` for weighted sets) with a
-per-sketch parameter alpha = alpha_for(epsilon, m), so the answer is within
-(1 +/- epsilon) of the exact one. A group folds in one n-ary union, so it is
-sketched once, not once per pairwise union.
+root's last product and returns (a, b) pairs, one per join key of the root;
+`threshold_read` reads each Delta_L(a (x) b) off a and b, and the driver
+folds these scalars, so no root product or fold is built. SumSum asks the
+same single evaluation for its owning tables as readers, and reads each
+of their rows the same way: the engine's downward pass pairs the row with
+the product of everything outside it. Exact mode uses the exact semiring
+operations; approx mode has the engine sketch the result of every group
+fold and every product (`ms_sketch` for multisets, `ws_sketch` for
+weighted sets) with a per-sketch parameter alpha = alpha_for(epsilon, m),
+so the answer is within (1 +/- epsilon) of the exact one. A group folds in
+one n-ary union, so it is sketched once, not once per pairwise union.
 
 The drivers are where a query is refused, so a direct call refuses exactly
 what `run_query` and the CLI refuse. Each precondition is checked once, at
@@ -43,8 +46,9 @@ SKETCH_SIZE_CAP = 10**6  # approx mode aborts when a value outgrows this
 
 
 def _config(db, mode, epsilon, plus, times, sketch, zero, one):
-    """Engine operations: the exact ones, or each group's n-ary `plus` and
-    each product sketched once with alpha_for(epsilon, m)."""
+    """Engine operations: the exact ones, and in approx mode `sketch` with
+    alpha_for(epsilon, m), which the engine applies to each group fold and
+    each product."""
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise QueryRejected(
             f"epsilon must be a finite number greater than 0, got {epsilon}"
@@ -52,13 +56,14 @@ def _config(db, mode, epsilon, plus, times, sketch, zero, one):
     if mode not in ("exact", "approx"):
         raise QueryRejected(f"unknown mode {mode!r}")
     if mode == "exact":
-        return EngineConfig(fold=plus, times=times, zero=zero, one=one)
+        return EngineConfig(plus=plus, times=times, zero=zero, one=one)
     alpha = alpha_for(epsilon, db.m)
     return EngineConfig(
-        fold=lambda *items: sketch(plus(*items), alpha),
-        times=lambda a, b: sketch(times(a, b), alpha),
+        plus=plus,
+        times=times,
         zero=zero,
         one=one,
+        sketch=lambda value: sketch(value, alpha),
         size_cap=SKETCH_SIZE_CAP,
     )
 
@@ -123,17 +128,18 @@ def count_rows(db, ineq=None, epsilon=0.1, mode="exact", instr=None):
         db, mode, epsilon, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
     )
     factors = _counting_factors(db, ineq)
-    rows = evaluate(db, build_decomposition(db), factors, config, instr=instr)
+    pairs, _ = evaluate(db, build_decomposition(db), factors, config, instr=instr)
     read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
-    return sum(read(q, g) for _, q, g in rows)
+    return sum(read(a, b) for a, b in pairs)
 
 
 def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     """Monoid fold of per-feature terms over qualifying join rows.
 
-    For each feature (at its assigned table) the qualifying-row count of
-    every active-domain value is read off the rows of a row-counting
-    evaluation rooted at that table, then the term is repeated that many
+    One row-counting evaluation, with the tables that own a feature of F as
+    readers, gives each of their rows the number of qualifying join rows
+    extending it. For each feature, the counts of its owner's rows are
+    summed per active-domain value, then the term is repeated that many
     times. Approx mode refuses terms that mix signs over the active domains.
     """
     monoid = checked_algebra("sumsum", monoid)
@@ -146,33 +152,32 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
                 "problem), so no approximation is attempted"
             )
     ineq = ineq or AdditiveInequality()
-    decomp = build_decomposition(db)
     owner, _ = assign_features(db)
+    features = [f for f in sorted(F) if f in db.feature_tables]
     config = _config(
         db, mode, epsilon, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
     )
-    factors = _counting_factors(db, ineq)
+    _, reads = evaluate(
+        db, build_decomposition(db), _counting_factors(db, ineq), config,
+        readers={owner[f] for f in features}, instr=instr,
+    )
     read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
-
-    root_counts = {}  # root table -> (row, qualifying join rows through it)
+    counted = {  # table -> (row, qualifying join rows extending it)
+        t: [(row, read(a, b)) for row, a, b in triples]
+        for t, triples in reads.items()
+    }
     total = monoid.identity
-    for feature in sorted(F):
-        if feature not in db.feature_tables:
-            continue
-        fn = F[feature]
-        root = owner[feature]
-        if root not in root_counts:
-            rows = evaluate(db, decomp, factors, config, root=root, instr=instr)
-            root_counts[root] = [(row, read(q, g)) for row, q, g in rows]
-        col = db.table(root).schema.index(feature)
+    for feature in features:
+        t = owner[feature]
+        col = db.table(t).schema.index(feature)
         counts = {}
-        for row, c in root_counts[root]:
+        for row, c in counted[t]:
             v = row[col]
             counts[v] = counts.get(v, 0) + c
         for v in sorted(counts):
             u = max(0, round(counts[v]))
             if u:
-                total = monoid.plus(total, repeat(monoid, fn(v), u))
+                total = monoid.plus(total, repeat(monoid, F[feature](v), u))
     return total
 
 
@@ -208,10 +213,10 @@ def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
             factors[feature] = lambda v, g=g, fn=fn, s=semiring: (
                 lift(g(v), fn(v), s)
             )
-    rows = evaluate(db, build_decomposition(db), factors, config, instr=instr)
+    pairs, _ = evaluate(db, build_decomposition(db), factors, config, instr=instr)
     s = semiring
     read = threshold_read(ineq.threshold, s.plus, s.times, s.zero)
-    return reduce(s.plus, (read(q, g) for _, q, g in rows), s.zero)
+    return reduce(s.plus, (read(a, b) for a, b in pairs), s.zero)
 
 
 def run_query(db, spec, instr=None):

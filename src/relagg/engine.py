@@ -1,24 +1,54 @@
-"""Generic leaf-elimination evaluation over a join tree.
+"""Join-tree evaluation: one upward and one downward pass over tables
+aggregated by their join keys.
 
 Evaluates a SumProd-style aggregate over the bag join of a database without
-materializing the join: each table gets an aggregate column seeded from the
-per-feature leaf factors, then leaves of the join tree are folded into their
-neighbors until one table remains. Each group is folded by one
-`config.fold(*values)` call: the drivers pass the carrier's n-ary union,
-sketched once in approx mode, so a group adds one sketch to the composition
-depth whatever its size.
+materializing the join. Each table is seeded once: a row's value q is the
+product of the leaf factors of the features the table owns. Then the rows
+that agree on the table's join key (every feature it shares with a
+neighbour in the join tree) fold into one value with the carrier's exact
+n-ary union. The fold is exact because (x) distributes over (+), and it is
+not sketched, so it adds nothing to the approximation depth.
 
-Eliminating a leaf groups its rows by the features it shares with its
-parent, folds each group, and multiplies every parent row by the value of
-its group; a leaf that shares no feature is one group holding every row.
-The last elimination stops before that product: `evaluate` returns each
-root row's value q with its group value g, so neither q (x) g nor the root's
-whole value, their fold, is ever built (the drivers read them at a threshold).
+Upward pass: leaves of the join tree are eliminated into their neighbours
+until one table, the root, remains. Eliminating a leaf groups its keys by
+the features it shares with its parent and folds each group in one
+`plus(*values)` call; that fold is the leaf's message to its parent, a leaf
+sharing no feature sends one group. Each parent key's value is multiplied
+by its group's message. The last elimination stops before that product:
+`evaluate` returns the root's (value, message) pairs, and the drivers read
+their product at a threshold, so neither it nor the root's whole value is
+ever built.
 
-The working operations may be an exact semiring or their sketched
-counterparts; with sketching the result is order dependent, so elimination
-order and grouping are fixed and deterministic: each group folds its rows
-in table order.
+Downward pass, run only when some table is asked for as a reader
+(SumSum's owning tables): the message from a parent p to a child c is the
+fold, grouped by the key p shares with c, of p's value times every message
+into p except c's. p's values after each upward product are its prefix
+products; the messages after c, times p's own downward message, are built
+as suffix products, so p with k children spends O(k) products, not k^2. A
+reader t pairs each row's q with the product of every message into t at
+the row's key, and the drivers read the pair at the threshold; their
+product is again never built.
+
+Approximation depth: approx mode sketches every group fold and every
+product (not the join-key folds, not the seeding products of singletons).
+By induction over the tree, a message from x to y, which summarizes the s
+tables on x's side of the edge, composes s sketched folds and s - 1
+sketched products: the n other messages into x cover the other s - 1
+tables, so they compose s - 1 folds and s - 1 - n products; multiplying
+x's exact value by them takes n more products however the n + 1 factors
+are associated (the prefix and suffix products included), and the group
+fold adds one fold. A read at table t multiplies q by the d messages into
+t, which cover the other m - 1 tables: m - 1 folds and (m - 1 - d) + d
+products, the last of which is the fused read and never built; these are
+the counts of an elimination rooted at t. So every read, the root's
+included, composes D = 2m - 3 sketches, the depth `sketch.alpha_for`
+spends epsilon on: a union's error is its worse operand's and a product's
+error factors multiply, so no read carries more than D factors of
+(1 +/- alpha).
+
+With sketched operations the result is order dependent, so elimination
+order and grouping are fixed and deterministic: the leaf of lowest index is
+eliminated first, and keys and groups keep the order of their first row.
 """
 
 import math
@@ -31,16 +61,17 @@ from .jointree import decomposition_violation
 
 @dataclass
 class EngineConfig:
-    fold: callable  # fold(*values), one or more -> their (+)-fold
+    plus: callable  # plus(*values), one or more -> their exact (+)-fold
     times: callable
     zero: object
     one: object
+    sketch: callable = None  # approx mode: applied to each group fold and product
     size_cap: int = None  # abort when a carrier value grows past this
 
 
 @dataclass
 class Instrumentation:
-    max_fold_depth: int = 0  # ceil(log2 k) of the largest group, k its rows
+    max_fold_depth: int = 0  # ceil(log2 k) of the largest fold, k its items
     fold_count: int = 0
     max_value_size: int = 0
 
@@ -70,23 +101,31 @@ def assign_features(db):
     return owner, partition
 
 
-def _seed_rows(db, factors, config):
-    """Table index -> list of (row, product of its factors, or one) pairs."""
+def _seed_rows(db, factors, config, key_features):
+    """Table -> (row, join key, product of the row's owned factors) triples."""
     _, partition = assign_features(db)
     tables = {}
-    for i in range(1, db.m + 1):
+    for i, features in key_features.items():
         src = db.table(i)
-        assigned = [f for f in src.schema if f in partition[i]]
-        cols = [src.schema.index(f) for f in assigned]
+        owned = [(factors[f], src.schema.index(f))
+                 for f in src.schema if f in partition[i]]
+        kcols = [src.schema.index(f) for f in features]
         rows = []
         for row in src.rows:
-            values = [factors[f](row[c]) for f, c in zip(assigned, cols)]
-            rows.append((row, reduce(config.times, values) if values else config.one))
+            values = [fn(row[c]) for fn, c in owned]
+            q = reduce(config.times, values) if values else config.one
+            rows.append((row, tuple(row[c] for c in kcols), q))
         tables[i] = rows
     return tables
 
 
-def _check_size(value, config):
+def _built(value, sketch, config, instr):
+    """A value the engine built: sketched unless `sketch` is None, then
+    recorded and checked against the size cap."""
+    if sketch is not None:
+        value = sketch(value)
+    if instr is not None:
+        instr.record_value(value)
     if config.size_cap is None:
         return value
     try:
@@ -100,64 +139,141 @@ def _check_size(value, config):
     return value
 
 
-def _eliminate(db, decomp, tables, config, root, instr):
-    adj = decomp.adjacency()
-    alive = set(adj)
-    if len(alive) == 1:
-        return [(row, q, config.one) for row, q in tables[alive.pop()]]
-    while True:
-        leaf = min(
-            v for v in alive if len(adj[v]) == 1 and v != root
-        )
-        (j,) = adj[leaf]
-        si, sj = db.table(leaf).schema, db.table(j).schema
-        shared = sorted(set(si) & set(sj))
-        icols = [si.index(f) for f in shared]
-        jcols = [sj.index(f) for f in shared]
+def _fold(groups, sketch, config, instr):
+    """{group: (+)-fold of its items}, one `plus` call per group."""
+    folded = {}
+    for group, items in groups.items():
+        if instr is not None:
+            instr.record_fold(len(items))
+        folded[group] = _built(config.plus(*items), sketch, config, instr)
+    return folded
 
-        keyed = {}
-        for row, q in tables[leaf]:
-            keyed.setdefault(tuple(row[c] for c in icols), []).append(q)
-        groups = {}
-        for key, items in keyed.items():
-            value = _check_size(config.fold(*items), config)
-            if instr is not None:
-                instr.record_fold(len(items))
-                instr.record_value(value)
-            groups[key] = value
-        matched = []
-        for row, q in tables[j]:
-            key = tuple(row[c] for c in jcols)
-            if key in groups:
-                matched.append((row, q, groups[key]))
-            # rows with no matching group take the zero and are pruned
-        if len(alive) == 2:
-            return matched
-        tables[j] = []
-        for row, q, g in matched:
-            prod = _check_size(config.times(q, g), config)
+
+def _grouped(pairs, project):
+    """{project(key): the values of the (key, value) pairs it projects}."""
+    groups = {}
+    for key, value in pairs:
+        groups.setdefault(project(key), []).append(value)
+    return groups
+
+
+def _times_by(values, message, project, keys, config, instr):
+    """{key: values[key] (x) message[project(key)]} over the keys the
+    message covers, zero products dropped. `values` None is the empty
+    product: the message is then looked up on `keys`, a table's keys,
+    and nothing is built."""
+    if values is None:
+        return {key: message[s] for key in keys if (s := project(key)) in message}
+    out = {}
+    for key, value in values.items():
+        other = message.get(project(key))
+        if other is not None:
+            prod = _built(config.times(value, other), config.sketch, config, instr)
             if prod != config.zero:
-                tables[j].append((row, prod))
-
-        adj[j].discard(leaf)
-        del adj[leaf]
-        alive.discard(leaf)
+                out[key] = prod
+    return out
 
 
-def evaluate(db, decomp, factors, config, root=None, instr=None):
-    """The rows of the table left last, as (row, q, g) triples.
+def _projection(key_features, features):
+    """Maps a key over `key_features` to its values at `features`."""
+    cols = [key_features.index(f) for f in features]
+    return lambda key: tuple(key[c] for c in cols)
 
-    `factors` maps each feature name to a function value -> carrier. q is
-    the row's value and g its group value from the last child eliminated
-    into it, or `config.one` when there is none. The aggregate over the bag
-    join is the (+)-fold of q (x) g over the rows, which is not built. With
-    sketched operations q and g are approximations. `root` (a table index)
-    chooses the table left last; by default the elimination order does.
+
+def _same_key(key):
+    return key
+
+
+def evaluate(db, decomp, factors, config, readers=(), instr=None):
+    """The root's (a, b) pairs, and each reader's (row, a, b) triples.
+
+    `factors` maps each feature name to a function value -> carrier. The
+    aggregate over the bag join is the (+)-fold of a (x) b over the root's
+    pairs: one per join key of the table eliminated last, with b =
+    `config.one` when there is a single table. For each table t in
+    `readers`, a (x) b for one of its rows is the aggregate over the join
+    rows that extend that row; rows that no join row extends may be left
+    out. Neither product is built. With sketched operations a and b are
+    approximations.
     """
     violation = decomposition_violation(db, decomp)
     if violation is not None:
         raise CyclicJoinError(f"invalid decomposition: {violation}")
-    if root is not None and not (1 <= root <= db.m):
-        raise ValueError(f"root index {root} out of range 1..{db.m}")
-    tables = _seed_rows(db, factors, config)
-    return _eliminate(db, decomp, tables, config, root, instr)
+    adj = decomp.adjacency()
+    schemas = {t: set(db.table(t).schema) for t in adj}
+    key_features = {
+        t: sorted(set().union(*(schemas[t] & schemas[n] for n in adj[t])))
+        for t in adj
+    }
+    edge = {
+        (t, n): _projection(key_features[t], sorted(schemas[t] & schemas[n]))
+        for t in adj for n in adj[t]
+    }
+    rows = _seed_rows(db, factors, config, key_features)
+    keyed = {  # table -> {join key: exact fold of its rows' values}
+        t: _fold(_grouped(((key, q) for _, key, q in triples), _same_key),
+                 None, config, instr)
+        for t, triples in rows.items()
+    }
+
+    # Upward pass, in elimination order. prefix[p][i] is p's value times
+    # the messages of its first i children.
+    parent, up = {}, {}
+    children = {t: [] for t in adj}
+    prefix = {t: [keyed[t]] for t in adj}
+    while len(adj) > 1:
+        leaf = min(v for v in adj if len(adj[v]) == 1)
+        (j,) = adj.pop(leaf)
+        adj[j].discard(leaf)
+        parent[leaf] = j
+        children[j].append(leaf)
+        groups = _grouped(prefix[leaf][-1].items(), edge[leaf, j])
+        up[leaf] = _fold(groups, config.sketch, config, instr)
+        if len(adj) > 1:
+            prefix[j].append(_times_by(
+                prefix[j][-1], up[leaf], edge[j, leaf], None, config, instr
+            ))
+    (root,) = adj
+    if children[root]:
+        last = children[root][-1]
+        message, project = up[last], edge[root, last]
+        pairs = [(value, message[s]) for key, value in prefix[root][-1].items()
+                 if (s := project(key)) in message]
+    else:
+        pairs = [(value, config.one) for value in keyed[root].values()]
+    if not readers:
+        return pairs, {}
+
+    # Downward pass, from the root towards the leaves.
+    down = {}
+    for p in reversed([*parent, root]):
+        kids = children[p]
+        suffix = None  # the messages into p after kids[i], on p's keys
+        if p != root:
+            suffix = _times_by(None, down[p], edge[p, parent[p]], keyed[p],
+                               config, instr)
+        for i in reversed(range(len(kids))):
+            c = kids[i]
+            inner = prefix[p][i]
+            if suffix is not None:
+                inner = _times_by(inner, suffix, _same_key, None, config, instr)
+            groups = _grouped(inner.items(), edge[p, c])
+            down[c] = _fold(groups, config.sketch, config, instr)
+            if i:
+                suffix = _times_by(suffix, up[c], edge[p, c], keyed[p],
+                                   config, instr)
+
+    # A reader pairs each row's q with the product of every message into it.
+    reads = {}
+    for t in readers:
+        incoming = [(up[c], edge[t, c]) for c in children[t]]
+        if t != root:
+            incoming.append((down[t], edge[t, parent[t]]))
+        outside = None
+        for message, project in incoming:
+            outside = _times_by(outside, message, project, keyed[t], config, instr)
+        if outside is None:
+            outside = dict.fromkeys(keyed[t], config.one)
+        reads[t] = [(row, q, outside[key]) for row, key, q in rows[t]
+                    if key in outside]
+    return pairs, reads

@@ -17,10 +17,10 @@ at every original key are preserved within a (1+eps) factor either way.
 A weighted set within the band pass's size bound is returned unchanged too.
 Results are built with the carriers' `_trusted`, skipping the entry check.
 
-Approx mode applies a sketch after every exact operation the engine runs:
-the drivers compose sketch(plus(*group), alpha) for a group fold and
-sketch(times(a, b), alpha) for a product, with the sketch of their carrier,
-and `alpha_for` derives alpha from the requested total error eps.
+Approx mode applies a sketch after every group fold and every product the
+engine runs: the drivers hand the engine the sketch of their carrier with
+alpha bound in, and `alpha_for` derives alpha from the requested total
+error eps.
 """
 
 import math
@@ -34,12 +34,13 @@ def alpha_for(eps, m):
 
     alpha = (1+eps)^(1/D) - 1, D = max(2m - 3, 1). Each sketch on the plan
     keeps cumulative aggregates within one (1 +/- alpha) factor, and the
-    factors compose: a union's error is its worse operand's, a product's
-    error factors multiply, and seeding products of singletons come back
-    unchanged from either sketch. Each of the m - 1 eliminations adds one
-    sketched group fold, and each but the last one sketched product (the
-    root's last product is never built), so a root value carries at most
-    D = 2m - 3 factors: (1+alpha)^D = 1+eps, and
+    factors compose: a union's error is its worse operand's and a
+    product's error factors multiply. Every read the engine hands the
+    drivers, at the root or at any table of the downward pass, composes
+    m - 1 sketched group folds and m - 2 sketched products; the last
+    product is the fused read, never built, and the join-key folds and
+    seeding products are exact (`relagg.engine` gives the count). So a
+    read carries at most D = 2m - 3 factors: (1+alpha)^D = 1+eps, and
     (1-alpha)^D >= 1 - D alpha >= 1 - eps since alpha <= eps / D.
     """
     if not eps > 0:

@@ -170,3 +170,60 @@ def random_affine_inequality(rng, db):
         g[f] = FunctionSpec("affine", (float(a), float(b)))
     threshold = float(rng.randint(-20, 20))
     return AdditiveInequality(g=g, threshold=threshold)
+
+
+# Acyclic databases along a random tree, with cross products (tables whose
+# join key is empty) and stars (tables with three or more neighbours), which
+# `random_acyclic_db` never builds.
+
+
+def tree_schemas(parents, keyed):
+    """Table i (1-based) holds x_i. Table i > 1 hangs below parents[i - 2]:
+    if keyed[i - 2] both share a fresh key k_i, else they share nothing."""
+    schemas = [[f"x{i}"] for i in range(1, len(parents) + 2)]
+    for i, (p, key) in enumerate(zip(parents, keyed), start=2):
+        if key:
+            schemas[i - 1].append(f"k{i}")
+            schemas[p - 1].append(f"k{i}")
+    return schemas
+
+
+def tree_db(parents, keyed, rows, threshold):
+    """rows[i - 1] lists table i's rows as small integers (x_i, keys...);
+    x_i and the threshold read in quarters, so every key sum is exact."""
+    schemas = tree_schemas(parents, keyed)
+    db = Database(tables=tuple(
+        Table(f"t{i}", tuple(schema), tuple(
+            (x / 4, *(float(k) for k in ks)) for x, *ks in table_rows
+        ))
+        for i, (schema, table_rows) in enumerate(zip(schemas, rows), start=1)
+    ))
+    xs = {f"x{i}": FunctionSpec("identity") for i in range(1, len(rows) + 1)}
+    return db, AdditiveInequality(g=xs, threshold=threshold / 4)
+
+
+@st.composite
+def tree_cases(draw):
+    m = draw(st.integers(1, 6))
+    # half the tables hang below t1, which makes stars
+    parents = [draw(st.just(1) | st.integers(1, i - 1)) for i in range(2, m + 1)]
+    keyed = [draw(st.booleans()) for _ in parents]
+    rows = [
+        draw(st.lists(
+            st.tuples(st.integers(0, 8), *[st.integers(0, 1)] * (len(s) - 1)),
+            min_size=1, max_size=4,
+        ))
+        for s in tree_schemas(parents, keyed)
+    ]
+    return parents, keyed, rows, draw(st.integers(0, 8 * m))
+
+
+# t1 joins t2, t3 and t4 on three keys: a star
+STAR_CASE = ([1, 1, 1], [True] * 3, [
+    [(1, 0, 1, 0), (2, 1, 1, 1)], [(3, 0)], [(4, 1), (0, 1)], [(5, 0), (6, 1)],
+], 12)
+# a cross product of four tables, and t5 keyed below t1
+CROSS_CASE = ([1, 2, 3, 1], [False] * 3 + [True], [
+    [(1, 0), (7, 1)], [(2,), (3,)], [(0,), (8,)], [(4,), (5,), (6,)],
+    [(1, 1), (2, 0)],
+], 14)

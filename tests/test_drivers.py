@@ -18,7 +18,6 @@ from relagg import (
     WeightedSet,
     build_decomposition,
     count_rows,
-    evaluate,
     make_named,
     ms_convolve,
     ms_triangle,
@@ -31,15 +30,19 @@ from relagg import (
 )
 from relagg import drivers
 from relagg.drivers import threshold_read
-from relagg.engine import EngineConfig
+from relagg.engine import EngineConfig, evaluate
 from relagg.multiset import MS_EMPTY, MS_ONE, ms_singleton, ms_union
 from relagg.queryspec import identity, scale
 from conftest import (
+    CROSS_CASE,
+    STAR_CASE,
     identity_fns,
     knapsack_count_dp,
     random_acyclic_db,
     random_affine_inequality,
     sum_leq,
+    tree_cases,
+    tree_db,
 )
 
 
@@ -352,12 +355,16 @@ def test_root_product_is_never_built():
 def test_one_table_rows_read_with_one():
     db = _cross_real(1, 40, seed=6)
     config = EngineConfig(
-        fold=ms_union, times=ms_convolve, zero=MS_EMPTY, one=MS_ONE
+        plus=ms_union, times=ms_convolve, zero=MS_EMPTY, one=MS_ONE
     )
     factors = {f: ms_singleton for f in db.feature_tables}
-    rows = evaluate(db, build_decomposition(db), factors, config)
-    assert [row for row, _, _ in rows] == list(db.table(1).rows)
-    assert all(g is MS_ONE for _, _, g in rows)
+    pairs, reads = evaluate(
+        db, build_decomposition(db), factors, config, readers=(1,)
+    )
+    # the table's one join key () holds all its rows
+    assert [(len(a), b) for a, b in pairs] == [(40, MS_ONE)]
+    assert [row for row, _, _ in reads[1]] == list(db.table(1).rows)
+    assert all(b is MS_ONE for _, _, b in reads[1])
     _check_against_oracle(
         db, AdditiveInequality(g={"x1": identity()}, threshold=0.5)
     )
@@ -368,9 +375,11 @@ def test_one_table_rows_read_with_one():
 
 
 def test_exact_count_folds_in_one_pass(monkeypatch):
-    """In either mode a group folds in one `ms_union` call, and only leaf
-    factors pass the constructor's check; approx mode sketches each group
-    and each product at most once."""
+    """In either mode each table folds its rows by join key and each
+    elimination folds a group, every fold one `ms_union` call, and only
+    leaf factors pass the constructor's check; approx mode sketches each
+    group fold and each product once, and neither the join-key folds nor
+    the seeding products."""
     calls = Counter()
 
     def counted(name, fn):
@@ -394,10 +403,14 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
         calls.clear()
         instr = Instrumentation()
         answers[mode] = count_rows(db, ineq, mode=mode, instr=instr)
-        assert calls["ms_union"] == instr.fold_count > 0
+        # a cross product: each table is one join key (), then the chain
+        # 1 - 2 - 3 folds one group per elimination
+        assert calls["ms_union"] == instr.fold_count == 3 + 2
+        # each of the 36 rows seeds x_i (x) y_i, and t2 takes t1's group
+        assert calls["ms_convolve"] == 36 + 1
         assert 0 < calls["check"] <= leaf_factors
-    # the counts of the approx run, the last one
-    assert 0 < calls["ms_sketch"] <= instr.fold_count + calls["ms_convolve"]
+    # the counts of the approx run, the last one: two group folds, one product
+    assert calls["ms_sketch"] == 2 + 1
     exact = answers["exact"]
     assert abs(answers["approx"] - exact) <= 0.1 * exact
     assert exact == oracle_eval(db, QuerySpec(kind="count", inequalities=(ineq,)))
@@ -466,3 +479,59 @@ def test_tropical_overflow_is_refused(name):
         sumprod(db, name, F)
     with pytest.raises(CapExceeded, match="overflow"):
         oracle_eval(db, QuerySpec(kind="sumprod", algebra=name, F=F))
+
+
+@pytest.mark.parametrize("rows, op", [
+    (((1e308, 0.0),), "*"),               # one join row: 1e308 * 10
+    (((1e308, 0.0), (1e308, 0.0)), "+"),  # two join rows: 1e308 + 1e308
+], ids=["times", "plus"])
+def test_counting_overflow_is_refused(rows, op):
+    """A counting sum or product of finite floats that overflows would be
+    read as an infinite answer."""
+    db = Database(tables=(
+        Table("t1", ("a", "b"), rows),
+        Table("t2", ("b", "c"), ((0.0, 10.0),)),
+    ))
+    F = {"a": identity()} if op == "+" else {"a": identity(), "c": identity()}
+    with pytest.raises(CapExceeded, match=rf"\{op} .* overflows"):
+        sumprod(db, "counting", F)
+    with pytest.raises(CapExceeded, match=rf"\{op} .* overflows"):
+        oracle_eval(db, QuerySpec(kind="sumprod", algebra="counting", F=F))
+
+
+# Engine against oracle on random acyclic databases, including cross
+# products (tables whose join key is empty) and tables with three or more
+# neighbours in the join tree.
+
+
+def _within(got, exact, eps, base=None):
+    """A (1 +/- eps) factor; for a tropical base, a (1 + eps) factor either
+    way, and its zero exactly."""
+    if base is None or base.name == "counting":
+        return (1 - eps) * exact - 1e-9 <= got <= (1 + eps) * exact + 1e-9
+    if exact == base.zero:
+        return got == exact
+    lo, hi = sorted((exact / (1 + eps), exact * (1 + eps)))
+    return lo - 1e-9 <= got <= hi + 1e-9
+
+
+@given(tree_cases())
+@example(STAR_CASE)
+@example(CROSS_CASE)
+def test_engine_equals_oracle_on_tree_databases(case):
+    db, ineq = tree_db(*case)
+    F = {f: identity() for f in db.feature_tables}  # all nonnegative
+    count = count_rows(db, ineq)
+    assert count == oracle_eval(db, QuerySpec(kind="count", inequalities=(ineq,)))
+    assert _within(count_rows(db, ineq, epsilon=0.3, mode="approx"), count, 0.3)
+    for kind, driver, algebras in (
+        ("sumsum", sumsum, ("sum", "min", "max")),
+        ("sumprod", sumprod, ("counting", "min-plus", "max-plus")),
+    ):
+        for algebra in algebras:
+            spec = QuerySpec(kind=kind, algebra=algebra, F=F, inequalities=(ineq,))
+            exact = oracle_eval(db, spec)
+            assert driver(db, algebra, F, ineq) == exact, (kind, algebra)
+            base = make_named(algebra) if kind == "sumprod" else None
+            got = driver(db, algebra, F, ineq, epsilon=0.3, mode="approx")
+            assert _within(got, exact, 0.3, base), (kind, algebra)

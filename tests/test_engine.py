@@ -1,25 +1,37 @@
 import math
+import operator
 import random
+from collections import Counter
 from functools import reduce
 
 import pytest
+from hypothesis import example, given
 
 from relagg import (
     CapExceeded,
     CyclicJoinError,
-    EngineConfig,
     Instrumentation,
     Table,
     Database,
-    assign_features,
     build_decomposition,
     count_rows,
-    evaluate,
     make_named,
+    sumsum,
 )
+from relagg import drivers
 from relagg.bruteforce import materialize
-from relagg.multiset import MS_EMPTY, ms_convolve, ms_singleton, ms_union
-from conftest import random_acyclic_db
+from relagg.drivers import threshold_read
+from relagg.engine import EngineConfig, assign_features, evaluate
+from relagg.multiset import MS_EMPTY, MS_ONE, ms_convolve, ms_singleton, ms_union
+from relagg.queryspec import identity
+from conftest import (
+    CROSS_CASE,
+    STAR_CASE,
+    random_acyclic_db,
+    random_affine_inequality,
+    tree_cases,
+    tree_db,
+)
 
 COUNTING = make_named("counting")
 MIN_PLUS = make_named("min-plus")
@@ -28,16 +40,16 @@ MAX_PLUS = make_named("max-plus")
 
 def config_for(s):
     return EngineConfig(
-        fold=lambda *items: reduce(s.plus, items, s.zero),
+        plus=lambda *items: reduce(s.plus, items, s.zero),
         times=s.times, zero=s.zero, one=s.one,
     )
 
 
 def join_value(db, decomp, factors, config, instr=None):
-    """The aggregate over the whole join: the fold of q (x) g over the
-    root rows that `evaluate` returns."""
-    rows = evaluate(db, decomp, factors, config, instr=instr)
-    return config.fold(*[config.times(q, g) for _, q, g in rows])
+    """The aggregate over the whole join: the fold of a (x) b over the
+    root's pairs that `evaluate` returns."""
+    pairs, _ = evaluate(db, decomp, factors, config, instr=instr)
+    return config.plus(*[config.times(a, b) for a, b in pairs])
 
 
 def ones(db):
@@ -49,9 +61,10 @@ def idents(db, one=0.0):
 
 
 def test_fold_records_group_size():
-    """One group of 100 leaf rows is recorded as one fold of depth
-    ceil(log2 100) in either mode: the recorded depth is the group's size,
-    since both modes fold a group in one call."""
+    """Each table folds its rows by join key, then each elimination folds a
+    group of keys, in either mode: t1's 100 rows share one key (a fold of
+    depth ceil(log2 100)), t2's one row is a fold of one, and t1's one key
+    is the group it sends to t2."""
     db = Database(tables=(
         Table("t1", ("a", "b"), tuple((1.0, float(i)) for i in range(100))),
         Table("t2", ("a",), ((1.0,),)),
@@ -60,7 +73,7 @@ def test_fold_records_group_size():
         instr = Instrumentation()
         assert count_rows(db, mode=mode, instr=instr) == 100
         assert instr.max_fold_depth == math.ceil(math.log2(100))
-        assert instr.fold_count == 1
+        assert instr.fold_count == 3
 
 
 def test_assign_features(db1):
@@ -82,21 +95,88 @@ def test_tropical_sums(db1):
     assert join_value(db1, decomp, idents(db1), config_for(MAX_PLUS)) == 10
 
 
-def test_evaluate_keeps_root_rows(db1):
-    decomp = build_decomposition(db1)
-    rows = evaluate(db1, decomp, ones(db1), config_for(COUNTING), root=2)
-    # t2 rows joined back: b=1 matches once, b=2 matches once each
-    assert sorted((row, q * g) for row, q, g in rows) == [
-        ((1.0, 5.0), 1),
-        ((2.0, 6.0), 1),
-        ((2.0, 7.0), 1),
-    ]
+def _counting_factors(db, ineq):
+    return {f: (lambda v, g=ineq.term(f): ms_singleton(g(v)))
+            for f in db.feature_tables}
 
 
-def test_root_out_of_range(db1):
-    decomp = build_decomposition(db1)
-    with pytest.raises(ValueError):
-        evaluate(db1, decomp, ones(db1), config_for(COUNTING), root=5)
+def test_row_counts_at_every_table(db1):
+    """Read at any table, each row's count is the number of qualifying join
+    rows extending it, so every table's counts sum to `count_rows`."""
+    rng = random.Random(84)
+    config = EngineConfig(
+        plus=ms_union, times=ms_convolve, zero=MS_EMPTY, one=MS_ONE
+    )
+    dbs = [db1] + [random_acyclic_db(rng, max_m=5) for _ in range(60)]
+    for db in dbs:
+        ineq = random_affine_inequality(rng, db)
+        tables = range(1, db.m + 1)
+        _, reads = evaluate(
+            db, build_decomposition(db), _counting_factors(db, ineq), config,
+            readers=tables,
+        )
+        read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
+        join = materialize(db)
+        qualifying = [row for row in join.rows
+                      if ineq.row_sum(join.schema, row) <= ineq.threshold]
+        total = count_rows(db, ineq)
+        assert total == len(qualifying)
+        for t in tables:
+            schema = db.table(t).schema
+            cols = [join.schema.index(f) for f in schema]
+            extending = Counter(tuple(r[c] for c in cols) for r in qualifying)
+            counts = Counter()  # a row's copies add up on both sides
+            for row, a, b in reads[t]:
+                counts[row] += read(a, b)
+            assert sum(counts.values()) == total
+            for row in set(db.table(t).rows):
+                assert counts[row] == extending[row], (t, row)
+
+
+def test_sumsum_evaluates_once(monkeypatch):
+    """One sumsum query is one evaluation, whatever the number of tables
+    owning a feature."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("readers"))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(drivers, "evaluate", counted)
+    for m in range(1, 7):
+        db = Database(tables=tuple(
+            Table(f"t{i}", ("k", f"x{i}"), ((0.0, float(i)), (1.0, 2.0)))
+            for i in range(1, m + 1)
+        ))
+        xs = {f"x{i}": identity() for i in range(1, m + 1)}
+        calls.clear()
+        # two join rows: x_i = i at k = 0, and x_i = 2 at k = 1
+        assert sumsum(db, "sum", xs) == sum(range(1, m + 1)) + 2 * m
+        assert calls == [set(range(1, m + 1))]
+
+
+@given(tree_cases())
+@example(STAR_CASE)
+@example(CROSS_CASE)
+def test_every_read_composes_2m_minus_3_sketches(case):
+    """Carry each value's sketch count instead of a value: a fold keeps its
+    largest item's count and a product adds its operands' counts, as their
+    errors compose, and each sketch adds one. Every pair and row read, at
+    the root or any other table, then composes D = 2m - 3 sketches, the
+    depth `alpha_for` spends epsilon on."""
+    db, _ = tree_db(*case)
+    depth = EngineConfig(
+        plus=lambda *items: max(items), times=operator.add, zero=-1, one=0,
+        sketch=lambda d: d + 1,
+    )
+    factors = {f: (lambda v: 0) for f in db.feature_tables}
+    tables = range(1, db.m + 1)
+    pairs, reads = evaluate(
+        db, build_decomposition(db), factors, depth, readers=tables
+    )
+    read = [a + b for a, b in pairs]
+    read += [a + b for t in tables for _, a, b in reads[t]]
+    assert set(read) <= {max(2 * db.m - 3, 0)}
 
 
 def test_invalid_decomposition_rejected(db1):
@@ -138,7 +218,7 @@ def test_multiset_carrier_size_cap():
     ))
     decomp = build_decomposition(db)
     config = EngineConfig(
-        fold=ms_union, times=ms_convolve, zero=MS_EMPTY,
+        plus=ms_union, times=ms_convolve, zero=MS_EMPTY,
         one=ms_singleton(0.0), size_cap=5,
     )
     factors = {f: (lambda v: ms_singleton(v)) for f in db.feature_tables}
@@ -165,7 +245,7 @@ def test_instrumentation_records_sizes(db1):
     decomp = build_decomposition(db1)
     instr = Instrumentation()
     config = EngineConfig(
-        fold=ms_union, times=ms_convolve, zero=MS_EMPTY, one=ms_singleton(0.0)
+        plus=ms_union, times=ms_convolve, zero=MS_EMPTY, one=ms_singleton(0.0)
     )
     factors = {f: (lambda v: ms_singleton(v)) for f in db1.feature_tables}
     evaluate(db1, decomp, factors, config, instr=instr)
