@@ -2,9 +2,12 @@
 
 Each driver reduces its query to a SumProd evaluation over a dynamic
 programming semiring and runs the join-tree engine. Leaf factors carry the
-inequality term of each feature as a key (row counting: a singleton
-multiset; SumProd: a singleton weighted set pairing the key with the factor
-value). The answer is the root value's cumulative aggregate at the
+inequality term of a feature as a key (row counting: a singleton multiset;
+SumProd: a singleton weighted set pairing the key with the factor value).
+Only a feature with a term, in the inequality or (SumProd) in F, gets a
+factor; any other contributes the carrier's one, which the engine never
+multiplies in. A term that is +/-inf or NaN is refused (CapExceeded), by
+`AdditiveInequality.term_value`, as it is by the oracle. The answer is the root value's cumulative aggregate at the
 threshold, Delta_L(v) = (+)_{k <= L} v[k]. The engine stops before the
 root's last product and returns (a, b) pairs, one per join key of the root;
 `threshold_read` reads each Delta_L(a (x) b) off a and b, and the driver
@@ -102,11 +105,12 @@ def threshold_read(threshold, plus, times, zero):
 
 
 def _counting_factors(db, ineq):
-    factors = {}
-    for feature in db.feature_tables:
-        g = ineq.term(feature)
-        factors[feature] = lambda v, g=g: Multiset(((g(v), 1),))
-    return factors
+    """Feature -> leaf factor, for the features the inequality has a term
+    for: a singleton multiset at the term's value."""
+    return {
+        f: lambda v, f=f: Multiset(((ineq.term_value(f, v), 1),))
+        for f in db.feature_tables if f in ineq.g
+    }
 
 
 def _term_values(F, db):
@@ -203,18 +207,13 @@ def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
         ws_empty(semiring), ws_one(semiring),
     )
 
-    factors = {}
-    for feature in db.feature_tables:
-        g = ineq.term(feature)
-        fn = F.get(feature)
-        if fn is None:
-            factors[feature] = lambda v, g=g, s=semiring: lift(g(v), s.one, s)
-        else:
-            factors[feature] = lambda v, g=g, fn=fn, s=semiring: (
-                lift(g(v), fn(v), s)
-            )
-    pairs, _ = evaluate(db, build_decomposition(db), factors, config, instr=instr)
     s = semiring
+    factors = {  # the features with a term: in the inequality or in F
+        f: lambda v, f=f, fn=F.get(f): lift(
+            ineq.term_value(f, v), s.one if fn is None else fn(v), s)
+        for f in db.feature_tables if f in ineq.g or f in F
+    }
+    pairs, _ = evaluate(db, build_decomposition(db), factors, config, instr=instr)
     read = threshold_read(ineq.threshold, s.plus, s.times, s.zero)
     return reduce(s.plus, (read(a, b) for a, b in pairs), s.zero)
 

@@ -3,11 +3,15 @@ aggregated by their join keys.
 
 Evaluates a SumProd-style aggregate over the bag join of a database without
 materializing the join. Each table is seeded once: a row's value q is the
-product of the leaf factors of the features the table owns. Then the rows
-that agree on the table's join key (every feature it shares with a
-neighbour in the join tree) fold into one value with the carrier's exact
-n-ary union. The fold is exact because (x) distributes over (+), and it is
-not sketched, so it adds nothing to the approximation depth.
+product of the leaves of the features the table owns that have a factor.
+A feature with none contributes the carrier's one, so it takes no part in
+any product, and a row with no such feature is one. Each factor runs once
+per distinct value of its feature, whose leaf a memo keeps: n rows over d
+distinct values build d leaves, not n. Each row goes straight into the
+group of its join key (every feature the table shares with a neighbour in
+the join tree), and each group folds into one value with the carrier's
+exact n-ary union. The fold is exact because (x) distributes over (+), and
+it is not sketched, so it adds nothing to the approximation depth.
 
 Upward pass: leaves of the join tree are eliminated into their neighbours
 until one table, the root, remains. Eliminating a leaf groups its keys by
@@ -25,9 +29,9 @@ fold, grouped by the key p shares with c, of p's value times every message
 into p except c's. p's values after each upward product are its prefix
 products; the messages after c, times p's own downward message, are built
 as suffix products, so p with k children spends O(k) products, not k^2. A
-reader t pairs each row's q with the product of every message into t at
-the row's key, and the drivers read the pair at the threshold; their
-product is again never built.
+reader t builds, per join key, the product P of every message into t, and
+pairs each row's q with its key's P; the drivers read the pair at the
+threshold, so only q (x) P is fused and never built.
 
 Approximation depth: approx mode sketches every group fold and every
 product (not the join-key folds, not the seeding products of singletons).
@@ -52,8 +56,8 @@ eliminated first, and keys and groups keep the order of their first row.
 """
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import CapExceeded, CyclicJoinError
 from .jointree import decomposition_violation
@@ -101,22 +105,49 @@ def assign_features(db):
     return owner, partition
 
 
-def _seed_rows(db, factors, config, key_features):
-    """Table -> (row, join key, product of the row's owned factors) triples."""
+def _key_getter(cols):
+    """row -> the tuple of its values at `cols`."""
+    if len(cols) > 1:
+        return operator.itemgetter(*cols)
+    if cols:
+        (c,) = cols
+        return lambda row: (row[c],)
+    return lambda row: ()
+
+
+def _seed(db, factors, config, key_features, readers, instr):
+    """Each table's {join key: exact fold of its rows' values}, and each
+    reader's (row, join key, q) triples.
+
+    A row's value q is the product of the leaves of the features the table
+    owns and `factors` lists, `config.one` when there are none. Each
+    factor runs once per distinct value: a memo per feature keeps its
+    leaves."""
     _, partition = assign_features(db)
-    tables = {}
-    for i, features in key_features.items():
-        src = db.table(i)
-        owned = [(factors[f], src.schema.index(f))
-                 for f in src.schema if f in partition[i]]
-        kcols = [src.schema.index(f) for f in features]
-        rows = []
+    keyed, triples = {}, {t: [] for t in readers}
+    for t, features in key_features.items():
+        src = db.table(t)
+        owned = [(src.schema.index(f), factors[f], {})
+                 for f in src.schema if f in partition[t] and f in factors]
+        key_of = _key_getter([src.schema.index(f) for f in features])
+        reads = triples.get(t)
+        groups = {}
         for row in src.rows:
-            values = [fn(row[c]) for fn, c in owned]
-            q = reduce(config.times, values) if values else config.one
-            rows.append((row, tuple(row[c] for c in kcols), q))
-        tables[i] = rows
-    return tables
+            q = None
+            for c, fn, memo in owned:
+                v = row[c]
+                leaf = memo.get(v)
+                if leaf is None:
+                    leaf = memo[v] = fn(v)
+                q = leaf if q is None else config.times(q, leaf)
+            if q is None:
+                q = config.one
+            key = key_of(row)
+            groups.setdefault(key, []).append(q)
+            if reads is not None:
+                reads.append((row, key, q))
+        keyed[t] = _fold(groups, None, config, instr)
+    return keyed, triples
 
 
 def _built(value, sketch, config, instr):
@@ -187,7 +218,8 @@ def _same_key(key):
 def evaluate(db, decomp, factors, config, readers=(), instr=None):
     """The root's (a, b) pairs, and each reader's (row, a, b) triples.
 
-    `factors` maps each feature name to a function value -> carrier. The
+    `factors` maps a feature name to a function value -> carrier, its
+    leaf; a feature missing from `factors` contributes `config.one`. The
     aggregate over the bag join is the (+)-fold of a (x) b over the root's
     pairs: one per join key of the table eliminated last, with b =
     `config.one` when there is a single table. For each table t in
@@ -209,12 +241,7 @@ def evaluate(db, decomp, factors, config, readers=(), instr=None):
         (t, n): _projection(key_features[t], sorted(schemas[t] & schemas[n]))
         for t in adj for n in adj[t]
     }
-    rows = _seed_rows(db, factors, config, key_features)
-    keyed = {  # table -> {join key: exact fold of its rows' values}
-        t: _fold(_grouped(((key, q) for _, key, q in triples), _same_key),
-                 None, config, instr)
-        for t, triples in rows.items()
-    }
+    keyed, rows = _seed(db, factors, config, key_features, readers, instr)
 
     # Upward pass, in elimination order. prefix[p][i] is p's value times
     # the messages of its first i children.

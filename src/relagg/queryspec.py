@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .algebra import Monoid, Semiring, make_named
-from .errors import QueryRejected
+from .errors import CapExceeded, QueryRejected
 
 _INF = math.inf
 
@@ -84,8 +84,19 @@ class AdditiveInequality:
     def term(self, feature):
         return self.g.get(feature, ZERO_FN)
 
+    def term_value(self, feature, v):
+        """g_feature(v); a term that is +/-inf or NaN raises CapExceeded,
+        as no threshold comparison of a sum holding it is meaningful."""
+        value = self.term(feature)(v)
+        if not math.isfinite(value):
+            raise CapExceeded(
+                f"inequality term of feature {feature!r} at {v} is {value}, "
+                "not a finite number"
+            )
+        return value
+
     def row_sum(self, schema, row):
-        return sum(self.term(f)(v) for f, v in zip(schema, row))
+        return sum(self.term_value(f, v) for f, v in zip(schema, row))
 
 
 @dataclass(frozen=True)

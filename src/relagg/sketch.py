@@ -56,15 +56,21 @@ def ms_sketch(a, eps):
     Returns `a` itself when it has at most kmax + 1 entries: it then fits
     the sketch's size bound already, and returning it exactly adds no error.
     Otherwise its keys are a's, equal ones merged; counts are rank widths.
+    Every count is at least 1, so |A| >= n, n the number of entries, and
+    kmax is at least floor(log n / log1p(eps)): when n is within that
+    bound, `a` is returned before its counts are summed.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    size = a.total
-    if size <= 1:
+    n = len(a.entries)
+    if n <= 1:
         return a
     log_base = math.log1p(eps)
+    if n <= math.floor(math.log(n) / log_base) + 1:
+        return a
+    size = a.total
     kmax = math.floor(math.log(size) / log_base)
-    if len(a.entries) <= kmax + 1:
+    if n <= kmax + 1:
         return a
     # Rank boundaries floor((1+eps)^k); floats can dip, so force monotone.
     prev_boundary = 0

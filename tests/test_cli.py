@@ -197,6 +197,22 @@ def test_tropical_overflow_exit_4(tmp_path, capsys, algebra):
     assert "overflow" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["count", "oracle"])
+def test_non_finite_term_exit_4(tmp_path, capsys, command):
+    (tmp_path / "t1.csv").write_text("a\n-2\n2\n")
+    (tmp_path / "t2.csv").write_text("b\n-2\n2\n")
+    q = write_query(tmp_path, {
+        "kind": "count",
+        "inequality": {
+            "g": {f: {"kind": "scale", "factor": 1e308} for f in ("a", "b")},
+            "L": 0,
+        },
+    })
+    assert main([command, "--tables", str(tmp_path), "--query", q]) == 4
+    err = capsys.readouterr().err
+    assert "not a finite number" in err and err.count("\n") == 1
+
+
 def test_readme_command_lines_parse():
     """Every `relagg ...` line of README's command-line block parses."""
     readme = (ROOT / "README.md").read_text()

@@ -371,15 +371,16 @@ def test_one_table_rows_read_with_one():
 
 
 # Each group folds in one union in both modes, and only leaf factors are
-# checked.
+# checked, one per distinct value.
 
 
 def test_exact_count_folds_in_one_pass(monkeypatch):
     """In either mode each table folds its rows by join key and each
-    elimination folds a group, every fold one `ms_union` call, and only
-    leaf factors pass the constructor's check; approx mode sketches each
-    group fold and each product once, and neither the join-key folds nor
-    the seeding products."""
+    elimination folds a group, every fold one `ms_union` call; only leaf
+    factors pass the constructor's check, one per distinct value of a
+    feature with a term, and a feature without one (y_i) seeds no product.
+    Approx mode sketches each group fold and each product once, and not
+    the join-key folds."""
     calls = Counter()
 
     def counted(name, fn):
@@ -397,7 +398,8 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
     ineq = AdditiveInequality(
         g={f"x{i}": identity() for i in range(1, 4)}, threshold=1.5
     )
-    leaf_factors = sum(len(t.schema) * len(t.rows) for t in db.tables)
+    leaves = sum(len(set(t.column(f"x{i}")))
+                 for i, t in enumerate(db.tables, start=1))
     answers = {}
     for mode in ("exact", "approx"):
         calls.clear()
@@ -406,9 +408,9 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
         # a cross product: each table is one join key (), then the chain
         # 1 - 2 - 3 folds one group per elimination
         assert calls["ms_union"] == instr.fold_count == 3 + 2
-        # each of the 36 rows seeds x_i (x) y_i, and t2 takes t1's group
-        assert calls["ms_convolve"] == 36 + 1
-        assert 0 < calls["check"] <= leaf_factors
+        # rows seed their x_i leaf alone; t2 takes t1's group
+        assert calls["ms_convolve"] == 1
+        assert calls["check"] == leaves
     # the counts of the approx run, the last one: two group folds, one product
     assert calls["ms_sketch"] == 2 + 1
     exact = answers["exact"]
@@ -535,3 +537,152 @@ def test_engine_equals_oracle_on_tree_databases(case):
             base = make_named(algebra) if kind == "sumprod" else None
             got = driver(db, algebra, F, ineq, epsilon=0.3, mode="approx")
             assert _within(got, exact, 0.3, base), (kind, algebra)
+
+
+# Seeding: a leaf per distinct value of a feature with a term, and no
+# product for a feature without one.
+
+QUERIES = [  # (kind, algebra, driver)
+    ("count", "counting", lambda db, F, ineq, **kw: count_rows(db, ineq, **kw)),
+    ("sumsum", "sum", lambda db, F, ineq, **kw: sumsum(db, "sum", F, ineq, **kw)),
+    ("sumprod", "max-plus",
+     lambda db, F, ineq, **kw: sumprod(db, "max-plus", F, ineq, **kw)),
+]
+
+
+def _star_with_repeats(seed):
+    """t1(k, a, z), t2(k, b), t3(k, c): 30 rows each over 3 join keys, the
+    features drawing from 5 values, so every value repeats."""
+    rng = random.Random(seed)
+
+    def rows(width):
+        return tuple(
+            (float(rng.randint(0, 2)),
+             *(float(rng.randint(0, 4)) for _ in range(width)))
+            for _ in range(30)
+        )
+
+    return Database(tables=(
+        Table("t1", ("k", "a", "z"), rows(2)),
+        Table("t2", ("k", "b"), rows(1)),
+        Table("t3", ("k", "c"), rows(1)),
+    ))
+
+
+@pytest.mark.parametrize("kind, algebra, driver", QUERIES,
+                         ids=[kind for kind, _, _ in QUERIES])
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_each_factor_runs_once_per_distinct_value(monkeypatch, kind, algebra,
+                                                  driver, mode):
+    """The engine gets a factor for each feature with a term, in the
+    inequality (a, b) or in F (c, sumsum and sumprod), and runs it once per
+    distinct value; k and z have none."""
+    db = _star_with_repeats(seed=3)
+    ineq = AdditiveInequality(g={"a": identity(), "b": identity()}, threshold=5)
+    F = {"c": identity()}
+    calls = Counter()
+
+    def spying(db, decomp, factors, config, **kwargs):
+        def counted(f, fn):
+            def factor(v):
+                calls[f, v] += 1
+                return fn(v)
+            return factor
+        factors = {f: counted(f, fn) for f, fn in factors.items()}
+        return evaluate(db, decomp, factors, config, **kwargs)
+
+    monkeypatch.setattr(drivers, "evaluate", spying)
+    got = driver(db, F, ineq, mode=mode)
+    assert max(calls.values()) == 1
+    termed = {"a", "b", "c"} if kind == "sumprod" else {"a", "b"}
+    assert {f for f, _ in calls} == termed
+    assert len(calls) == sum(len(set(db.table(db.feature_tables[f][0])
+                                     .column(f))) for f in termed)
+    spec = QuerySpec(kind=kind, algebra=algebra, F=F, inequalities=(ineq,))
+    exact = oracle_eval(db, spec)
+    if mode == "exact":
+        assert got == exact
+    else:
+        base = make_named(algebra) if kind == "sumprod" else None
+        assert _within(got, exact, 0.1, base)
+
+
+@pytest.mark.parametrize("kind, algebra, driver", QUERIES,
+                         ids=[kind for kind, _, _ in QUERIES])
+def test_feature_without_a_term_seeds_no_product(monkeypatch, kind, algebra,
+                                                 driver):
+    """Each table owns one feature with a term and others without (k, z):
+    the rows seed their one leaf, and the fused read leaves two tables no
+    product to build."""
+    db = Database(tables=_star_with_repeats(4).tables[:2])
+    ineq = AdditiveInequality(g={"a": identity(), "b": identity()}, threshold=5)
+    calls = Counter()
+    for name in ("ms_convolve", "ws_convolve"):
+        fn = getattr(drivers, name)
+        monkeypatch.setattr(
+            drivers, name,
+            lambda *args, name=name, fn=fn: calls.update([name]) or fn(*args),
+        )
+    for mode in ("exact", "approx"):
+        driver(db, {"a": identity()}, ineq, mode=mode)
+    assert calls == Counter()
+
+
+def test_signed_zeros_and_repeats_match_oracle():
+    """0.0 and -0.0 are one value to the memo, as they are to the join and
+    to the inequality; every query kind still matches the oracle."""
+    values = (0.0, -0.0, 0.5, 0.0, -0.0, 1.0, 0.5)
+    db = Database(tables=(
+        Table("t1", ("k", "a"), tuple((float(i % 2), v)
+                                      for i, v in enumerate(values))),
+        Table("t2", ("k", "b"), tuple((float(i % 2), v)
+                                      for i, v in enumerate(reversed(values)))),
+    ))
+    ineq = AdditiveInequality(g={"a": identity(), "b": identity()}, threshold=0.5)
+    F = {"a": identity(), "b": identity()}
+    count = oracle_eval(db, QuerySpec(kind="count", inequalities=(ineq,)))
+    assert count_rows(db, ineq) == count
+    assert _within(count_rows(db, ineq, epsilon=0.1, mode="approx"), count, 0.1)
+    for kind, driver, algebras in (
+        ("sumsum", sumsum, ("sum", "min", "max")),
+        ("sumprod", sumprod, ("counting", "min-plus", "max-plus")),
+    ):
+        for algebra in algebras:
+            spec = QuerySpec(kind=kind, algebra=algebra, F=F, inequalities=(ineq,))
+            exact = oracle_eval(db, spec)
+            assert driver(db, algebra, F, ineq) == exact, (kind, algebra)
+            base = make_named(algebra) if kind == "sumprod" else None
+            got = driver(db, algebra, F, ineq, epsilon=0.1, mode="approx")
+            assert _within(got, exact, 0.1, base), (kind, algebra)
+
+
+# A term of +/-inf or NaN: sums holding one depend on the order of the
+# additions (inf - inf is NaN in one order and not in another), so the
+# engine's and the oracle's sums disagree; both refuse it.
+
+NON_FINITE = {
+    "inf": {f"x{i}": scale(1e308) for i in (1, 2, 3)},
+    "nan": {"x1": FunctionSpec("affine", (math.inf, -math.inf)),
+            "x2": identity(), "x3": identity()},
+}
+
+
+@pytest.mark.parametrize("g", NON_FINITE.values(), ids=NON_FINITE)
+@pytest.mark.parametrize("kind, algebra, driver", QUERIES,
+                         ids=[kind for kind, _, _ in QUERIES])
+def test_non_finite_term_is_refused(kind, algebra, driver, g):
+    """On this 2 x 2 x 2 cross product, scale(1e308) makes every term +/-inf:
+    the engine used to count 7 rows at L = 0 where the oracle counted 1,
+    and 8 where it counted 2 at L = inf. affine(inf, -inf) is NaN at 2.0."""
+    db = Database(tables=tuple(
+        Table(f"t{i}", (f"x{i}",), ((-2.0,), (2.0,))) for i in (1, 2, 3)
+    ))
+    F = {"x3": FunctionSpec("constant", (1.0,))}
+    for threshold in (0.0, math.inf):
+        ineq = AdditiveInequality(g=g, threshold=threshold)
+        for mode in ("exact", "approx"):
+            with pytest.raises(CapExceeded, match="not a finite number"):
+                driver(db, F, ineq, mode=mode)
+        spec = QuerySpec(kind=kind, algebra=algebra, F=F, inequalities=(ineq,))
+        with pytest.raises(CapExceeded, match="not a finite number"):
+            oracle_eval(db, spec)

@@ -95,6 +95,16 @@ def test_tropical_sums(db1):
     assert join_value(db1, decomp, idents(db1), config_for(MAX_PLUS)) == 10
 
 
+def test_feature_missing_from_factors_contributes_one(db1):
+    """With no factors the counting aggregate is the join size; with c's
+    alone the tropical ones see only c's terms (5, 6, 7)."""
+    decomp = build_decomposition(db1)
+    assert join_value(db1, decomp, {}, config_for(COUNTING)) == 3
+    only_c = {"c": lambda v: v}
+    assert join_value(db1, decomp, only_c, config_for(MIN_PLUS)) == 5
+    assert join_value(db1, decomp, only_c, config_for(MAX_PLUS)) == 7
+
+
 def _counting_factors(db, ineq):
     return {f: (lambda v, g=ineq.term(f): ms_singleton(g(v)))
             for f in db.feature_tables}

@@ -73,6 +73,22 @@ def test_ms_sketch_returns_value_within_size_bound():
     assert ms_sketch(a, 1.0) is a
 
 
+def test_ms_sketch_skips_small_inputs_without_reading_total():
+    """Every count is at least 1, so n entries with n <= floor(log n /
+    log1p(eps)) + 1 fit the size bound whatever their counts: the sketch
+    returns them without summing the counts."""
+
+    class EntriesOnly:  # no `total`: reading it raises AttributeError
+        entries = ((1.0, 5), (2.0, 7), (3.0, 9))
+
+        def __len__(self):
+            return len(self.entries)
+
+    a = EntriesOnly()
+    assert len(a) <= math.floor(math.log(len(a)) / math.log1p(0.1)) + 1
+    assert ms_sketch(a, 0.1) is a
+
+
 def test_ms_sketch_compresses_past_size_bound():
     # 7 entries, total 56: kmax = floor(log2 56) = 5, so 7 = kmax + 2
     a = Multiset(tuple((float(k), 8) for k in range(7)))
