@@ -6,8 +6,9 @@ inequality term of a feature as a key (row counting: a singleton multiset;
 SumProd: a singleton weighted set pairing the key with the factor value).
 Only a feature with a term, in the inequality or (SumProd) in F, gets a
 factor; any other contributes the carrier's one, which the engine never
-multiplies in. A term that is +/-inf or NaN is refused (CapExceeded), by
-`AdditiveInequality.term_value`, as it is by the oracle. The answer is the root value's cumulative aggregate at the
+multiplies in. A term that is -inf or NaN is refused (CapExceeded) by
+`AdditiveInequality.term_value`, as it is by the oracle; a +inf term takes
+its row out. The answer is the root value's cumulative aggregate at the
 threshold, Delta_L(v) = (+)_{k <= L} v[k]. The engine stops before the
 root's last product and returns (a, b) pairs, one per join key of the root;
 `threshold_read` reads each Delta_L(a (x) b) off a and b, and the driver

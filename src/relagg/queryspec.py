@@ -85,13 +85,19 @@ class AdditiveInequality:
         return self.g.get(feature, ZERO_FN)
 
     def term_value(self, feature, v):
-        """g_feature(v); a term that is +/-inf or NaN raises CapExceeded,
-        as no threshold comparison of a sum holding it is meaningful."""
+        """g_feature(v); a term that is -inf or NaN raises CapExceeded.
+
+        A +inf term takes its row out (its sum exceeds every finite L), as
+        `indicator_eq(..., inf)` does in the labeled halfspace preset. A
+        -inf term beside it would make the sum inf - inf = NaN, whose
+        comparison depends on the order of the additions, so the engine's
+        and the oracle's sums would disagree.
+        """
         value = self.term(feature)(v)
-        if not math.isfinite(value):
+        if math.isnan(value) or value == -_INF:
             raise CapExceeded(
-                f"inequality term of feature {feature!r} at {v} is {value}, "
-                "not a finite number"
+                f"inequality term of feature {feature!r} at {v} is {value}; "
+                "a term must be finite or +inf"
             )
         return value
 

@@ -210,7 +210,7 @@ def test_non_finite_term_exit_4(tmp_path, capsys, command):
     })
     assert main([command, "--tables", str(tmp_path), "--query", q]) == 4
     err = capsys.readouterr().err
-    assert "not a finite number" in err and err.count("\n") == 1
+    assert "finite or +inf" in err and err.count("\n") == 1
 
 
 def test_readme_command_lines_parse():
@@ -314,6 +314,21 @@ def test_gen_partition_engine_rejects_oracle_counts(tmp_path, capsys):
     assert "NP-hard" in capsys.readouterr().err
     assert main(["oracle", "--tables", str(out), "--query", q]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_labeled_halfspace_preset(tmp_path, capsys):
+    """A row labeled other than -1 gets a +inf term, which takes it out:
+    the engine and the oracle both count the two rows labeled -1 with
+    x <= 1, and exit 0."""
+    (tmp_path / "t1.csv").write_text("k,x\n0,-1\n0,2\n1,0.5\n")
+    (tmp_path / "t2.csv").write_text("k,lbl\n0,-1\n0,1\n1,-1\n1,1\n")
+    q = write_query(tmp_path, {"preset": {
+        "name": "halfspace_count", "features": ["x", "lbl"], "beta": [1.0],
+        "L": 1.0, "label_feature": "lbl",
+    }})
+    for command in ("count", "oracle"):
+        assert main([command, "--tables", str(tmp_path), "--query", q]) == 0
+        assert capsys.readouterr().out.strip() == "2"
 
 
 def test_preset_query_file(db1_dir, capsys):

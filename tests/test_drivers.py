@@ -32,7 +32,7 @@ from relagg import drivers
 from relagg.drivers import threshold_read
 from relagg.engine import EngineConfig, evaluate
 from relagg.multiset import MS_EMPTY, MS_ONE, ms_singleton, ms_union
-from relagg.queryspec import identity, scale
+from relagg.queryspec import identity, preset, scale
 from conftest import (
     CROSS_CASE,
     STAR_CASE,
@@ -656,12 +656,13 @@ def test_signed_zeros_and_repeats_match_oracle():
             assert _within(got, exact, 0.1, base), (kind, algebra)
 
 
-# A term of +/-inf or NaN: sums holding one depend on the order of the
-# additions (inf - inf is NaN in one order and not in another), so the
-# engine's and the oracle's sums disagree; both refuse it.
+# A term of -inf or NaN: a sum holding NaN, or -inf beside a +inf term,
+# depends on the order of the additions (inf - inf is NaN in one order and
+# not in another), so the engine's and the oracle's sums disagree; both
+# refuse it. A +inf term only takes its row out, and is kept.
 
 NON_FINITE = {
-    "inf": {f"x{i}": scale(1e308) for i in (1, 2, 3)},
+    "neg-inf": {f"x{i}": scale(1e308) for i in (1, 2, 3)},
     "nan": {"x1": FunctionSpec("affine", (math.inf, -math.inf)),
             "x2": identity(), "x3": identity()},
 }
@@ -681,8 +682,39 @@ def test_non_finite_term_is_refused(kind, algebra, driver, g):
     for threshold in (0.0, math.inf):
         ineq = AdditiveInequality(g=g, threshold=threshold)
         for mode in ("exact", "approx"):
-            with pytest.raises(CapExceeded, match="not a finite number"):
+            with pytest.raises(CapExceeded, match="finite or \\+inf"):
                 driver(db, F, ineq, mode=mode)
         spec = QuerySpec(kind=kind, algebra=algebra, F=F, inequalities=(ineq,))
-        with pytest.raises(CapExceeded, match="not a finite number"):
+        with pytest.raises(CapExceeded, match="finite or \\+inf"):
             oracle_eval(db, spec)
+
+
+LABELED = Database(tables=(
+    Table("t1", ("k", "x"), ((0.0, -1.0), (0.0, 2.0), (1.0, 0.5), (1.0, 3.0))),
+    Table("t2", ("k", "lbl"), ((0.0, -1.0), (0.0, 1.0), (1.0, -1.0),
+                               (1.0, -1.0), (1.0, 1.0))),
+    Table("t3", ("y",), ((-2.0,), (1.0,))),
+))
+
+
+@pytest.mark.parametrize("kind, algebra, driver", QUERIES,
+                         ids=[kind for kind, _, _ in QUERIES])
+@pytest.mark.parametrize("threshold", [-1.5, 0.0, 2.5, math.inf])
+def test_labeled_halfspace_matches_oracle(kind, algebra, driver, threshold):
+    """The labeled halfspace preset gives each row labeled other than -1 a
+    +inf term, which takes it out at every finite L; the engine agrees with
+    the oracle on every query kind, in both modes."""
+    ineq = preset("halfspace_count", {
+        "features": ["x", "y", "lbl"], "beta": [1.0, 1.0], "L": threshold,
+        "label_feature": "lbl",
+    }).inequality
+    F = {"y": FunctionSpec("square")}
+    spec = QuerySpec(kind=kind, algebra=algebra, F=F, inequalities=(ineq,))
+    exact = oracle_eval(LABELED, spec)
+    assert driver(LABELED, F, ineq) == exact
+    base = make_named(algebra) if kind == "sumprod" else None
+    got = driver(LABELED, F, ineq, epsilon=0.1, mode="approx")
+    assert _within(got, exact, 0.1, base)
+    # 20 join rows, 8 of them labeled 1: those count only at L = inf
+    count = oracle_eval(LABELED, QuerySpec(kind="count", inequalities=(ineq,)))
+    assert count == {-1.5: 3, 0.0: 5, 2.5: 9, math.inf: 20}[threshold]
