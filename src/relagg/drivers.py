@@ -14,8 +14,8 @@ root's last product and returns (a, b) pairs, one per join key of the root;
 `threshold_read` reads each Delta_L(a (x) b) off a and b, and the driver
 folds these scalars, so no root product or fold is built. SumSum asks the
 same single evaluation for its owning tables as readers, and reads each
-of their rows the same way: the engine's downward pass pairs the row with
-the product of everything outside it. Exact mode uses the exact semiring
+of their rows the same way: the engine sends its messages back down and
+pairs the row with the product of every message into its table. Exact mode uses the exact semiring
 operations; approx mode has the engine sketch the result of every group
 fold and every product (`ms_sketch` for multisets, `ws_sketch` for
 weighted sets) with a per-sketch parameter alpha = alpha_for(epsilon, m),
@@ -39,7 +39,6 @@ from itertools import accumulate
 from .algebra import repeat
 from .engine import EngineConfig, assign_features, evaluate
 from .errors import QueryRejected
-from .jointree import build_decomposition
 from .multiset import MS_EMPTY, MS_ONE, Multiset, ms_convolve, ms_union
 from .queryspec import AdditiveInequality, checked_algebra
 from .sketch import alpha_for, ms_sketch, ws_sketch
@@ -105,13 +104,21 @@ def threshold_read(threshold, plus, times, zero):
     return read
 
 
-def _counting_factors(db, ineq):
-    """Feature -> leaf factor, for the features the inequality has a term
-    for: a singleton multiset at the term's value."""
-    return {
+def _count(db, ineq, epsilon, mode, instr, readers=()):
+    """One row-counting evaluation: the root's pairs, the readers' triples,
+    and the read Delta_L(a (x) b) for both. The leaf of a feature the
+    inequality has a term for is a singleton multiset at the term's value.
+    """
+    config = _config(
+        db, mode, epsilon, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
+    )
+    factors = {
         f: lambda v, f=f: Multiset(((ineq.term_value(f, v), 1),))
         for f in db.feature_tables if f in ineq.g
     }
+    pairs, reads = evaluate(db, factors, config, readers=readers, instr=instr)
+    read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
+    return pairs, reads, read
 
 
 def _term_values(F, db):
@@ -129,12 +136,7 @@ def count_rows(db, ineq=None, epsilon=0.1, mode="exact", instr=None):
     (1 +/- epsilon) factor of it.
     """
     ineq = ineq or AdditiveInequality()
-    config = _config(
-        db, mode, epsilon, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
-    )
-    factors = _counting_factors(db, ineq)
-    pairs, _ = evaluate(db, build_decomposition(db), factors, config, instr=instr)
-    read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
+    pairs, _, read = _count(db, ineq, epsilon, mode, instr)
     return sum(read(a, b) for a, b in pairs)
 
 
@@ -159,14 +161,8 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     ineq = ineq or AdditiveInequality()
     owner, _ = assign_features(db)
     features = [f for f in sorted(F) if f in db.feature_tables]
-    config = _config(
-        db, mode, epsilon, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
-    )
-    _, reads = evaluate(
-        db, build_decomposition(db), _counting_factors(db, ineq), config,
-        readers={owner[f] for f in features}, instr=instr,
-    )
-    read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
+    _, reads, read = _count(db, ineq, epsilon, mode, instr,
+                            readers={owner[f] for f in features})
     counted = {  # table -> (row, qualifying join rows extending it)
         t: [(row, read(a, b)) for row, a, b in triples]
         for t, triples in reads.items()
@@ -214,7 +210,7 @@ def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
             ineq.term_value(f, v), s.one if fn is None else fn(v), s)
         for f in db.feature_tables if f in ineq.g or f in F
     }
-    pairs, _ = evaluate(db, build_decomposition(db), factors, config, instr=instr)
+    pairs, _ = evaluate(db, factors, config, instr=instr)
     read = threshold_read(ineq.threshold, s.plus, s.times, s.zero)
     return reduce(s.plus, (read(a, b) for a, b in pairs), s.zero)
 

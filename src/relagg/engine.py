@@ -1,5 +1,5 @@
-"""Join-tree evaluation: one upward and one downward pass over tables
-aggregated by their join keys.
+"""Join-tree evaluation: messages between tables aggregated by their join
+keys, every one sent by the same rule.
 
 Evaluates a SumProd-style aggregate over the bag join of a database without
 materializing the join. Each table is seeded once: a row's value q is the
@@ -13,25 +13,23 @@ the join tree), and each group folds into one value with the carrier's
 exact n-ary union. The fold is exact because (x) distributes over (+), and
 it is not sketched, so it adds nothing to the approximation depth.
 
-Upward pass: leaves of the join tree are eliminated into their neighbours
-until one table, the root, remains. Eliminating a leaf groups its keys by
-the features it shares with its parent and folds each group in one
-`plus(*values)` call; that fold is the leaf's message to its parent, a leaf
-sharing no feature sends one group. Each parent key's value is multiplied
-by its group's message. The last elimination stops before that product:
-`evaluate` returns the root's (value, message) pairs, and the drivers read
-their product at a threshold, so neither it nor the root's whole value is
-ever built.
-
-Downward pass, run only when some table is asked for as a reader
-(SumSum's owning tables): the message from a parent p to a child c is the
-fold, grouped by the key p shares with c, of p's value times every message
-into p except c's. p's values after each upward product are its prefix
-products; the messages after c, times p's own downward message, are built
-as suffix products, so p with k children spends O(k) products, not k^2. A
-reader t builds, per join key, the product P of every message into t, and
-pairs each row's q with its key's P; the drivers read the pair at the
-threshold, so only q (x) P is fused and never built.
+One rule sends every message, whichever way it travels: the message from
+x to y is the fold, grouped by the key x shares with y (one group if
+none), of x's value times every message into x except y's, multiplied in
+a fixed order: x's children in elimination order, then its parent
+(Yannakakis 1981; FAQ, Abo Khamis, Ngo and Rudra 2016). The join tree is
+built from the schemas; leaves are eliminated into their neighbours until
+one table, the root, remains, and each table sends to its parent in that
+order. The root's last product is not built: `evaluate` pairs the root's
+value times every message but its last child's with that message, key by
+key, and the drivers read each pair at a threshold. Only when some table
+is asked for as a reader (SumSum's owning tables) does each parent send to
+its child, in reverse elimination order. A reader builds, per join key,
+the product P of every message into it and pairs each row's q with its
+key's P, so only q (x) P is fused. A table with d neighbours builds d - 1
+products per message, d(d - 1) when it sends all d: the same products as
+sharing prefix and suffix products on a chain (d <= 2), more than their
+3d or so at a table with many neighbours.
 
 Approximation depth: approx mode sketches every group fold and every
 product (not the join-key folds, not the seeding products of singletons).
@@ -40,15 +38,14 @@ tables on x's side of the edge, composes s sketched folds and s - 1
 sketched products: the n other messages into x cover the other s - 1
 tables, so they compose s - 1 folds and s - 1 - n products; multiplying
 x's exact value by them takes n more products however the n + 1 factors
-are associated (the prefix and suffix products included), and the group
-fold adds one fold. A read at table t multiplies q by the d messages into
-t, which cover the other m - 1 tables: m - 1 folds and (m - 1 - d) + d
-products, the last of which is the fused read and never built; these are
-the counts of an elimination rooted at t. So every read, the root's
-included, composes D = 2m - 3 sketches, the depth `sketch.alpha_for`
-spends epsilon on: a union's error is its worse operand's and a product's
-error factors multiply, so no read carries more than D factors of
-(1 +/- alpha).
+are associated, and the group fold adds one fold. A read at table t
+multiplies q by the d messages into t, which cover the other m - 1
+tables: m - 1 folds and (m - 1 - d) + d products, the last of which is the
+fused read and never built; these are the counts of an elimination rooted
+at t. So every read, the root's included, composes D = 2m - 3 sketches,
+the depth `sketch.alpha_for` spends epsilon on: a union's error is its
+worse operand's and a product's error factors multiply, so no read carries
+more than D factors of (1 +/- alpha).
 
 With sketched operations the result is order dependent, so elimination
 order and grouping are fixed and deterministic: the leaf of lowest index is
@@ -59,8 +56,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import CapExceeded, CyclicJoinError
-from .jointree import decomposition_violation
+from .errors import CapExceeded
+from .jointree import build_decomposition
 
 
 @dataclass
@@ -106,7 +103,7 @@ def assign_features(db):
 
 
 def _key_getter(cols):
-    """row -> the tuple of its values at `cols`."""
+    """row (or key) -> the tuple of its values at `cols`."""
     if len(cols) > 1:
         return operator.itemgetter(*cols)
     if cols:
@@ -205,17 +202,7 @@ def _times_by(values, message, project, keys, config, instr):
     return out
 
 
-def _projection(key_features, features):
-    """Maps a key over `key_features` to its values at `features`."""
-    cols = [key_features.index(f) for f in features]
-    return lambda key: tuple(key[c] for c in cols)
-
-
-def _same_key(key):
-    return key
-
-
-def evaluate(db, decomp, factors, config, readers=(), instr=None):
+def evaluate(db, factors, config, readers=(), instr=None):
     """The root's (a, b) pairs, and each reader's (row, a, b) triples.
 
     `factors` maps a feature name to a function value -> carrier, its
@@ -226,79 +213,66 @@ def evaluate(db, decomp, factors, config, readers=(), instr=None):
     `readers`, a (x) b for one of its rows is the aggregate over the join
     rows that extend that row; rows that no join row extends may be left
     out. Neither product is built. With sketched operations a and b are
-    approximations.
+    approximations. A cyclic join raises CyclicJoinError.
     """
-    violation = decomposition_violation(db, decomp)
-    if violation is not None:
-        raise CyclicJoinError(f"invalid decomposition: {violation}")
-    adj = decomp.adjacency()
+    adj = build_decomposition(db).adjacency()
     schemas = {t: set(db.table(t).schema) for t in adj}
     key_features = {
         t: sorted(set().union(*(schemas[t] & schemas[n] for n in adj[t])))
         for t in adj
     }
-    edge = {
-        (t, n): _projection(key_features[t], sorted(schemas[t] & schemas[n]))
+    edge = {  # (t, n) -> t's key -> its values at the features shared with n
+        (t, n): _key_getter([key_features[t].index(f)
+                             for f in sorted(schemas[t] & schemas[n])])
         for t in adj for n in adj[t]
     }
     keyed, rows = _seed(db, factors, config, key_features, readers, instr)
 
-    # Upward pass, in elimination order. prefix[p][i] is p's value times
-    # the messages of its first i children.
-    parent, up = {}, {}
+    order, parent = [], {}
     children = {t: [] for t in adj}
-    prefix = {t: [keyed[t]] for t in adj}
     while len(adj) > 1:
         leaf = min(v for v in adj if len(adj[v]) == 1)
         (j,) = adj.pop(leaf)
         adj[j].discard(leaf)
+        order.append(leaf)
         parent[leaf] = j
         children[j].append(leaf)
-        groups = _grouped(prefix[leaf][-1].items(), edge[leaf, j])
-        up[leaf] = _fold(groups, config.sketch, config, instr)
-        if len(adj) > 1:
-            prefix[j].append(_times_by(
-                prefix[j][-1], up[leaf], edge[j, leaf], None, config, instr
-            ))
     (root,) = adj
+    message = {}
+
+    def times_messages(x, value, skip=None):
+        """`value` times every message into x but skip's: x's children in
+        elimination order, then its parent. `value` None starts from the
+        first message, looked up on x's keys."""
+        for n in children[x] + ([parent[x]] if x != root else []):
+            if n != skip:
+                value = _times_by(value, message[n, x], edge[x, n], keyed[x],
+                                  config, instr)
+        return value
+
+    def send(x, y):
+        inside = times_messages(x, keyed[x], skip=y)
+        groups = _grouped(inside.items(), edge[x, y])
+        message[x, y] = _fold(groups, config.sketch, config, instr)
+
+    for c in order:
+        send(c, parent[c])
     if children[root]:
         last = children[root][-1]
-        message, project = up[last], edge[root, last]
-        pairs = [(value, message[s]) for key, value in prefix[root][-1].items()
-                 if (s := project(key)) in message]
+        b, project = message[last, root], edge[root, last]
+        pairs = [(value, b[s]) for key, value in
+                 times_messages(root, keyed[root], skip=last).items()
+                 if (s := project(key)) in b]
     else:
         pairs = [(value, config.one) for value in keyed[root].values()]
     if not readers:
         return pairs, {}
 
-    # Downward pass, from the root towards the leaves.
-    down = {}
-    for p in reversed([*parent, root]):
-        kids = children[p]
-        suffix = None  # the messages into p after kids[i], on p's keys
-        if p != root:
-            suffix = _times_by(None, down[p], edge[p, parent[p]], keyed[p],
-                               config, instr)
-        for i in reversed(range(len(kids))):
-            c = kids[i]
-            inner = prefix[p][i]
-            if suffix is not None:
-                inner = _times_by(inner, suffix, _same_key, None, config, instr)
-            groups = _grouped(inner.items(), edge[p, c])
-            down[c] = _fold(groups, config.sketch, config, instr)
-            if i:
-                suffix = _times_by(suffix, up[c], edge[p, c], keyed[p],
-                                   config, instr)
-
-    # A reader pairs each row's q with the product of every message into it.
+    for c in reversed(order):
+        send(parent[c], c)
     reads = {}
     for t in readers:
-        incoming = [(up[c], edge[t, c]) for c in children[t]]
-        if t != root:
-            incoming.append((down[t], edge[t, parent[t]]))
-        outside = None
-        for message, project in incoming:
-            outside = _times_by(outside, message, project, keyed[t], config, instr)
+        outside = times_messages(t, None)
         if outside is None:
             outside = dict.fromkeys(keyed[t], config.one)
         reads[t] = [(row, q, outside[key]) for row, key, q in rows[t]

@@ -36,12 +36,13 @@ def alpha_for(eps, m):
     keeps cumulative aggregates within one (1 +/- alpha) factor, and the
     factors compose: a union's error is its worse operand's and a
     product's error factors multiply. Every read the engine hands the
-    drivers, at the root or at any table of the downward pass, composes
-    m - 1 sketched group folds and m - 2 sketched products; the last
-    product is the fused read, never built, and the join-key folds and
-    seeding products are exact (`relagg.engine` gives the count). So a
-    read carries at most D = 2m - 3 factors: (1+alpha)^D = 1+eps, and
-    (1-alpha)^D >= 1 - D alpha >= 1 - eps since alpha <= eps / D.
+    drivers, at the root or at a reader table, whose messages come from
+    every side, composes m - 1 sketched group folds and m - 2 sketched
+    products; the last product is the fused read, never built, and the
+    join-key folds and seeding products are exact (`relagg.engine` gives
+    the count). So a read carries at most D = 2m - 3 factors:
+    (1+alpha)^D = 1+eps, and (1-alpha)^D >= 1 - D alpha >= 1 - eps since
+    alpha <= eps / D.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")

@@ -16,7 +16,6 @@ from relagg import (
     QuerySpec,
     Table,
     WeightedSet,
-    build_decomposition,
     count_rows,
     make_named,
     ms_convolve,
@@ -358,9 +357,7 @@ def test_one_table_rows_read_with_one():
         plus=ms_union, times=ms_convolve, zero=MS_EMPTY, one=MS_ONE
     )
     factors = {f: ms_singleton for f in db.feature_tables}
-    pairs, reads = evaluate(
-        db, build_decomposition(db), factors, config, readers=(1,)
-    )
+    pairs, reads = evaluate(db, factors, config, readers=(1,))
     # the table's one join key () holds all its rows
     assert [(len(a), b) for a, b in pairs] == [(40, MS_ONE)]
     assert [row for row, _, _ in reads[1]] == list(db.table(1).rows)
@@ -374,6 +371,16 @@ def test_one_table_rows_read_with_one():
 # checked, one per distinct value.
 
 
+def _spy(monkeypatch, calls, owner, name, key=None):
+    """Patch `owner.name` to count its calls in `calls[key or name]`."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[key or name] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def test_exact_count_folds_in_one_pass(monkeypatch):
     """In either mode each table folds its rows by join key and each
     elimination folds a group, every fold one `ms_union` call; only leaf
@@ -382,18 +389,9 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
     Approx mode sketches each group fold and each product once, and not
     the join-key folds."""
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     for name in ("ms_union", "ms_convolve", "ms_sketch"):
-        monkeypatch.setattr(drivers, name, counted(name, getattr(drivers, name)))
-    monkeypatch.setattr(
-        Multiset, "__post_init__", counted("check", Multiset.__post_init__)
-    )
+        _spy(monkeypatch, calls, drivers, name)
+    _spy(monkeypatch, calls, Multiset, "__post_init__", "check")
     db = _cross_real(3, 12, seed=7)
     ineq = AdditiveInequality(
         g={f"x{i}": identity() for i in range(1, 4)}, threshold=1.5
@@ -416,6 +414,32 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
     exact = answers["exact"]
     assert abs(answers["approx"] - exact) <= 0.1 * exact
     assert exact == oracle_eval(db, QuerySpec(kind="count", inequalities=(ineq,)))
+
+
+def test_sumsum_on_a_chain_builds_one_product_per_message(monkeypatch):
+    """On the chain 1 - 2 - 3 every table reads (y_i is t_i's), so all four
+    messages are sent: t1 and t3 fold their one key alone, t2 builds one
+    product per message (its value times the other message into it), and
+    t2's read one more (its two incoming messages), as many as sharing
+    prefix and suffix products would. Approx mode sketches the four message
+    folds and the three products."""
+    calls = Counter()
+    for name in ("ms_union", "ms_convolve", "ms_sketch"):
+        _spy(monkeypatch, calls, drivers, name)
+    db = _cross_real(3, 12, seed=7)
+    ineq = AdditiveInequality(
+        g={f"x{i}": identity() for i in range(1, 4)}, threshold=1.5
+    )
+    F = {f"y{i}": identity() for i in range(1, 4)}
+    exact = oracle_eval(db, QuerySpec(kind="sumsum", algebra="sum", F=F,
+                                      inequalities=(ineq,)))
+    for mode, sketches in (("exact", 0), ("approx", 4 + 3)):
+        calls.clear()
+        got = sumsum(db, "sum", F, ineq, mode=mode)
+        # three join-key folds and four message folds
+        assert calls == Counter(ms_union=3 + 4, ms_convolve=3,
+                                ms_sketch=sketches)
+        assert _within(got, exact, 0.1)
 
 
 # The epsilon guarantee at the worst depth a 5-table plan reaches,
@@ -582,14 +606,14 @@ def test_each_factor_runs_once_per_distinct_value(monkeypatch, kind, algebra,
     F = {"c": identity()}
     calls = Counter()
 
-    def spying(db, decomp, factors, config, **kwargs):
+    def spying(db, factors, config, **kwargs):
         def counted(f, fn):
             def factor(v):
                 calls[f, v] += 1
                 return fn(v)
             return factor
         factors = {f: counted(f, fn) for f, fn in factors.items()}
-        return evaluate(db, decomp, factors, config, **kwargs)
+        return evaluate(db, factors, config, **kwargs)
 
     monkeypatch.setattr(drivers, "evaluate", spying)
     got = driver(db, F, ineq, mode=mode)

@@ -9,11 +9,9 @@ from hypothesis import example, given
 
 from relagg import (
     CapExceeded,
-    CyclicJoinError,
     Instrumentation,
     Table,
     Database,
-    build_decomposition,
     count_rows,
     make_named,
     sumsum,
@@ -45,10 +43,10 @@ def config_for(s):
     )
 
 
-def join_value(db, decomp, factors, config, instr=None):
+def join_value(db, factors, config, instr=None):
     """The aggregate over the whole join: the fold of a (x) b over the
     root's pairs that `evaluate` returns."""
-    pairs, _ = evaluate(db, decomp, factors, config, instr=instr)
+    pairs, _ = evaluate(db, factors, config, instr=instr)
     return config.plus(*[config.times(a, b) for a, b in pairs])
 
 
@@ -84,25 +82,22 @@ def test_assign_features(db1):
 
 
 def test_count_join_rows(db1):
-    decomp = build_decomposition(db1)
-    assert join_value(db1, decomp, ones(db1), config_for(COUNTING)) == 3
+    assert join_value(db1, ones(db1), config_for(COUNTING)) == 3
 
 
 def test_tropical_sums(db1):
-    decomp = build_decomposition(db1)
     # join rows (1,1,5), (1,2,6), (1,2,7) with sums 7, 9, 10
-    assert join_value(db1, decomp, idents(db1), config_for(MIN_PLUS)) == 7
-    assert join_value(db1, decomp, idents(db1), config_for(MAX_PLUS)) == 10
+    assert join_value(db1, idents(db1), config_for(MIN_PLUS)) == 7
+    assert join_value(db1, idents(db1), config_for(MAX_PLUS)) == 10
 
 
 def test_feature_missing_from_factors_contributes_one(db1):
     """With no factors the counting aggregate is the join size; with c's
     alone the tropical ones see only c's terms (5, 6, 7)."""
-    decomp = build_decomposition(db1)
-    assert join_value(db1, decomp, {}, config_for(COUNTING)) == 3
+    assert join_value(db1, {}, config_for(COUNTING)) == 3
     only_c = {"c": lambda v: v}
-    assert join_value(db1, decomp, only_c, config_for(MIN_PLUS)) == 5
-    assert join_value(db1, decomp, only_c, config_for(MAX_PLUS)) == 7
+    assert join_value(db1, only_c, config_for(MIN_PLUS)) == 5
+    assert join_value(db1, only_c, config_for(MAX_PLUS)) == 7
 
 
 def _counting_factors(db, ineq):
@@ -122,8 +117,7 @@ def test_row_counts_at_every_table(db1):
         ineq = random_affine_inequality(rng, db)
         tables = range(1, db.m + 1)
         _, reads = evaluate(
-            db, build_decomposition(db), _counting_factors(db, ineq), config,
-            readers=tables,
+            db, _counting_factors(db, ineq), config, readers=tables
         )
         read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
         join = materialize(db)
@@ -181,20 +175,10 @@ def test_every_read_composes_2m_minus_3_sketches(case):
     )
     factors = {f: (lambda v: 0) for f in db.feature_tables}
     tables = range(1, db.m + 1)
-    pairs, reads = evaluate(
-        db, build_decomposition(db), factors, depth, readers=tables
-    )
+    pairs, reads = evaluate(db, factors, depth, readers=tables)
     read = [a + b for a, b in pairs]
     read += [a + b for t in tables for _, a, b in reads[t]]
     assert set(read) <= {max(2 * db.m - 3, 0)}
-
-
-def test_invalid_decomposition_rejected(db1):
-    from relagg import HypertreeDecomposition
-
-    bad = HypertreeDecomposition(num_vertices=2, edges=())
-    with pytest.raises(CyclicJoinError):
-        evaluate(db1, bad, ones(db1), config_for(COUNTING))
 
 
 def test_dangling_rows_pruned():
@@ -202,8 +186,7 @@ def test_dangling_rows_pruned():
         Table("t1", ("a",), ((1.0,), (2.0,))),
         Table("t2", ("a",), ((2.0,), (3.0,))),
     ))
-    decomp = build_decomposition(db)
-    assert join_value(db, decomp, ones(db), config_for(COUNTING)) == 1
+    assert join_value(db, ones(db), config_for(COUNTING)) == 1
 
 
 def test_cross_product():
@@ -211,14 +194,12 @@ def test_cross_product():
         Table("t1", ("a",), ((1.0,), (2.0,))),
         Table("t2", ("b",), ((1.0,), (2.0,), (3.0,))),
     ))
-    decomp = build_decomposition(db)
-    assert join_value(db, decomp, ones(db), config_for(COUNTING)) == 6
+    assert join_value(db, ones(db), config_for(COUNTING)) == 6
     for empty in (0, 1):
         tables = list(db.tables)
         tables[empty] = Table(tables[empty].name, tables[empty].schema, ())
         cut = Database(tables=tuple(tables))
-        decomp = build_decomposition(cut)
-        assert join_value(cut, decomp, ones(cut), config_for(COUNTING)) == 0
+        assert join_value(cut, ones(cut), config_for(COUNTING)) == 0
 
 
 def test_multiset_carrier_size_cap():
@@ -226,38 +207,35 @@ def test_multiset_carrier_size_cap():
         Table("t1", ("a",), tuple((float(i),) for i in range(10))),
         Table("t2", ("b",), tuple((float(i),) for i in range(10))),
     ))
-    decomp = build_decomposition(db)
     config = EngineConfig(
         plus=ms_union, times=ms_convolve, zero=MS_EMPTY,
         one=ms_singleton(0.0), size_cap=5,
     )
     factors = {f: (lambda v: ms_singleton(v)) for f in db.feature_tables}
     with pytest.raises(CapExceeded):
-        evaluate(db, decomp, factors, config)
+        evaluate(db, factors, config)
 
 
 def test_matches_materialized_join_random():
     rng = random.Random(83)
     for _ in range(60):
         db = random_acyclic_db(rng)
-        decomp = build_decomposition(db)
         join = materialize(db)
-        assert join_value(db, decomp, ones(db), config_for(COUNTING)) == len(join)
+        assert join_value(db, ones(db), config_for(COUNTING)) == len(join)
         if join.rows:
             sums = [sum(row) for row in join.rows]
-            got = join_value(db, decomp, idents(db), config_for(MIN_PLUS))
+            got = join_value(db, idents(db), config_for(MIN_PLUS))
             assert got == min(sums)
-            got = join_value(db, decomp, idents(db), config_for(MAX_PLUS))
+            got = join_value(db, idents(db), config_for(MAX_PLUS))
             assert got == max(sums)
 
 
 def test_instrumentation_records_sizes(db1):
-    decomp = build_decomposition(db1)
     instr = Instrumentation()
     config = EngineConfig(
         plus=ms_union, times=ms_convolve, zero=MS_EMPTY, one=ms_singleton(0.0)
     )
     factors = {f: (lambda v: ms_singleton(v)) for f in db1.feature_tables}
-    evaluate(db1, decomp, factors, config, instr=instr)
+    evaluate(db1, factors, config, instr=instr)
     assert instr.max_value_size >= 1
     assert instr.fold_count >= 1
