@@ -17,7 +17,7 @@ from . import bruteforce, drivers
 from .engine import Instrumentation
 from .errors import CapExceeded, CyclicJoinError, QueryRejected, TableError
 from .jointree import build_decomposition
-from .queryspec import spec_from_json
+from .queryspec import inequality_to_json, spec_from_json
 from .sketch import alpha_for
 from .tables import Database, dump_table, load_table
 
@@ -40,11 +40,12 @@ def _load_database(paths):
     tables = []
     for f in files:
         try:
-            fh = open(f, newline="")
+            with open(f, newline="", encoding="utf-8-sig") as fh:
+                tables.append(load_table(fh, name=f.stem))
         except OSError as exc:
             raise TableError(f"cannot read table {f}: {exc.strerror}") from None
-        with fh:
-            tables.append(load_table(fh, name=f.stem, header=True))
+        except UnicodeDecodeError:
+            raise TableError(f"cannot read table {f}: not UTF-8 text") from None
     return Database(tables=tuple(tables))
 
 
@@ -84,7 +85,7 @@ def _emit(report, args, elapsed):
             if report.get("alpha") is not None:
                 detail += f" alpha={report['alpha']}"
             print(f"# {detail} time={elapsed:.3f}s", file=sys.stderr)
-        if report.get("sketch") and getattr(args, "dump_sketch", False):
+        if report.get("sketch"):
             print(f"# sketch sizes: {report['sketch']}", file=sys.stderr)
 
 
@@ -139,37 +140,21 @@ def _cmd_oracle(args):
 
 
 def _cmd_gen(args):
-    weights = [int(w) for w in args.weights.split(",") if w]
+    try:
+        weights = [int(w) for w in args.weights.split(",") if w]
+    except ValueError:
+        raise QueryRejected(f"--weights must be comma-separated integers, "
+                            f"got {args.weights!r}") from None
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.instance == "knapsack":
         capacity = args.capacity if args.capacity is not None else sum(weights) // 2
         db, ineq = bruteforce.gen_knapsack(weights, capacity)
-        query = {
-            "kind": "count",
-            "inequality": {
-                "g": {f: {"kind": "identity"} for f in sorted(db.feature_tables)},
-                "L": float(capacity),
-            },
-        }
+        query = {"kind": "count", "inequality": inequality_to_json(ineq)}
     else:
-        db, (ineq1, ineq2) = bruteforce.gen_partition(weights)
-        query = {
-            "kind": "count",
-            "inequalities": [
-                {
-                    "g": {f: {"kind": "identity"} for f in sorted(db.feature_tables)},
-                    "L": 0.0,
-                },
-                {
-                    "g": {
-                        f: {"kind": "scale", "factor": -1.0}
-                        for f in sorted(db.feature_tables)
-                    },
-                    "L": 0.0,
-                },
-            ],
-        }
+        db, ineqs = bruteforce.gen_partition(weights)
+        query = {"kind": "count",
+                 "inequalities": [inequality_to_json(i) for i in ineqs]}
     for t in db.tables:
         (out / f"{t.name}.csv").write_text(dump_table(t))
     (out / "query.json").write_text(json.dumps(query, indent=2, sort_keys=True))
@@ -200,7 +185,6 @@ def build_parser():
     for kind in ("count", "sumsum", "sumprod"):
         p = sub.add_parser(kind, help=f"run a {kind} query")
         add_common(p)
-        p.add_argument("--dump-sketch", action="store_true")
 
     p = sub.add_parser("oracle", help="brute-force evaluation by materialization")
     add_common(p)

@@ -39,16 +39,16 @@ from itertools import accumulate
 from .algebra import repeat
 from .engine import EngineConfig, assign_features, evaluate
 from .errors import QueryRejected
-from .multiset import MS_EMPTY, MS_ONE, Multiset, ms_convolve, ms_union
+from .multiset import MS_ONE, Multiset, ms_convolve, ms_union
 from .queryspec import AdditiveInequality, checked_algebra
 from .sketch import alpha_for, ms_sketch, ws_sketch
 from .tables import active_domain
-from .weightedset import lift, ws_convolve, ws_empty, ws_one, ws_plus
+from .weightedset import lift, ws_convolve, ws_one, ws_plus
 
 SKETCH_SIZE_CAP = 10**6  # approx mode aborts when a value outgrows this
 
 
-def _config(db, mode, epsilon, plus, times, sketch, zero, one):
+def _config(db, mode, epsilon, plus, times, sketch, one):
     """Engine operations: the exact ones, and in approx mode `sketch` with
     alpha_for(epsilon, m), which the engine applies to each group fold and
     each product."""
@@ -59,12 +59,11 @@ def _config(db, mode, epsilon, plus, times, sketch, zero, one):
     if mode not in ("exact", "approx"):
         raise QueryRejected(f"unknown mode {mode!r}")
     if mode == "exact":
-        return EngineConfig(plus=plus, times=times, zero=zero, one=one)
+        return EngineConfig(plus=plus, times=times, one=one)
     alpha = alpha_for(epsilon, db.m)
     return EngineConfig(
         plus=plus,
         times=times,
-        zero=zero,
         one=one,
         sketch=lambda value: sketch(value, alpha),
         size_cap=SKETCH_SIZE_CAP,
@@ -109,9 +108,7 @@ def _count(db, ineq, epsilon, mode, instr, readers=()):
     and the read Delta_L(a (x) b) for both. The leaf of a feature the
     inequality has a term for is a singleton multiset at the term's value.
     """
-    config = _config(
-        db, mode, epsilon, ms_union, ms_convolve, ms_sketch, MS_EMPTY, MS_ONE
-    )
+    config = _config(db, mode, epsilon, ms_union, ms_convolve, ms_sketch, MS_ONE)
     factors = {
         f: lambda v, f=f: Multiset(((ineq.term_value(f, v), 1),))
         for f in db.feature_tables if f in ineq.g
@@ -199,10 +196,8 @@ def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
                 "cannot be approximated (the subtraction problem)"
             )
     ineq = ineq or AdditiveInequality()
-    config = _config(
-        db, mode, epsilon, ws_plus, ws_convolve, ws_sketch,
-        ws_empty(semiring), ws_one(semiring),
-    )
+    config = _config(db, mode, epsilon, ws_plus, ws_convolve, ws_sketch,
+                     ws_one(semiring))
 
     s = semiring
     factors = {  # the features with a term: in the inequality or in F

@@ -18,13 +18,13 @@ x to y is the fold, grouped by the key x shares with y (one group if
 none), of x's value times every message into x except y's, multiplied in
 a fixed order: x's children in elimination order, then its parent
 (Yannakakis 1981; FAQ, Abo Khamis, Ngo and Rudra 2016). The join tree is
-built from the schemas; leaves are eliminated into their neighbours until
-one table, the root, remains, and each table sends to its parent in that
-order. The root's last product is not built: `evaluate` pairs the root's
-value times every message but its last child's with that message, key by
-key, and the drivers read each pair at a threshold. Only when some table
-is asked for as a reader (SumSum's owning tables) does each parent send to
-its child, in reverse elimination order. A reader builds, per join key,
+`jointree.build_decomposition`'s, whose edges (child, parent) are listed in
+elimination order: each table sends to its parent in that order, and the
+root is the one table with no parent. The root's last product is not
+built: `evaluate` pairs the root's value times every message but its last
+child's with that message, key by key, and the drivers read each pair at a
+threshold. Only when some table is asked for as a reader (SumSum's owning
+tables) does each parent send to its child, in reverse elimination order. A reader builds, per join key,
 the product P of every message into it and pairs each row's q with its
 key's P, so only q (x) P is fused. A table with d neighbours builds d - 1
 products per message, d(d - 1) when it sends all d: the same products as
@@ -48,8 +48,10 @@ worse operand's and a product's error factors multiply, so no read carries
 more than D factors of (1 +/- alpha).
 
 With sketched operations the result is order dependent, so elimination
-order and grouping are fixed and deterministic: the leaf of lowest index is
-eliminated first, and keys and groups keep the order of their first row.
+order and grouping are fixed and deterministic: the order is
+`build_decomposition`'s edge order (the rule that picks it, lowest-index
+leaf first, lives in `jointree`), and keys and groups keep the order of
+their first row.
 """
 
 import math
@@ -64,7 +66,6 @@ from .jointree import build_decomposition
 class EngineConfig:
     plus: callable  # plus(*values), one or more -> their exact (+)-fold
     times: callable
-    zero: object
     one: object
     sketch: callable = None  # approx mode: applied to each group fold and product
     size_cap: int = None  # abort when a carrier value grows past this
@@ -187,19 +188,13 @@ def _grouped(pairs, project):
 
 def _times_by(values, message, project, keys, config, instr):
     """{key: values[key] (x) message[project(key)]} over the keys the
-    message covers, zero products dropped. `values` None is the empty
-    product: the message is then looked up on `keys`, a table's keys,
-    and nothing is built."""
+    message covers. `values` None is the empty product: the message is
+    then looked up on `keys`, a table's keys, and nothing is built."""
     if values is None:
         return {key: message[s] for key in keys if (s := project(key)) in message}
-    out = {}
-    for key, value in values.items():
-        other = message.get(project(key))
-        if other is not None:
-            prod = _built(config.times(value, other), config.sketch, config, instr)
-            if prod != config.zero:
-                out[key] = prod
-    return out
+    return {key: _built(config.times(value, other), config.sketch, config, instr)
+            for key, value in values.items()
+            if (other := message.get(project(key))) is not None}
 
 
 def evaluate(db, factors, config, readers=(), instr=None):
@@ -215,7 +210,8 @@ def evaluate(db, factors, config, readers=(), instr=None):
     out. Neither product is built. With sketched operations a and b are
     approximations. A cyclic join raises CyclicJoinError.
     """
-    adj = build_decomposition(db).adjacency()
+    tree = build_decomposition(db)
+    adj = tree.adjacency()
     schemas = {t: set(db.table(t).schema) for t in adj}
     key_features = {
         t: sorted(set().union(*(schemas[t] & schemas[n] for n in adj[t])))
@@ -228,16 +224,11 @@ def evaluate(db, factors, config, readers=(), instr=None):
     }
     keyed, rows = _seed(db, factors, config, key_features, readers, instr)
 
-    order, parent = [], {}
+    parent = dict(tree.edges)  # child -> parent, in elimination order
     children = {t: [] for t in adj}
-    while len(adj) > 1:
-        leaf = min(v for v in adj if len(adj[v]) == 1)
-        (j,) = adj.pop(leaf)
-        adj[j].discard(leaf)
-        order.append(leaf)
-        parent[leaf] = j
-        children[j].append(leaf)
-    (root,) = adj
+    for c, p in parent.items():
+        children[p].append(c)
+    (root,) = adj.keys() - parent.keys()
     message = {}
 
     def times_messages(x, value, skip=None):
@@ -255,7 +246,7 @@ def evaluate(db, factors, config, readers=(), instr=None):
         groups = _grouped(inside.items(), edge[x, y])
         message[x, y] = _fold(groups, config.sketch, config, instr)
 
-    for c in order:
+    for c in parent:
         send(c, parent[c])
     if children[root]:
         last = children[root][-1]
@@ -268,7 +259,7 @@ def evaluate(db, factors, config, readers=(), instr=None):
     if not readers:
         return pairs, {}
 
-    for c in reversed(order):
+    for c in reversed(parent):
         send(parent[c], c)
     reads = {}
     for t in readers:

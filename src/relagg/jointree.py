@@ -34,6 +34,10 @@ def build_decomposition(db):
     Tables sharing no feature with the rest attach to the lowest-index
     remaining table (a cross product is acyclic).
 
+    The edges (child, parent) are listed in elimination order, which the
+    engine follows: each child is the lowest-index leaf of the tree that
+    its edge and the later ones form.
+
     Raises CyclicJoinError when no table is eliminable.
     """
     m = db.m

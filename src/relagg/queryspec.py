@@ -198,7 +198,7 @@ def _vector(name, value, features):
         raise QueryRejected(
             f"{name} has dimension {len(value)}, expected {len(features)}"
         )
-    return list(value)
+    return [_number(x, f"{name}[{i}]") for i, x in enumerate(value)]
 
 
 def _halfspace_count(features, beta, L, label_feature=None):
@@ -313,6 +313,13 @@ def inequality_from_json(obj):
          for f, fn in _expect(obj.get("g", {}), dict, "g").items()}
     threshold = _number(obj.get("L", _INF), "L")
     return AdditiveInequality(g=g, threshold=threshold)
+
+
+def inequality_to_json(ineq):
+    """The JSON object that `inequality_from_json` reads back as `ineq`."""
+    g = {f: {"kind": fn.kind, **dict(zip(FUNCTION_KINDS[fn.kind][0], fn.params))}
+         for f, fn in ineq.g.items()}
+    return {"g": g, "L": ineq.threshold}
 
 
 def spec_from_json(obj):

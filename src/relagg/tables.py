@@ -43,28 +43,18 @@ class Table:
         return [row[j] for row in self.rows]
 
 
-def load_table(source, name, header=True):
-    """Parse a CSV text stream into a Table.
-
-    With `header`, the first record names the features; otherwise features
-    are auto-named c0, c1, ... from the first data row's width.
-    """
+def load_table(source, name):
+    """Parse a CSV text stream into a Table; the first record names the
+    features."""
     if isinstance(source, str):
         source = io.StringIO(source)
     reader = csv.reader(source)
     records = [rec for rec in reader if rec]
-    if header:
-        if not records:
-            raise TableError(f"table {name!r}: missing header row")
-        schema = tuple(cell.strip() for cell in records[0])
-        data = records[1:]
-    else:
-        if not records:
-            raise TableError(f"table {name!r}: empty source without header")
-        schema = tuple(f"c{j}" for j in range(len(records[0])))
-        data = records
+    if not records:
+        raise TableError(f"table {name!r}: missing header row")
+    schema = tuple(cell.strip() for cell in records[0])
     rows = []
-    for i, rec in enumerate(data):
+    for i, rec in enumerate(records[1:]):
         if len(rec) != len(schema):
             raise TableError(
                 f"table {name!r}: ragged row {i} ({len(rec)} cells, expected {len(schema)})"

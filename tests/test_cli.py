@@ -293,6 +293,43 @@ def test_bad_csv_exit_2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_table_not_utf8_exit_2(tmp_path, capsys):
+    (tmp_path / "t1.csv").write_bytes(b"\xff\xfe")
+    assert main(["decompose", "--tables", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot read table")
+    assert err.count("\n") == 1
+    assert "t1.csv" in err and "UTF-8" in err
+
+
+def test_table_byte_order_mark_is_not_part_of_a_feature_name(db1_dir, capsys):
+    """Read into the header, the mark would rename `a`, which would then
+    have no inequality term: the count would be 3, not 2."""
+    t1 = db1_dir / "t1.csv"
+    t1.write_bytes(b"\xef\xbb\xbf" + t1.read_bytes())
+    q = write_query(db1_dir, COUNT_LEQ9)
+    assert main(["count", "--tables", str(db1_dir), "--query", q]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+
+
+def test_text_mode_prints_sketch_sizes(db1_dir, capsys):
+    q = write_query(db1_dir, COUNT_LEQ9)
+    assert main(["count", "--tables", str(db1_dir), "--query", q]) == 0
+    err = capsys.readouterr().err
+    assert "# sketch sizes: {'max_value_size': " in err
+
+
+@pytest.mark.parametrize("instance", ["knapsack", "partition"])
+@pytest.mark.parametrize("weights", ["1,x", "1.5,2"])
+def test_gen_non_integer_weight_exit_2(tmp_path, capsys, instance, weights):
+    out = tmp_path / "inst"
+    assert main(["gen", instance, "--weights", weights, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: --weights must be comma-separated integers")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_gen_knapsack_end_to_end(tmp_path, capsys):
     out = tmp_path / "inst"
     assert main(["gen", "knapsack", "--weights", "1,2,3", "--out", str(out)]) == 0
@@ -341,3 +378,19 @@ def test_preset_query_file(db1_dir, capsys):
     assert main(["count", "--tables", str(db1_dir), "--query", q]) == 0
     # only (1,1,5) lies within distance 1 of (1,1,5)
     assert capsys.readouterr().out.strip() == "1"
+
+
+@pytest.mark.parametrize("command", ["count", "oracle"])
+@pytest.mark.parametrize("preset, reason", [
+    ({"name": "halfspace_count", "beta": ["a", 1, 1], "L": 3.0},
+     "beta[0] must be a number"),
+    ({"name": "sphere_count", "y": [None, 1, 1], "r": 1.0},
+     "y[0] must be a number"),
+])
+def test_non_numeric_preset_vector_exit_2(db1_dir, capsys, command, preset,
+                                          reason):
+    q = write_query(db1_dir, {"preset": dict(preset, features=["a", "b", "c"])})
+    assert main([command, "--tables", str(db1_dir), "--query", q]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: ") and err.count("\n") == 1
+    assert reason in err

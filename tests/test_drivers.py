@@ -30,7 +30,7 @@ from relagg import (
 from relagg import drivers
 from relagg.drivers import threshold_read
 from relagg.engine import EngineConfig, evaluate
-from relagg.multiset import MS_EMPTY, MS_ONE, ms_singleton, ms_union
+from relagg.multiset import MS_ONE, ms_singleton, ms_union
 from relagg.queryspec import identity, preset, scale
 from conftest import (
     CROSS_CASE,
@@ -354,7 +354,7 @@ def test_root_product_is_never_built():
 def test_one_table_rows_read_with_one():
     db = _cross_real(1, 40, seed=6)
     config = EngineConfig(
-        plus=ms_union, times=ms_convolve, zero=MS_EMPTY, one=MS_ONE
+        plus=ms_union, times=ms_convolve, one=MS_ONE
     )
     factors = {f: ms_singleton for f in db.feature_tables}
     pairs, reads = evaluate(db, factors, config, readers=(1,))

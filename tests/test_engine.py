@@ -20,7 +20,7 @@ from relagg import drivers
 from relagg.bruteforce import materialize
 from relagg.drivers import threshold_read
 from relagg.engine import EngineConfig, assign_features, evaluate
-from relagg.multiset import MS_EMPTY, MS_ONE, ms_convolve, ms_singleton, ms_union
+from relagg.multiset import MS_ONE, ms_convolve, ms_singleton, ms_union
 from relagg.queryspec import identity
 from conftest import (
     CROSS_CASE,
@@ -39,7 +39,7 @@ MAX_PLUS = make_named("max-plus")
 def config_for(s):
     return EngineConfig(
         plus=lambda *items: reduce(s.plus, items, s.zero),
-        times=s.times, zero=s.zero, one=s.one,
+        times=s.times, one=s.one,
     )
 
 
@@ -110,7 +110,7 @@ def test_row_counts_at_every_table(db1):
     rows extending it, so every table's counts sum to `count_rows`."""
     rng = random.Random(84)
     config = EngineConfig(
-        plus=ms_union, times=ms_convolve, zero=MS_EMPTY, one=MS_ONE
+        plus=ms_union, times=ms_convolve, one=MS_ONE
     )
     dbs = [db1] + [random_acyclic_db(rng, max_m=5) for _ in range(60)]
     for db in dbs:
@@ -170,7 +170,7 @@ def test_every_read_composes_2m_minus_3_sketches(case):
     depth `alpha_for` spends epsilon on."""
     db, _ = tree_db(*case)
     depth = EngineConfig(
-        plus=lambda *items: max(items), times=operator.add, zero=-1, one=0,
+        plus=lambda *items: max(items), times=operator.add, one=0,
         sketch=lambda d: d + 1,
     )
     factors = {f: (lambda v: 0) for f in db.feature_tables}
@@ -208,7 +208,7 @@ def test_multiset_carrier_size_cap():
         Table("t2", ("b",), tuple((float(i),) for i in range(10))),
     ))
     config = EngineConfig(
-        plus=ms_union, times=ms_convolve, zero=MS_EMPTY,
+        plus=ms_union, times=ms_convolve,
         one=ms_singleton(0.0), size_cap=5,
     )
     factors = {f: (lambda v: ms_singleton(v)) for f in db.feature_tables}
@@ -233,7 +233,7 @@ def test_matches_materialized_join_random():
 def test_instrumentation_records_sizes(db1):
     instr = Instrumentation()
     config = EngineConfig(
-        plus=ms_union, times=ms_convolve, zero=MS_EMPTY, one=ms_singleton(0.0)
+        plus=ms_union, times=ms_convolve, one=ms_singleton(0.0)
     )
     factors = {f: (lambda v: ms_singleton(v)) for f in db1.feature_tables}
     evaluate(db1, factors, config, instr=instr)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,12 @@ from relagg import (
     build_decomposition,
     verify_decomposition,
 )
-from conftest import gyo_acyclic, random_schemas, schemas_to_db
+from conftest import (
+    gyo_acyclic,
+    random_acyclic_db,
+    random_schemas,
+    schemas_to_db,
+)
 
 
 def make_db(*schemas):
@@ -87,6 +93,21 @@ def test_agreement_with_gyo_oracle():
         except CyclicJoinError:
             accepted = False
         assert accepted == gyo_acyclic(schemas), schemas
+
+
+def test_edges_are_listed_in_elimination_order():
+    """The engine eliminates tables in edge order, so walking the edges,
+    each child must be the lowest-index leaf of the tree that remains."""
+    rng = random.Random(13)
+    dbs = [random_acyclic_db(rng, max_m=7, max_n=2) for _ in range(1000)]
+    dbs += [schemas_to_db(s) for s in (random_schemas(rng) for _ in range(1000))
+            if gyo_acyclic(s)]  # cross products too: tables sharing nothing
+    for db in dbs:
+        edges = build_decomposition(db).edges
+        for step, (child, _) in enumerate(edges):
+            degree = Counter(t for edge in edges[step:] for t in edge)
+            leaves = [t for t, d in degree.items() if d == 1]
+            assert child == min(leaves), edges
 
 
 def test_edge_list_text():

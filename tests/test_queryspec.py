@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -11,12 +12,14 @@ from relagg import (
     run_query,
     spec_from_json,
 )
+from relagg.bruteforce import gen_knapsack, gen_partition
 from relagg.queryspec import (
     FUNCTION_KINDS,
     constant,
     function_from_json,
     identity,
     inequality_from_json,
+    inequality_to_json,
     scale,
 )
 
@@ -254,6 +257,24 @@ def test_inequality_from_json():
     assert inequality_from_json({}).threshold == math.inf
     with pytest.raises(QueryRejected):
         inequality_from_json({"g": {}, "cap": 1})
+
+
+def round_trip(ineq):
+    return inequality_from_json(json.loads(json.dumps(inequality_to_json(ineq))))
+
+
+@pytest.mark.parametrize("obj", [obj for obj, _, _ in KIND_CASES],
+                         ids=lambda v: v["kind"])
+def test_inequality_to_json_round_trips_every_kind(obj):
+    ineq = AdditiveInequality(g={"a": function_from_json(obj)}, threshold=2.5)
+    assert round_trip(ineq) == ineq
+
+
+def test_generated_inequalities_round_trip():
+    _, knapsack = gen_knapsack([3, 5, 7], 7)
+    _, partition = gen_partition([3, 5, 7])
+    for ineq in (knapsack, *partition):
+        assert round_trip(ineq) == ineq
 
 
 def test_spec_from_json_full():

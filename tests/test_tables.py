@@ -38,12 +38,6 @@ def test_non_finite_rejected():
         Table("t", ("a",), ((float("inf"),),))
 
 
-def test_headerless_load():
-    t = load_table("1,2\n3,4", name="t", header=False)
-    assert t.schema == ("c0", "c1")
-    assert len(t) == 2
-
-
 def test_round_trip(db1):
     for t in db1.tables:
         again = load_table(dump_table(t), name=t.name)
