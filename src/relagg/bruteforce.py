@@ -9,10 +9,17 @@ knapsack-counting and partition instances used as end-to-end fixtures.
 from dataclasses import dataclass
 
 from .errors import CapExceeded, QueryRejected
-from .queryspec import AdditiveInequality, checked_algebra, identity, scale
+from .queryspec import (
+    AdditiveInequality,
+    check_features,
+    checked_algebra,
+    identity,
+    scale,
+)
 from .tables import Database, Table
 
 DEFAULT_CAP = 10**7
+FLOAT_EXACT = 2**53  # a float holds every integer of at most this magnitude
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,8 @@ def satisfying_rows(db, inequalities, cap=DEFAULT_CAP):
 
 def oracle_eval(db, spec, cap=DEFAULT_CAP):
     """Exact query value by materialize-filter-fold."""
+    check_features(db, spec.F if spec.kind != "count" else {},
+                     spec.inequalities)
     schema, rows = satisfying_rows(db, spec.inequalities, cap)
     if spec.kind == "count":
         return len(rows)
@@ -88,6 +97,18 @@ def oracle_eval(db, spec, cap=DEFAULT_CAP):
     return total
 
 
+def _require_exact(value, name):
+    """Refuse an integer above 2^53 in absolute value. The generators write
+    their instances as floats; a subset sum of nonnegative weights is at
+    most the weight sum, so while that and the capacity are within 2^53,
+    every sum the engine and the oracle form is exact."""
+    if abs(value) > FLOAT_EXACT:
+        raise QueryRejected(
+            f"{name} exceeds 2^53 in absolute value, so float sums of the "
+            "instance would round"
+        )
+
+
 def gen_knapsack(weights, capacity):
     """Cross-product instance whose qualifying-row count is the number of
     subsets of `weights` with total at most `capacity`."""
@@ -95,6 +116,8 @@ def gen_knapsack(weights, capacity):
         raise QueryRejected("knapsack instance needs at least one weight")
     if any(w < 0 or w != int(w) for w in weights):
         raise QueryRejected("weights must be nonnegative integers")
+    _require_exact(sum(weights), "the weight sum")
+    _require_exact(capacity, "the capacity")
     tables = []
     g = {}
     for i, w in enumerate(weights):
@@ -116,6 +139,7 @@ def gen_partition(weights):
         raise QueryRejected("partition instance needs at least one weight")
     if any(w <= 0 or w != int(w) for w in weights):
         raise QueryRejected("weights must be positive integers")
+    _require_exact(sum(weights), "the weight sum")
     tables = []
     g_pos = {}
     g_neg = {}

@@ -145,8 +145,6 @@ def _cmd_gen(args):
     except ValueError:
         raise QueryRejected(f"--weights must be comma-separated integers, "
                             f"got {args.weights!r}") from None
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.instance == "knapsack":
         capacity = args.capacity if args.capacity is not None else sum(weights) // 2
         db, ineq = bruteforce.gen_knapsack(weights, capacity)
@@ -155,6 +153,8 @@ def _cmd_gen(args):
         db, ineqs = bruteforce.gen_partition(weights)
         query = {"kind": "count",
                  "inequalities": [inequality_to_json(i) for i in ineqs]}
+    out = pathlib.Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for t in db.tables:
         (out / f"{t.name}.csv").write_text(dump_table(t))
     (out / "query.json").write_text(json.dumps(query, indent=2, sort_keys=True))

@@ -26,8 +26,10 @@ The drivers are where a query is refused, so a direct call refuses exactly
 what `run_query` and the CLI refuse. Each precondition is checked once, at
 the one spot every path passes through: a bad epsilon (in either mode) and
 the mode by `_config`, a NaN threshold by `AdditiveInequality`, the algebra
-by `checked_algebra`, the carrier and sign of the terms by `sumprod` and
-`sumsum` before any evaluation, and a second inequality by `run_query`.
+by `checked_algebra`, a term on a feature no table has by
+`check_features` (which the oracle calls too), the carrier and sign of
+the terms by `sumprod` and `sumsum` before any evaluation, and a second
+inequality by `run_query`.
 """
 
 import bisect
@@ -40,7 +42,7 @@ from .algebra import repeat
 from .engine import EngineConfig, assign_features, evaluate
 from .errors import QueryRejected
 from .multiset import MS_ONE, Multiset, ms_convolve, ms_union
-from .queryspec import AdditiveInequality, checked_algebra
+from .queryspec import AdditiveInequality, check_features, checked_algebra
 from .sketch import alpha_for, ms_sketch, ws_sketch
 from .tables import active_domain
 from .weightedset import lift, ws_convolve, ws_one, ws_plus
@@ -121,9 +123,8 @@ def _count(db, ineq, epsilon, mode, instr, readers=()):
 def _term_values(F, db):
     """(feature, value, F[feature](value)) over each feature's active domain."""
     for feature, fn in sorted(F.items()):
-        if feature in db.feature_tables:
-            for v in active_domain(db, feature):
-                yield feature, v, fn(v)
+        for v in active_domain(db, feature):
+            yield feature, v, fn(v)
 
 
 def count_rows(db, ineq=None, epsilon=0.1, mode="exact", instr=None):
@@ -133,6 +134,7 @@ def count_rows(db, ineq=None, epsilon=0.1, mode="exact", instr=None):
     (1 +/- epsilon) factor of it.
     """
     ineq = ineq or AdditiveInequality()
+    check_features(db, {}, (ineq,))
     pairs, _, read = _count(db, ineq, epsilon, mode, instr)
     return sum(read(a, b) for a, b in pairs)
 
@@ -147,6 +149,8 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     times. Approx mode refuses terms that mix signs over the active domains.
     """
     monoid = checked_algebra("sumsum", monoid)
+    ineq = ineq or AdditiveInequality()
+    check_features(db, F, (ineq,))
     if mode == "approx":
         values = [fv for _, _, fv in _term_values(F, db)]
         if any(fv > 0 for fv in values) and any(fv < 0 for fv in values):
@@ -155,9 +159,8 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
                 "error does not survive cancellation (the subtraction "
                 "problem), so no approximation is attempted"
             )
-    ineq = ineq or AdditiveInequality()
     owner, _ = assign_features(db)
-    features = [f for f in sorted(F) if f in db.feature_tables]
+    features = sorted(F)
     _, reads, read = _count(db, ineq, epsilon, mode, instr,
                             readers={owner[f] for f in features})
     counted = {  # table -> (row, qualifying join rows extending it)
@@ -187,6 +190,8 @@ def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     identities), over every feature's active domain.
     """
     semiring = checked_algebra("sumprod", semiring)
+    ineq = ineq or AdditiveInequality()
+    check_features(db, F, (ineq,))
     for feature, v, fv in _term_values(F, db):
         if not (fv in (semiring.zero, semiring.one)
                 or (fv >= 0 and math.isfinite(fv))):
@@ -195,7 +200,6 @@ def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
                 "outside the nonnegative carrier; queries with negative terms "
                 "cannot be approximated (the subtraction problem)"
             )
-    ineq = ineq or AdditiveInequality()
     config = _config(db, mode, epsilon, ws_plus, ws_convolve, ws_sketch,
                      ws_one(semiring))
 

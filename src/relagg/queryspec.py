@@ -4,8 +4,10 @@ A query is a SumSum/SumProd/row-count aggregate over the join, optionally
 restricted by one additive inequality sum_i g_i(x_i) <= L. Each object
 checks what it can check alone: a known function kind and arity, a
 threshold that is not NaN, a known query kind. `checked_algebra` resolves
-the algebra of a query for the drivers and the oracle. The mode and the
-refusals that depend on the data or the mode are the drivers'.
+the algebra of a query for the drivers and the oracle, and
+`check_features` refuses, for both, a term on a feature no table has.
+The mode and the other refusals that depend on the data or the mode are
+the drivers'.
 """
 
 import math
@@ -150,6 +152,18 @@ def checked_algebra(kind, algebra):
     return algebra
 
 
+def check_features(db, F, inequalities):
+    """Refuse a term in F or in an inequality's g on a feature that no
+    table of `db` has: every row would silently leave it out."""
+    for where, terms in (("F", F), *(("g", ineq.g) for ineq in inequalities)):
+        unknown = [f for f in terms if f not in db.feature_tables]
+        if unknown:
+            raise QueryRejected(
+                f"{where} has a term on {', '.join(map(repr, unknown))}, "
+                "a feature no table has"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Application presets
 
@@ -175,12 +189,15 @@ def preset(name, params):
         raise QueryRejected(f"unknown preset {name!r}")
     params = dict(params)
     features = params.pop("features", None)
-    if not features:
-        raise QueryRejected(f"preset {name!r} needs a 'features' list")
+    if not (isinstance(features, list) and features
+            and all(isinstance(f, str) for f in features)):
+        raise QueryRejected(
+            f"preset {name!r} needs 'features', a nonempty list of strings"
+        )
     mode = params.pop("mode", "exact")
     epsilon = _number(params.pop("epsilon", 0.1), "epsilon")
     try:
-        spec = builders[name](list(features), **params)
+        spec = builders[name](features, **params)
     except TypeError as exc:
         raise QueryRejected(f"preset {name!r}: {exc}") from None
     return QuerySpec(

@@ -330,6 +330,43 @@ def test_gen_non_integer_weight_exit_2(tmp_path, capsys, instance, weights):
     assert not out.exists()
 
 
+BIG = "1" + "0" * 400  # too large for a float
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["knapsack", "--weights", "9007199254740992,1,1",
+      "--capacity", "9007199254740993"], "the weight sum"),
+    (["knapsack", "--weights", "1,2", "--capacity", "9007199254740993"],
+     "the capacity"),
+    (["knapsack", "--weights", f"{BIG},2"], "the weight sum"),
+    (["knapsack", "--weights", "1,2", "--capacity", BIG], "the capacity"),
+    (["partition", "--weights", "9007199254740992,1"], "the weight sum"),
+    (["partition", "--weights", f"{BIG},2"], "the weight sum"),
+])
+def test_gen_sums_floats_cannot_hold_exit_2(tmp_path, capsys, args, reason):
+    """Above 2^53, float sums round: 2^53 + 1 + 1 <= 2^53 + 1 holds in
+    floats, so the engine and the oracle would both count 8 subsets of
+    three weights where 7 qualify."""
+    out = tmp_path / "inst"
+    assert main(["gen", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rejected: {reason} exceeds 2^53")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gen_sums_up_to_2_pow_53_are_exact(tmp_path, capsys):
+    """Weights 2^53 - 1 and 1 sum to 2^53 exactly, above the capacity."""
+    out = tmp_path / "inst"
+    assert main(["gen", "knapsack", "--weights", "9007199254740991,1",
+                 "--capacity", "9007199254740991", "--out", str(out)]) == 0
+    capsys.readouterr()
+    q = str(out / "query.json")
+    for command in ("count", "oracle"):
+        assert main([command, "--tables", str(out), "--query", q]) == 0
+        assert capsys.readouterr().out.strip() == "3"
+
+
 def test_gen_knapsack_end_to_end(tmp_path, capsys):
     out = tmp_path / "inst"
     assert main(["gen", "knapsack", "--weights", "1,2,3", "--out", str(out)]) == 0
@@ -394,3 +431,45 @@ def test_non_numeric_preset_vector_exit_2(db1_dir, capsys, command, preset,
     err = capsys.readouterr().err
     assert err.startswith("rejected: ") and err.count("\n") == 1
     assert reason in err
+
+
+XY_UNKNOWN = {"g": {"X": {"kind": "identity"}}, "L": 0}
+
+
+@pytest.mark.parametrize("command, query", [
+    ("count", {"kind": "count", "inequality": XY_UNKNOWN}),
+    ("sumsum", {"kind": "sumsum", "algebra": "sum",
+                "F": {"X": {"kind": "identity"}}}),
+    ("sumsum", {"kind": "sumsum", "algebra": "sum",
+                "F": {"x": {"kind": "identity"}}, "inequality": XY_UNKNOWN}),
+    ("sumprod", {"kind": "sumprod", "algebra": "max-plus",
+                 "F": {"X": {"kind": "identity"}}}),
+    ("sumprod", {"kind": "sumprod", "algebra": "max-plus",
+                 "F": {"x": {"kind": "identity"}}, "inequality": XY_UNKNOWN}),
+])
+@pytest.mark.parametrize("oracle", [False, True], ids=["engine", "oracle"])
+def test_term_on_unknown_feature_exit_2(tmp_path, capsys, command, query, oracle):
+    """`X` is not `x`: left out of every row, the term x <= 0 would count
+    both rows, not none."""
+    (tmp_path / "t.csv").write_text("x,y\n1,2\n3,4\n")
+    q = write_query(tmp_path, query)
+    command = "oracle" if oracle else command
+    assert main([command, "--tables", str(tmp_path), "--query", q]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: ") and err.count("\n") == 1
+    assert "'X', a feature no table has" in err
+
+
+@pytest.mark.parametrize("command", ["count", "oracle"])
+@pytest.mark.parametrize("features", ["abc", ["a", 2, "c"], [], None])
+def test_preset_features_must_be_a_list_of_strings(db1_dir, capsys, command,
+                                                   features):
+    """A string is not split into one-letter features."""
+    q = write_query(db1_dir, {"preset": {
+        "name": "sphere_count", "features": features, "y": [1.0, 1.0, 5.0],
+        "r": 1.0,
+    }})
+    assert main([command, "--tables", str(db1_dir), "--query", q]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: ") and err.count("\n") == 1
+    assert "a nonempty list of strings" in err

@@ -49,54 +49,47 @@ def test_sketches_reject_bad_eps():
             ws_sketch(w, bad_eps)
 
 
-def test_ms_sketch_worked_example():
-    a = Multiset.from_values([1.0, 2.0, 3.0, 4.0])
-    s = ms_sketch(a, 1.0)
-    assert s.entries == ((1.0, 1), (2.0, 1), (4.0, 2))
-    assert s.total == a.total
-
-
 def test_ms_sketch_small_inputs_unchanged():
     a = Multiset(((5.0, 1),))
     assert ms_sketch(a, 0.5) is a
     assert ms_sketch(Multiset(), 0.5) == Multiset()
 
 
-def _kmax(a, eps):
-    return math.floor(math.log(a.total) / math.log1p(eps))
-
-
 def test_ms_sketch_returns_value_within_size_bound():
-    # 6 entries, total 48: kmax = floor(log2 48) = 5, so 6 = kmax + 1
-    a = Multiset(tuple((float(k), 8) for k in range(6)))
-    assert len(a) == _kmax(a, 1.0) + 1
+    # aggregates 8, 16, ..., 80 at eps 1: 2 ceil(log2 10) + 4 = 12 >= 10;
+    # the count-span check alone (log(17/8)) allows only 8, so the band
+    # pass's own check returns it
+    a = Multiset(tuple((float(k), 8) for k in range(10)))
+    assert len(a) <= _size_bound(a, 1.0)
     assert ms_sketch(a, 1.0) is a
 
 
-def test_ms_sketch_skips_small_inputs_without_reading_total():
-    """Every count is at least 1, so n entries with n <= floor(log n /
-    log1p(eps)) + 1 fit the size bound whatever their counts: the sketch
-    returns them without summing the counts."""
+def test_ms_sketch_skips_small_inputs_without_reading_total(monkeypatch):
+    """Every count is at least 1, so the aggregates span at least
+    log((c + n - 1) / c), c the first count and n the number of entries.
+    When that puts n within the size bound, the sketch returns the multiset
+    without its total and before the band pass."""
+    import relagg.sketch
 
     class EntriesOnly:  # no `total`: reading it raises AttributeError
-        entries = ((1.0, 5), (2.0, 7), (3.0, 9))
+        entries = tuple((float(k), 1) for k in range(10))
 
-        def __len__(self):
-            return len(self.entries)
-
+    monkeypatch.setattr(relagg.sketch, "_band", None)  # a call would raise
     a = EntriesOnly()
-    assert len(a) <= math.floor(math.log(len(a)) / math.log1p(0.1)) + 1
-    assert ms_sketch(a, 0.1) is a
+    # span >= log 10: 2 ceil(log 10 / log1p(1)) + 4 = 12 >= 10
+    assert ms_sketch(a, 1.0) is a
 
 
-def test_ms_sketch_compresses_past_size_bound():
-    # 7 entries, total 56: kmax = floor(log2 56) = 5, so 7 = kmax + 2
-    a = Multiset(tuple((float(k), 8) for k in range(7)))
-    assert len(a) == _kmax(a, 1.0) + 2
-    s = ms_sketch(a, 1.0)
-    assert len(s) < len(a)
-    assert s.total == a.total
-    assert ms_bound_ok(a, s, 1.0)
+@given(
+    st.dictionaries(st.integers(-30, 30).map(float), st.integers(1, 50),
+                    max_size=40),
+    st.sampled_from([0.05, 0.5, 1.0, 3.0]),
+)
+def test_ms_sketch_is_ws_sketch_over_counting(counts, eps):
+    """A multiset's sketch is the band pass over its counts."""
+    a = Multiset(tuple(sorted(counts.items())))
+    w = WeightedSet(a.entries, COUNTING)
+    assert ms_sketch(a, eps).entries == ws_sketch(w, eps).entries
 
 
 def test_ms_sketch_preserves_total_and_extremes():
@@ -192,8 +185,23 @@ def test_ws_sketch_returns_four_entries_without_cumulative_pass():
     assert calls == []
 
 
+# The parametrized size-bound cases: three bases and the multiset carrier.
+CARRIERS = [COUNTING, MAX_PLUS, MIN_PLUS, Multiset]
+
+
+def _carrier_id(carrier):
+    return "multiset" if carrier is Multiset else carrier.name
+
+
+def _sketch(a, eps):
+    return ms_sketch(a, eps) if isinstance(a, Multiset) else ws_sketch(a, eps)
+
+
 def _unit_steps(base, n):
-    """n keys whose cumulative aggregates are 1, 2, ..., n under `base`."""
+    """n keys whose cumulative aggregates are 1, 2, ..., n under `base`,
+    or n unit counts when `base` is the multiset carrier."""
+    if base is Multiset:
+        return Multiset(tuple((float(k), 1) for k in range(n)))
     weights = {
         "counting": [1.0] * n,
         "max-plus": [float(k + 1) for k in range(n)],
@@ -202,31 +210,33 @@ def _unit_steps(base, n):
     return WeightedSet(tuple((float(k), w) for k, w in enumerate(weights)), base)
 
 
-def _ws_size_bound(a, eps):
+def _size_bound(a, eps):
     """2 ceil(log(hi/lo) / log1p(eps)) + 4, lo and hi the extreme positive
     finite cumulative aggregates."""
-    tri = [ws_triangle(a, k) for k, _ in a.entries]
+    triangle = ms_triangle if isinstance(a, Multiset) else ws_triangle
+    tri = [triangle(a, k) for k, _ in a.entries]
     positive = [t for t in tri if 0 < t < math.inf]
     span = math.log(max(positive) / min(positive)) if positive else 0.0
     return 2 * math.ceil(span / math.log1p(eps)) + 4
 
 
-@pytest.mark.parametrize("base", [COUNTING, MAX_PLUS, MIN_PLUS], ids=lambda b: b.name)
+@pytest.mark.parametrize("base", CARRIERS, ids=_carrier_id)
 def test_ws_sketch_returns_value_within_size_bound(base):
     # aggregates 1..12 at eps 1: 2 ceil(log2 12) + 4 = 12 entries
     a = _unit_steps(base, 12)
-    assert len(a) == _ws_size_bound(a, 1.0)
-    assert ws_sketch(a, 1.0) is a
+    assert len(a) == _size_bound(a, 1.0)
+    assert _sketch(a, 1.0) is a
 
 
-@pytest.mark.parametrize("base", [COUNTING, MAX_PLUS, MIN_PLUS], ids=lambda b: b.name)
+@pytest.mark.parametrize("base", CARRIERS, ids=_carrier_id)
 def test_ws_sketch_compresses_past_size_bound(base):
     # aggregates 1..13: the bound is still 12; bands close at 3, 5 and 9
     a = _unit_steps(base, 13)
-    assert len(a) == _ws_size_bound(a, 1.0) + 1
-    s = ws_sketch(a, 1.0)
+    assert len(a) == _size_bound(a, 1.0) + 1
+    s = _sketch(a, 1.0)
     assert len(s) == 5
-    assert ws_bound_ok(a, s, 1.0)
+    bound_ok = ms_bound_ok if base is Multiset else ws_bound_ok
+    assert bound_ok(a, s, 1.0)
 
 
 @given(
@@ -240,7 +250,7 @@ def test_ws_sketch_output_within_size_bound(a, eps):
     """The band pass never returns more entries than the skip's bound, on
     the nonnegative carrier."""
     s = ws_sketch(a, eps)
-    assert len(s) <= _ws_size_bound(a, eps)
+    assert len(s) <= _size_bound(a, eps)
     assert ws_bound_ok(a, s, eps)
 
 
