@@ -27,7 +27,7 @@ from .jointree import (
     build_decomposition,
     verify_decomposition,
 )
-from .multiset import Multiset, ms_convolve, ms_triangle, ms_union
+from .multiset import Multiset, ms_convolve, ms_union
 from .queryspec import (
     AdditiveInequality,
     FunctionSpec,

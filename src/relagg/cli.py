@@ -162,8 +162,15 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 2 with one stderr line, as every rejection does."""
+
+    def error(self, message):
+        self.exit(EXIT_REJECTED, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relagg",
         description="Aggregate queries under one additive inequality over "
         "acyclic joins, exact or with relative-error guarantees.",
@@ -176,8 +183,6 @@ def build_parser():
         p.add_argument("--output", choices=("text", "json"), default="text")
         if query:
             p.add_argument("--query", required=True, help="query spec JSON file")
-            p.add_argument("--epsilon", type=float, default=None)
-            p.add_argument("--exact", action="store_true")
 
     p = sub.add_parser("decompose", help="print the join tree edge list")
     add_common(p, query=False)
@@ -185,6 +190,9 @@ def build_parser():
     for kind in ("count", "sumsum", "sumprod"):
         p = sub.add_parser(kind, help=f"run a {kind} query")
         add_common(p)
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--epsilon", type=float, default=None)
+        mode.add_argument("--exact", action="store_true")
 
     p = sub.add_parser("oracle", help="brute-force evaluation by materialization")
     add_common(p)

@@ -2,25 +2,29 @@
 
 Each driver reduces its query to a SumProd evaluation over a dynamic
 programming semiring and runs the join-tree engine. Leaf factors carry the
-inequality term of a feature as a key (row counting: a singleton multiset;
-SumProd: a singleton weighted set pairing the key with the factor value).
-Only a feature with a term, in the inequality or (SumProd) in F, gets a
-factor; any other contributes the carrier's one, which the engine never
+inequality term of a feature as a key (row counting: a singleton multiset,
+which is the weighted set over integer counts `COUNTS`; SumProd: a
+singleton weighted set pairing the key with the factor value). Only a
+feature with a term, in the inequality or (SumProd) in F, gets a factor;
+any other contributes the carrier's one, which the engine never
 multiplies in. A term that is -inf or NaN is refused (CapExceeded) by
 `AdditiveInequality.term_value`, as it is by the oracle; a +inf term takes
 its row out. The answer is the root value's cumulative aggregate at the
 threshold, Delta_L(v) = (+)_{k <= L} v[k]. The engine stops before the
 root's last product and returns (a, b) pairs, one per join key of the root;
-`threshold_read` reads each Delta_L(a (x) b) off a and b, and the driver
-folds these scalars, so no root product or fold is built. SumSum asks the
-same single evaluation for its owning tables as readers, and reads each
-of their rows the same way: the engine sends its messages back down and
-pairs the row with the product of every message into its table. Exact mode uses the exact semiring
-operations; approx mode has the engine sketch the result of every group
-fold and every product (`ms_sketch` for multisets, `ws_sketch` for
-weighted sets) with a per-sketch parameter alpha = alpha_for(epsilon, m),
-so the answer is within (1 +/- epsilon) of the exact one. A group folds in
-one n-ary union, so it is sketched once, not once per pairwise union.
+`threshold_read` reads each Delta_L(a (x) b) off a and b under the
+weights' base (`COUNTS` when counting), and the driver folds these
+scalars, so no root product or fold is built. SumSum asks the same single
+evaluation for its owning tables as readers, and reads each of their rows
+the same way: the engine sends its messages back down and pairs the row
+with the product of every message into its table. Exact mode uses the
+exact semiring operations; approx mode has the engine sketch the result of
+every group fold and every product (`ms_sketch` for multisets, which
+skips a cheaply provable fit and then runs `ws_sketch`, the band pass
+every weighted set takes) with a per-sketch parameter alpha =
+alpha_for(epsilon, m), so the answer is within (1 +/- epsilon) of the
+exact one. A group folds in one n-ary union, so it is sketched once, not
+once per pairwise union.
 
 The drivers are where a query is refused, so a direct call refuses exactly
 what `run_query` and the CLI refuse. Each precondition is checked once, at
@@ -34,14 +38,13 @@ inequality by `run_query`.
 
 import bisect
 import math
-import operator
 from functools import reduce
 from itertools import accumulate
 
 from .algebra import repeat
 from .engine import EngineConfig, assign_features, evaluate
 from .errors import QueryRejected
-from .multiset import MS_ONE, Multiset, ms_convolve, ms_union
+from .multiset import COUNTS, MS_ONE, Multiset, ms_convolve, ms_union
 from .queryspec import AdditiveInequality, check_features, checked_algebra
 from .sketch import alpha_for, ms_sketch, ws_sketch
 from .tables import active_domain
@@ -72,17 +75,17 @@ def _config(db, mode, epsilon, plus, times, sketch, one):
     )
 
 
-def threshold_read(threshold, plus, times, zero):
+def threshold_read(threshold, base):
     """`read(a, b)` = Delta_L(a (x) b), L = threshold, without a (x) b.
 
     Delta_L is additive over (+), and across a product one sorted read:
     Delta_L(a (x) b) = (+)_{(k, w) in a} w (x) Delta_{L-k}(b), taken from
-    b's prefix aggregates, built once per b. `(plus, times, zero)` are the
-    weights' operations; a `Multiset` is the counting case (add, mul, 0).
+    b's prefix aggregates, built once per b, under the weights' `base`.
     A pair qualifies iff `k_a + k_b <= L`, as its key in a (x) b would;
     `k_b <= L - k_a` disagrees with that under rounding either way, so the
     bisect on `L - k_a` is corrected at the boundary with the sum itself.
     """
+    plus, times, zero = base.plus, base.times, base.zero
     prefixes = {}  # id(b) -> (b, keys, prefix aggregates); holding b pins its id
 
     def read(a, b):
@@ -116,7 +119,7 @@ def _count(db, ineq, epsilon, mode, instr, readers=()):
         for f in db.feature_tables if f in ineq.g
     }
     pairs, reads = evaluate(db, factors, config, readers=readers, instr=instr)
-    read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
+    read = threshold_read(ineq.threshold, COUNTS)
     return pairs, reads, read
 
 
@@ -210,7 +213,7 @@ def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
         for f in db.feature_tables if f in ineq.g or f in F
     }
     pairs, _ = evaluate(db, factors, config, instr=instr)
-    read = threshold_read(ineq.threshold, s.plus, s.times, s.zero)
+    read = threshold_read(ineq.threshold, s)
     return reduce(s.plus, (read(a, b) for a, b in pairs), s.zero)
 
 

@@ -1,20 +1,36 @@
-"""Run-length-encoded multisets of reals and their semiring operations.
+"""Run-length-encoded multisets of reals: weighted sets over integer counts.
 
-These are the carrier of the exact row-counting dynamic program: union adds
-frequencies, convolution sums keys pairwise and multiplies frequencies.
-Union takes any number of operands, so the engine folds a group of rows in
-one call. Counts are exact Python integers, so frequencies as large as n^m
-are safe. The operations build results with `Multiset._trusted`, which
-skips the constructor's check; each docstring says why its result passes it.
+These are the carrier of the exact row-counting dynamic program. A
+`Multiset` is a `WeightedSet` whose base is `COUNTS`, Python ints under
+integer addition and multiplication, so the generic weighted-set code
+(`weight`, `len`, `dump`, `ws_triangle`, `ws_sketch`, the drivers' threshold
+read) serves it as it serves any base. Counts are exact Python integers, so
+frequencies as large as n^m are safe and no operation checks for overflow.
+
+Only the two operations the engine runs most stay specific to counts:
+union adds frequencies, convolution sums keys pairwise and multiplies
+frequencies. Their integer loops skip the generic ones' base calls and
+zero filter, which a positive count never needs. Union takes any number of
+operands, so the engine folds a group of rows in one call. Both build
+results with `Multiset._trusted`, which skips the constructor's check; each
+docstring says why its result passes it.
 """
 
-import bisect
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+
+from .algebra import Semiring
+from .weightedset import WeightedSet
+
+# The counting algebra of multisets. Unlike the named "counting" semiring
+# its operations need no float-overflow check: ints cannot overflow.
+COUNTS = Semiring("counts", operator.add, operator.mul, 0, 1, "increasing")
 
 
 @dataclass(frozen=True)
-class Multiset:
+class Multiset(WeightedSet):
     entries: tuple[tuple[float, int], ...] = ()
+    base: Semiring = field(default=COUNTS, init=False, repr=False)
 
     def __post_init__(self):
         prev = None
@@ -25,25 +41,9 @@ class Multiset:
                 raise ValueError("keys must be strictly increasing")
             prev = key
 
-    @classmethod
-    def _trusted(cls, entries):
-        """Without the check: the caller keeps the invariant."""
-        value = object.__new__(cls)
-        object.__setattr__(value, "entries", entries)
-        return value
-
     @property
     def total(self):
         return sum(c for _, c in self.entries)
-
-    def count(self, key):
-        i = bisect.bisect_left(self.entries, (key,))
-        if i < len(self.entries) and self.entries[i][0] == key:
-            return self.entries[i][1]
-        return 0
-
-    def __len__(self):
-        return len(self.entries)
 
     @classmethod
     def from_values(cls, values):
@@ -51,10 +51,6 @@ class Multiset:
         for v in values:
             counts[v] = counts.get(v, 0) + 1
         return cls(tuple(sorted(counts.items())))
-
-    def dump(self):
-        """Debug form: "key:count" pairs."""
-        return " ".join(f"{k}:{c}" for k, c in self.entries)
 
 
 MS_EMPTY = Multiset()
@@ -77,7 +73,7 @@ def ms_union(*values):
     for value in nonempty:
         for key, count in value.entries:
             acc[key] = acc.get(key, 0) + count
-    return Multiset._trusted(tuple(sorted(acc.items())))
+    return Multiset._trusted(tuple(sorted(acc.items())), COUNTS)
 
 
 def ms_convolve(a, b):
@@ -90,14 +86,4 @@ def ms_convolve(a, b):
         for kb, cb in b.entries:
             key = ka + kb
             acc[key] = acc.get(key, 0) + ca * cb
-    return Multiset._trusted(tuple(sorted(acc.items())))
-
-
-def ms_triangle(a, t):
-    """Number of elements with key <= t."""
-    total = 0
-    for key, count in a.entries:
-        if key > t:
-            break
-        total += count
-    return total
+    return Multiset._trusted(tuple(sorted(acc.items())), COUNTS)

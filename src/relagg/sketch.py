@@ -1,4 +1,4 @@
-"""Epsilon-compression of weighted sets and multisets: one band sketch.
+"""Epsilon-compression of weighted sets: one band sketch for both carriers.
 
 A value's cumulative aggregate at a key is the base (+)-fold of the weights
 at keys up to it. When the base (+) is monotone, the aggregate is monotone
@@ -8,11 +8,12 @@ absorbs keys while the aggregate stays within a (1+eps) geometric band of
 the last retained boundary, then collapses to its last key carrying the
 base (+)-aggregate of the run's weights. Cumulative aggregates at every
 original key are preserved within a (1+eps) factor. A multiset is the
-counting instance: its counts are the weights and (+) is integer addition,
-so the sketch never overcounts and keeps tri_s >= tri / (1+eps) >=
-(1-eps) tri. A value within the band pass's size bound is returned
-unchanged: an exact value adds no error. Results are built with the
-carriers' `_trusted`, skipping the entry check.
+weighted set over integer counts (`COUNTS`), so the same pass sketches it:
+the sketch never overcounts and keeps tri_s >= tri / (1+eps) >=
+(1-eps) tri, exactly even for counts past the float range. A value within
+the band pass's size bound is returned unchanged: an exact value adds no
+error. Results are built with the input's own `_trusted`, skipping the
+entry check, so a multiset comes back as a multiset.
 
 Approx mode applies a sketch after every group fold and every product the
 engine runs: the drivers hand the engine the sketch of their carrier with
@@ -21,13 +22,9 @@ error eps.
 """
 
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from functools import reduce
 from itertools import accumulate
-
-from .multiset import Multiset
-from .weightedset import WeightedSet
 
 
 def alpha_for(eps, m):
@@ -53,7 +50,7 @@ def alpha_for(eps, m):
 
 
 def ms_sketch(a, eps):
-    """Band sketch of a multiset: `ws_sketch` over the counting base.
+    """Band sketch of a multiset: `ws_sketch` over its integer counts.
 
     Every count is at least 1, so the aggregates span at least
     log((c + n - 1) / c), c the first count and n the number of entries.
@@ -65,8 +62,7 @@ def ms_sketch(a, eps):
     n = len(a.entries)
     if n <= 4 or _fits(n, a.entries[0][1], a.entries[0][1] + n - 1, eps):
         return a
-    out = _band(a.entries, operator.add, False, eps)
-    return a if out is None else Multiset._trusted(tuple(out))
+    return ws_sketch(a, eps)
 
 
 def ws_sketch(a, eps):
@@ -74,8 +70,8 @@ def ws_sketch(a, eps):
 
     Requires the base (+) to be monotone: cumulative aggregates are then
     monotone along keys and geometric banding is well defined. The output
-    keeps distinct keys of `a`, sorted; `a` itself comes back when it fits
-    the size bound.
+    keeps distinct keys of `a`, sorted, in `a`'s own class; `a` itself
+    comes back when it fits the size bound.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -85,7 +81,7 @@ def ws_sketch(a, eps):
             f"base {base.name!r} addition is not monotone; cannot sketch"
         )
     out = _band(a.entries, base.plus, base.plus_monotone == "decreasing", eps)
-    return a if out is None else WeightedSet._trusted(tuple(out), base)
+    return a if out is None else type(a)._trusted(tuple(out), base)
 
 
 def _fits(n, lo, hi, eps):
@@ -101,9 +97,12 @@ def _band(entries, plus, decreasing, eps):
     processing order. The run after retained position i spans i + 1 ..
     j - 1, j the first position from i + 2 on whose tri exceeds the cut
     (1+eps) tri[i]; a negative tri[i] is its own cut, and inf stays inf.
-    The run is retained at its last position, carrying the left-to-right
-    (+)-fold of its weights. Nonzero weights under a monotone (+) never
-    fold to the base zero, so no entry is dropped.
+    An int tri[i] whose cut overflows a float is cut at the exact
+    floor(tri[i] (1+eps)), with 1+eps as the ratio of ints it is: an int
+    exceeds that floor iff it exceeds the real cut. The run is retained at
+    its last position, carrying the left-to-right (+)-fold of its weights.
+    Nonzero weights under a monotone (+) never fold to the base zero, so
+    no entry is dropped.
 
     Size bound: the entries fit when there are at most 2 ceil(log(hi/lo) /
     log1p(eps)) + 4 of them, lo and hi the smallest and largest positive
@@ -128,7 +127,11 @@ def _band(entries, plus, decreasing, eps):
         return None
     out, i = [entries[0]], 0
     while i + 1 < n:
-        cut = tri[i] if tri[i] < 0 else (1 + eps) * tri[i]
+        try:
+            cut = tri[i] if tri[i] < 0 else (1 + eps) * tri[i]
+        except OverflowError:  # an int aggregate past the float range
+            num, den = (1 + eps).as_integer_ratio()
+            cut = tri[i] * num // den
         j = bisect_right(tri, cut, i + 2)
         out.append((entries[j - 1][0], reduce(plus, weights[i + 1:j])))
         i = j - 1

@@ -1,13 +1,14 @@
 """Weighted key sets over a base semiring.
 
-The generalization of the counting multiset: each real key carries a weight
-drawn from a base semiring (the weight plays the role of a possibly
-fractional multiplicity). Union combines weights with the base (+) and,
-as for multisets, takes any number of operands; convolution sums keys and
-combines weights with the base (x). Entries whose weight equals the base
-zero are dropped, keeping the representation canonical. The operations
-build results with `WeightedSet._trusted`, which skips the constructor's
-check; each docstring says why its result passes it.
+Each real key carries a weight drawn from a base semiring (the weight
+plays the role of a possibly fractional multiplicity); `Multiset` is the
+subclass over integer counts, and the lookup, length, dump and Delta_L
+fold here serve it too. Union combines weights with the base (+) and
+takes any number of operands; convolution sums keys and combines weights
+with the base (x). Entries whose weight equals the base zero are dropped,
+keeping the representation canonical. The operations build results with
+`WeightedSet._trusted`, which skips the constructor's check; each
+docstring says why its result passes it.
 """
 
 import bisect

@@ -25,7 +25,6 @@ from relagg import (
     make_named,
     materialize,
     ms_sketch,
-    ms_triangle,
     oracle_eval,
     sumprod,
     sumsum,
@@ -141,8 +140,8 @@ def test_criterion_2_multiset_sketch_bound():
         for eps in (0.05, 0.1, 0.5, 1.0):
             s = ms_sketch(a, eps)
             for t, _ in a.entries:
-                exact = ms_triangle(a, t)
-                got = ms_triangle(s, t)
+                exact = ws_triangle(a, t)
+                got = ws_triangle(s, t)
                 if not ((1 - eps) * exact - 1e-9 <= got <= exact):
                     violations += 1
     report(2, "multiset sketch cumulative-count bound", violations == 0)
@@ -186,8 +185,8 @@ def test_criterion_4_sketch_error_composes():
             got = ms_sketch(op(sa, sb), alpha)
             lo_factor = (1 - beta - gamma) * (1 - alpha)
             for t, _ in exact.entries:
-                ref = ms_triangle(exact, t)
-                val = ms_triangle(got, t)
+                ref = ws_triangle(exact, t)
+                val = ws_triangle(got, t)
                 if not (lo_factor * ref - 1e-9 <= val <= ref + 1e-9):
                     ok = False
     for _ in range(500):

@@ -166,13 +166,30 @@ def test_missing_tables_path_exit_2(tmp_path, capsys):
     assert "nothere.csv" in err
 
 
-@pytest.mark.parametrize("flag", [["--alpha", "0.1"], ["--dump-sketch"]])
+@pytest.mark.parametrize("flag", [
+    ["--alpha", "0.1"], ["--dump-sketch"], ["--epsilon", "0.1"], ["--exact"],
+])
 def test_oracle_has_no_sketch_flags(db1_dir, capsys, flag):
+    """The oracle is exact and runs no sketch: a mode flag is refused,
+    not ignored."""
     q = write_query(db1_dir, COUNT_LEQ9)
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--tables", str(db1_dir), "--query", q, *flag])
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["count", "sumsum", "sumprod"])
+def test_exact_and_epsilon_together_exit_2(db1_dir, capsys, command):
+    """--exact with --epsilon asks for both modes; neither wins silently."""
+    q = write_query(db1_dir, COUNT_LEQ9)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tables", str(db1_dir), "--query", q,
+              "--exact", "--epsilon", "0.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with" in err and err.count("\n") == 1
 
 
 def test_count_has_no_alpha_flag(db1_dir, capsys):

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relagg import (
     AdditiveInequality,
@@ -19,7 +19,6 @@ from relagg import (
     count_rows,
     make_named,
     ms_convolve,
-    ms_triangle,
     oracle_eval,
     run_query,
     sumprod,
@@ -282,7 +281,7 @@ def _read_cases(draw):
 
 
 def _read(a, b, threshold, base):
-    return threshold_read(threshold, base.plus, base.times, base.zero)(a, b)
+    return threshold_read(threshold, base)(a, b)
 
 
 @given(_read_cases())
@@ -295,7 +294,7 @@ def _read(a, b, threshold, base):
 def test_threshold_read_equals_threshold_of_product(case):
     a, b, threshold = case
     ma, mb = (Multiset(tuple((k, c) for k, c, _ in e)) for e in (a, b))
-    assert _read(ma, mb, threshold, make_named("counting")) == ms_triangle(
+    assert _read(ma, mb, threshold, ma.base) == ws_triangle(
         ms_convolve(ma, mb), threshold
     )
     # counting weighs a key by its count, the tropical bases by its weight
@@ -458,6 +457,15 @@ def _binary_keyed(schemas, seed):
     ))
 
 
+def _counting_shrinks(compressed, name, sketch):
+    """`sketch`, counting in compressed[name] the calls that drop entries."""
+    def wrapper(a, eps):
+        out = sketch(a, eps)
+        compressed[name] += len(out) < len(a)
+        return out
+    return wrapper
+
+
 @pytest.mark.parametrize("schemas", [
     [("k1",), ("k1", "k2"), ("k2", "k3"), ("k3", "k4"), ("k4",)],
     [("k1", "k2", "k3", "k4"), ("k1",), ("k2",), ("k3",), ("k4",)],
@@ -475,16 +483,9 @@ def test_approx_within_epsilon_at_worst_depth(monkeypatch, schemas):
     exact = {name: query() for name, query in queries.items()}
 
     compressed = Counter()
-
-    def counted(name, fn):
-        def wrapper(a, eps):
-            out = fn(a, eps)
-            compressed[name] += len(out) < len(a)
-            return out
-        return wrapper
-
     for name in ("ms_sketch", "ws_sketch"):
-        monkeypatch.setattr(drivers, name, counted(name, getattr(drivers, name)))
+        monkeypatch.setattr(drivers, name, _counting_shrinks(
+            compressed, name, getattr(drivers, name)))
     for eps in (0.1, 0.3):
         for name, query in queries.items():
             got = query(epsilon=eps, mode="approx")
@@ -561,6 +562,50 @@ def test_engine_equals_oracle_on_tree_databases(case):
             base = make_named(algebra) if kind == "sumprod" else None
             got = driver(db, algebra, F, ineq, epsilon=0.3, mode="approx")
             assert _within(got, exact, 0.3, base), (kind, algebra)
+
+
+@st.composite
+def compressing_cases(draw):
+    """A 3-table star on one key k of 2 values, or a cross product, with
+    20 to 30 rows per table and uniform real x_i: the sketched product of
+    two tables' values holds at least 100 entries per key, so some sketch
+    drops entries. The threshold lies between the smallest and largest
+    sums of one row per table."""
+    keyed = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tables, lo, hi = [], 0.0, 0.0
+    for i in (1, 2, 3):
+        xs = [rng.random() for _ in range(draw(st.integers(20, 30)))]
+        lo, hi = lo + min(xs), hi + max(xs)
+        rows = tuple((float(j % 2), x) if keyed else (x,) for j, x in enumerate(xs))
+        tables.append(Table(f"t{i}", ("k", f"x{i}") if keyed else (f"x{i}",), rows))
+    threshold = lo + draw(st.floats(0, 1)) * (hi - lo)
+    xs = {f"x{i}": identity() for i in (1, 2, 3)}
+    ineq = AdditiveInequality(g=xs, threshold=threshold)
+    return Database(tables=tuple(tables)), ineq, draw(st.sampled_from([0.2, 0.5]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(compressing_cases())
+def test_approx_within_epsilon_where_sketches_compress(case):
+    """Where the sketches drop entries, every kind stays within (1 +/- eps)
+    of the oracle: count, sumsum over sum, and sumprod over each base."""
+    db, ineq, eps = case
+    F = {f: identity() for f in ineq.g}  # uniform reals: nonnegative
+    compressed = Counter()
+    queries = [("count", "counting"), ("sumsum", "sum"), ("sumprod", "counting"),
+               ("sumprod", "max-plus"), ("sumprod", "min-plus")]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("ms_sketch", "ws_sketch"):
+            mp.setattr(drivers, name, _counting_shrinks(
+                compressed, name, getattr(drivers, name)))
+        for kind, algebra in queries:
+            spec = QuerySpec(kind=kind, algebra=algebra, F=F, inequalities=(ineq,),
+                             mode="approx", epsilon=eps)
+            exact = oracle_eval(db, spec)
+            base = make_named(algebra) if kind == "sumprod" else None
+            assert _within(run_query(db, spec), exact, eps, base), (kind, algebra)
+    assert compressed["ms_sketch"] + compressed["ws_sketch"]
 
 
 # Seeding: a leaf per distinct value of a feature with a term, and no

@@ -20,7 +20,7 @@ from relagg import drivers
 from relagg.bruteforce import materialize
 from relagg.drivers import threshold_read
 from relagg.engine import EngineConfig, assign_features, evaluate
-from relagg.multiset import MS_ONE, ms_convolve, ms_singleton, ms_union
+from relagg.multiset import COUNTS, MS_ONE, ms_convolve, ms_singleton, ms_union
 from relagg.queryspec import identity
 from conftest import (
     CROSS_CASE,
@@ -119,7 +119,7 @@ def test_row_counts_at_every_table(db1):
         _, reads = evaluate(
             db, _counting_factors(db, ineq), config, readers=tables
         )
-        read = threshold_read(ineq.threshold, operator.add, operator.mul, 0)
+        read = threshold_read(ineq.threshold, COUNTS)
         join = materialize(db)
         qualifying = [row for row in join.rows
                       if ineq.row_sum(join.schema, row) <= ineq.threshold]

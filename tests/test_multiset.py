@@ -3,8 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import multisets
-from relagg import Multiset, ms_convolve, ms_sketch, ms_triangle, ms_union
-from relagg.multiset import MS_EMPTY, MS_ONE, ms_singleton
+from relagg import (
+    Multiset,
+    WeightedSet,
+    ms_convolve,
+    ms_sketch,
+    ms_union,
+    ws_plus,
+    ws_triangle,
+)
+from relagg.multiset import COUNTS, MS_EMPTY, MS_ONE, ms_singleton
 
 
 def test_construction_rules():
@@ -20,13 +28,26 @@ def test_from_values():
     a = Multiset.from_values([3.0, 1.0, 3.0, 2.0, 3.0])
     assert a.entries == ((1.0, 1), (2.0, 1), (3.0, 3))
     assert a.total == 5
-    assert a.count(3.0) == 3
-    assert a.count(9.0) == 0
+    assert a.weight(3.0) == 3
+    assert a.weight(9.0) == 0
     assert len(a) == 3
 
 
 def test_dump():
     assert ms_singleton(2.5, 4).dump() == "2.5:4"
+
+
+def test_a_multiset_is_the_weighted_set_over_counts():
+    """The base is fixed: not an argument, not in the repr, and the same
+    for built and constructed values, so they compare equal."""
+    a = Multiset(((1.0, 2), (3.0, 1)))
+    assert isinstance(a, WeightedSet) and a.base is COUNTS
+    assert repr(a) == "Multiset(entries=((1.0, 2), (3.0, 1)))"
+    with pytest.raises(TypeError):
+        Multiset(a.entries, COUNTS)
+    assert ms_union(a, MS_ONE) == Multiset(((0.0, 1), (1.0, 2), (3.0, 1)))
+    # the generic union over COUNTS agrees with the integer loop
+    assert ws_plus(a, MS_ONE).entries == ms_union(a, MS_ONE).entries
 
 
 def test_union_example():
@@ -57,11 +78,11 @@ def test_convolve_identities():
 
 def test_triangle():
     a = Multiset(((1.0, 2), (3.0, 1), (5.0, 4)))
-    assert ms_triangle(a, 0.0) == 0
-    assert ms_triangle(a, 1.0) == 2
-    assert ms_triangle(a, 4.0) == 3
-    assert ms_triangle(a, 100.0) == 7
-    assert a.total == ms_triangle(a, float("inf"))
+    assert ws_triangle(a, 0.0) == 0
+    assert ws_triangle(a, 1.0) == 2
+    assert ws_triangle(a, 4.0) == 3
+    assert ws_triangle(a, 100.0) == 7
+    assert a.total == ws_triangle(a, float("inf"))
 
 
 @settings(max_examples=300)
@@ -87,7 +108,7 @@ def test_semiring_laws_random(a, b, c):
 @given(multisets(), multisets(), st.integers(-15, 15))
 def test_triangle_distributes_over_union(a, b, t):
     t = float(t)
-    assert ms_triangle(ms_union(a, b), t) == ms_triangle(a, t) + ms_triangle(b, t)
+    assert ws_triangle(ms_union(a, b), t) == ws_triangle(a, t) + ws_triangle(b, t)
 
 
 @given(st.lists(multisets(), max_size=6))
