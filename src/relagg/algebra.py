@@ -1,10 +1,8 @@
 """Commutative monoids and semirings over the extended reals.
 
 Carriers are plain floats (or ints) extended with +/-infinity. Each named
-structure records the metadata the approximation algorithms need: for a
-semiring, whether addition is monotone; for a monoid, whether addition
-introduces error and whether folding k copies of a value is stable under
-perturbation of k ("repeatable").
+semiring records the metadata the approximation algorithms need: whether
+its addition is monotone.
 """
 
 import math
@@ -36,8 +34,6 @@ class Monoid:
     name: str
     plus: callable
     identity: float
-    repeatable: bool = True
-    no_error: bool = True
 
     def __repr__(self):
         return f"Monoid({self.name!r})"

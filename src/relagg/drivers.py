@@ -1,35 +1,38 @@
 """Aggregate drivers: inequality row counting, SumSum, and SumProd.
 
 Each driver reduces its query to a SumProd evaluation over a dynamic
-programming semiring and runs the join-tree engine. Leaf factors carry the
-inequality term of a feature as a key (row counting: a singleton multiset,
-which is the weighted set over integer counts `COUNTS`; SumProd: a
-singleton weighted set pairing the key with the factor value). Only a
-feature with a term, in the inequality or (SumProd) in F, gets a factor;
-any other contributes the carrier's one, which the engine never
-multiplies in. A term that is -inf or NaN is refused (CapExceeded) by
-`AdditiveInequality.term_value`, as it is by the oracle; a +inf term takes
-its row out. The answer is the root value's cumulative aggregate at the
-threshold, Delta_L(v) = (+)_{k <= L} v[k]. The engine stops before the
-root's last product and returns (a, b) pairs, one per join key of the root;
-`threshold_read` reads each Delta_L(a (x) b) off a and b under the
-weights' base (`COUNTS` when counting), and the driver folds these
-scalars, so no root product or fold is built. SumSum asks the same single
-evaluation for its owning tables as readers, and reads each of their rows
-the same way: the engine sends its messages back down and pairs the row
-with the product of every message into its table. Exact mode uses the
-exact semiring operations; approx mode has the engine sketch the result of
-every group fold and every product (`ms_sketch` for multisets, which
-skips a cheaply provable fit and then runs `ws_sketch`, the band pass
-every weighted set takes) with a per-sketch parameter alpha =
-alpha_for(epsilon, m), so the answer is within (1 +/- epsilon) of the
-exact one. A group folds in one n-ary union, so it is sketched once, not
-once per pairwise union.
+programming semiring, and every driver runs it through `_evaluate`, which
+chooses the carrier, the sketch and the approx size cap; the engine only
+folds, multiplies and sends. The base chooses the carrier: row counting
+and SumSum count over `COUNTS`, whose weighted sets are the multisets,
+and SumProd takes the weighted sets over its semiring. A leaf factor
+carries the inequality term of a feature as its key and the F term (the
+base one when F has none) as its weight. Only a feature with a term, in
+the inequality or in F, gets a factor; any other contributes the
+carrier's one, which the engine never multiplies in. A term that is -inf
+or NaN is refused (CapExceeded) by `AdditiveInequality.term_value`, as it
+is by the oracle; a +inf term takes its row out. The answer is the root
+value's cumulative aggregate at the threshold, Delta_L(v) =
+(+)_{k <= L} v[k]. The engine stops before the root's last product and
+returns (a, b) pairs, one per join key of the root; `threshold_read`
+reads each Delta_L(a (x) b) off a and b under the weights' base, and the
+driver folds these scalars, so no root product or fold is built. SumSum
+asks the same single evaluation for its owning tables as readers, and
+reads each of their rows the same way: the engine sends its messages back
+down and pairs the row with the product of every message into its table.
+Exact mode uses the exact carrier operations; approx mode has the engine
+sketch the result of every group fold and every product (`ms_sketch` for
+multisets, which skips a cheaply provable fit and then runs `ws_sketch`,
+the band pass every weighted set takes) with a per-sketch parameter
+alpha = alpha_for(epsilon, m), so the answer is within (1 +/- epsilon) of
+the exact one, and refuses (CapExceeded) a sketched value past
+`SKETCH_SIZE_CAP` entries. A group folds in one n-ary union, so it is
+sketched once, not once per pairwise union.
 
 The drivers are where a query is refused, so a direct call refuses exactly
 what `run_query` and the CLI refuse. Each precondition is checked once, at
 the one spot every path passes through: a bad epsilon (in either mode) and
-the mode by `_config`, a NaN threshold by `AdditiveInequality`, the algebra
+the mode by `_evaluate`, a NaN threshold by `AdditiveInequality`, the algebra
 by `checked_algebra`, a term on a feature no table has by
 `check_features` (which the oracle calls too), the carrier and sign of
 the terms by `sumprod` and `sumsum` before any evaluation, and a second
@@ -43,7 +46,7 @@ from itertools import accumulate
 
 from .algebra import repeat
 from .engine import EngineConfig, assign_features, evaluate
-from .errors import QueryRejected
+from .errors import CapExceeded, QueryRejected
 from .multiset import COUNTS, MS_ONE, Multiset, ms_convolve, ms_union
 from .queryspec import AdditiveInequality, check_features, checked_algebra
 from .sketch import alpha_for, ms_sketch, ws_sketch
@@ -51,28 +54,6 @@ from .tables import active_domain
 from .weightedset import lift, ws_convolve, ws_one, ws_plus
 
 SKETCH_SIZE_CAP = 10**6  # approx mode aborts when a value outgrows this
-
-
-def _config(db, mode, epsilon, plus, times, sketch, one):
-    """Engine operations: the exact ones, and in approx mode `sketch` with
-    alpha_for(epsilon, m), which the engine applies to each group fold and
-    each product."""
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise QueryRejected(
-            f"epsilon must be a finite number greater than 0, got {epsilon}"
-        )
-    if mode not in ("exact", "approx"):
-        raise QueryRejected(f"unknown mode {mode!r}")
-    if mode == "exact":
-        return EngineConfig(plus=plus, times=times, one=one)
-    alpha = alpha_for(epsilon, db.m)
-    return EngineConfig(
-        plus=plus,
-        times=times,
-        one=one,
-        sketch=lambda value: sketch(value, alpha),
-        size_cap=SKETCH_SIZE_CAP,
-    )
 
 
 def threshold_read(threshold, base):
@@ -108,19 +89,53 @@ def threshold_read(threshold, base):
     return read
 
 
-def _count(db, ineq, epsilon, mode, instr, readers=()):
-    """One row-counting evaluation: the root's pairs, the readers' triples,
-    and the read Delta_L(a (x) b) for both. The leaf of a feature the
-    inequality has a term for is a singleton multiset at the term's value.
+def _evaluate(db, base, F, ineq, epsilon, mode, instr, readers=()):
+    """One SumProd evaluation over weighted sets of `base`: the root's
+    pairs, the readers' triples, and the read Delta_L(a (x) b) for both.
+
+    The base chooses the carrier: `COUNTS` the multisets, any other base
+    its weighted sets. The leaf of a feature with a term, in the
+    inequality or in F, pairs the inequality term with the F term (the
+    base one when F has none). Approx mode hands the engine the carrier's
+    sketch with alpha_for(epsilon, m), which also refuses (CapExceeded) a
+    sketched value past SKETCH_SIZE_CAP entries. The carrier functions
+    are looked up here, at call time, so wrappers set on this module's
+    attributes see every call.
     """
-    config = _config(db, mode, epsilon, ms_union, ms_convolve, ms_sketch, MS_ONE)
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise QueryRejected(
+            f"epsilon must be a finite number greater than 0, got {epsilon}"
+        )
+    if mode not in ("exact", "approx"):
+        raise QueryRejected(f"unknown mode {mode!r}")
+    if base is COUNTS:
+        plus, times, sketch, one = ms_union, ms_convolve, ms_sketch, MS_ONE
+
+        def leaf(k, w):
+            return Multiset(((k, w),))
+    else:
+        plus, times, sketch, one = ws_plus, ws_convolve, ws_sketch, ws_one(base)
+
+        def leaf(k, w):
+            return lift(k, w, base)
     factors = {
-        f: lambda v, f=f: Multiset(((ineq.term_value(f, v), 1),))
-        for f in db.feature_tables if f in ineq.g
+        f: lambda v, f=f, fn=F.get(f): leaf(
+            ineq.term_value(f, v), base.one if fn is None else fn(v))
+        for f in db.feature_tables if f in ineq.g or f in F
     }
+    config = EngineConfig(plus=plus, times=times, one=one)
+    if mode == "approx":
+        alpha = alpha_for(epsilon, db.m)
+
+        def capped(value):
+            value = sketch(value, alpha)
+            if len(value) > SKETCH_SIZE_CAP:
+                raise CapExceeded(f"intermediate value grew to {len(value)} "
+                                  f"entries (cap {SKETCH_SIZE_CAP})")
+            return value
+        config.sketch = capped
     pairs, reads = evaluate(db, factors, config, readers=readers, instr=instr)
-    read = threshold_read(ineq.threshold, COUNTS)
-    return pairs, reads, read
+    return pairs, reads, threshold_read(ineq.threshold, base)
 
 
 def _term_values(F, db):
@@ -138,7 +153,7 @@ def count_rows(db, ineq=None, epsilon=0.1, mode="exact", instr=None):
     """
     ineq = ineq or AdditiveInequality()
     check_features(db, {}, (ineq,))
-    pairs, _, read = _count(db, ineq, epsilon, mode, instr)
+    pairs, _, read = _evaluate(db, COUNTS, {}, ineq, epsilon, mode, instr)
     return sum(read(a, b) for a, b in pairs)
 
 
@@ -164,8 +179,8 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
             )
     owner, _ = assign_features(db)
     features = sorted(F)
-    _, reads, read = _count(db, ineq, epsilon, mode, instr,
-                            readers={owner[f] for f in features})
+    _, reads, read = _evaluate(db, COUNTS, {}, ineq, epsilon, mode, instr,
+                               readers={owner[f] for f in features})
     counted = {  # table -> (row, qualifying join rows extending it)
         t: [(row, read(a, b)) for row, a, b in triples]
         for t, triples in reads.items()
@@ -179,7 +194,7 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
             v = row[col]
             counts[v] = counts.get(v, 0) + c
         for v in sorted(counts):
-            u = max(0, round(counts[v]))
+            u = counts[v]
             if u:
                 total = monoid.plus(total, repeat(monoid, F[feature](v), u))
     return total
@@ -203,18 +218,8 @@ def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
                 "outside the nonnegative carrier; queries with negative terms "
                 "cannot be approximated (the subtraction problem)"
             )
-    config = _config(db, mode, epsilon, ws_plus, ws_convolve, ws_sketch,
-                     ws_one(semiring))
-
-    s = semiring
-    factors = {  # the features with a term: in the inequality or in F
-        f: lambda v, f=f, fn=F.get(f): lift(
-            ineq.term_value(f, v), s.one if fn is None else fn(v), s)
-        for f in db.feature_tables if f in ineq.g or f in F
-    }
-    pairs, _ = evaluate(db, factors, config, instr=instr)
-    read = threshold_read(ineq.threshold, s)
-    return reduce(s.plus, (read(a, b) for a, b in pairs), s.zero)
+    pairs, _, read = _evaluate(db, semiring, F, ineq, epsilon, mode, instr)
+    return reduce(semiring.plus, (read(a, b) for a, b in pairs), semiring.zero)
 
 
 def run_query(db, spec, instr=None):

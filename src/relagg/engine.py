@@ -24,12 +24,18 @@ root is the one table with no parent. The root's last product is not
 built: `evaluate` pairs the root's value times every message but its last
 child's with that message, key by key, and the drivers read each pair at a
 threshold. Only when some table is asked for as a reader (SumSum's owning
-tables) does each parent send to its child, in reverse elimination order. A reader builds, per join key,
-the product P of every message into it and pairs each row's q with its
-key's P, so only q (x) P is fused. A table with d neighbours builds d - 1
-products per message, d(d - 1) when it sends all d: the same products as
-sharing prefix and suffix products on a chain (d <= 2), more than their
-3d or so at a table with many neighbours.
+tables) does each parent send to its child, in reverse elimination order.
+A reader builds, per join key, the product P of every message into it and
+pairs each row's q with its key's P, so only q (x) P is fused. A table
+with d neighbours builds d - 1 products per message, d(d - 1) when it
+sends all d: the same products as sharing prefix and suffix products on a
+chain (d <= 2), more than their 3d or so at a table with many neighbours.
+
+The engine only folds, multiplies and sends. The carrier, its sketch and
+approx mode's size cap are the caller's choice, passed in `EngineConfig`
+(`drivers._evaluate` makes it for every query): the engine applies
+`config.sketch`, when set, to each group fold and product it builds, and
+knows nothing of the cap, which the sketch itself enforces.
 
 Approximation depth: approx mode sketches every group fold and every
 product (not the join-key folds, not the seeding products of singletons).
@@ -58,7 +64,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import CapExceeded
 from .jointree import build_decomposition
 
 
@@ -68,7 +73,6 @@ class EngineConfig:
     times: callable
     one: object
     sketch: callable = None  # approx mode: applied to each group fold and product
-    size_cap: int = None  # abort when a carrier value grows past this
 
 
 @dataclass
@@ -83,11 +87,7 @@ class Instrumentation:
         self.max_fold_depth = max(self.max_fold_depth, depth)
 
     def record_value(self, value):
-        try:
-            size = len(value)
-        except TypeError:
-            return
-        self.max_value_size = max(self.max_value_size, size)
+        self.max_value_size = max(self.max_value_size, len(value))
 
 
 def assign_features(db):
@@ -148,23 +148,13 @@ def _seed(db, factors, config, key_features, readers, instr):
     return keyed, triples
 
 
-def _built(value, sketch, config, instr):
+def _built(value, sketch, instr):
     """A value the engine built: sketched unless `sketch` is None, then
-    recorded and checked against the size cap."""
+    recorded."""
     if sketch is not None:
         value = sketch(value)
     if instr is not None:
         instr.record_value(value)
-    if config.size_cap is None:
-        return value
-    try:
-        size = len(value)
-    except TypeError:
-        return value
-    if size > config.size_cap:
-        raise CapExceeded(
-            f"intermediate value grew to {size} entries (cap {config.size_cap})"
-        )
     return value
 
 
@@ -174,7 +164,7 @@ def _fold(groups, sketch, config, instr):
     for group, items in groups.items():
         if instr is not None:
             instr.record_fold(len(items))
-        folded[group] = _built(config.plus(*items), sketch, config, instr)
+        folded[group] = _built(config.plus(*items), sketch, instr)
     return folded
 
 
@@ -192,7 +182,7 @@ def _times_by(values, message, project, keys, config, instr):
     then looked up on `keys`, a table's keys, and nothing is built."""
     if values is None:
         return {key: message[s] for key in keys if (s := project(key)) in message}
-    return {key: _built(config.times(value, other), config.sketch, config, instr)
+    return {key: _built(config.times(value, other), config.sketch, instr)
             for key, value in values.items()
             if (other := message.get(project(key))) is not None}
 

@@ -65,28 +65,17 @@ def build_decomposition(db):
     return HypertreeDecomposition(num_vertices=m, edges=tuple(edges))
 
 
-def decomposition_violation(db, decomp):
-    """Reason the decomposition is invalid, or None if it is valid."""
-    m = db.m
-    if decomp.num_vertices != m:
-        return f"decomposition has {decomp.num_vertices} vertices, database has {m}"
-    for a, b in decomp.edges:
-        if not (1 <= a <= m and 1 <= b <= m) or a == b:
-            return f"edge ({a}, {b}) references invalid vertices"
-    if len(decomp.edges) != m - 1:
-        return f"{len(decomp.edges)} edges, a tree over {m} vertices needs {m - 1}"
-    adj = decomp.adjacency()
-    if m > 0 and not _connected(adj, set(range(1, m + 1))):
-        return "edge set is not connected"
-    for feature, tables in sorted(db.feature_tables.items()):
-        if not _connected(adj, set(tables)):
-            return f"feature {feature!r} does not induce a connected subtree"
-    return None
-
-
 def verify_decomposition(db, decomp):
     """True iff decomp is a tree and every feature's vertex set is connected."""
-    return decomposition_violation(db, decomp) is None
+    m = db.m
+    if decomp.num_vertices != m or len(decomp.edges) != m - 1:
+        return False
+    if any(not (1 <= a <= m and 1 <= b <= m) or a == b for a, b in decomp.edges):
+        return False
+    adj = decomp.adjacency()
+    return (_connected(adj, set(range(1, m + 1)))
+            and all(_connected(adj, set(tables))
+                    for tables in db.feature_tables.values()))
 
 
 def _connected(adj, vertices):

@@ -19,6 +19,14 @@ from .errors import CapExceeded, QueryRejected
 _INF = math.inf
 
 
+def _sq_offset(x, y):
+    """(x - y) ** 2, +inf where float `**` overflows (x * x returns inf)."""
+    try:
+        return (x - y) ** 2
+    except OverflowError:
+        return _INF
+
+
 # Function kind -> (JSON parameter fields, function of x and the parameters).
 FUNCTION_KINDS = {
     "constant": (("c",), lambda x, c: c),
@@ -27,7 +35,7 @@ FUNCTION_KINDS = {
     "affine": (("a", "b"), lambda x, a, b: a * x + b),
     "square": ((), lambda x: x * x),
     "abs_offset": (("y",), lambda x, y: abs(x - y)),
-    "sq_offset": (("y",), lambda x, y: (x - y) ** 2),
+    "sq_offset": (("y",), _sq_offset),
     "scaled_square": (("alpha",), lambda x, alpha: x * x / (alpha * alpha)),
     "indicator_eq": (
         ("value", "then", "else"),
@@ -52,6 +60,13 @@ class FunctionSpec:
             raise QueryRejected(
                 f"{self.kind} takes {want} parameter(s), got {len(self.params)}"
             )
+        if self.kind == "scaled_square":
+            (alpha,) = self.params
+            if alpha * alpha == 0:
+                raise QueryRejected(
+                    f"scaled_square alpha {alpha} squares to 0; the function "
+                    "divides by alpha * alpha"
+                )
 
     def __call__(self, x):
         return FUNCTION_KINDS[self.kind][1](x, *self.params)
@@ -138,12 +153,6 @@ def checked_algebra(kind, algebra):
     if kind == "sumsum":
         if not isinstance(algebra, Monoid):
             raise QueryRejected(f"sumsum needs a monoid, got {algebra!r}")
-        if not algebra.repeatable:
-            raise QueryRejected(f"monoid {algebra.name!r} is not repeatable")
-        if not algebra.no_error:
-            raise QueryRejected(
-                f"monoid {algebra.name!r} addition introduces error"
-            )
         return algebra
     if not isinstance(algebra, Semiring):
         raise QueryRejected(f"sumprod needs a semiring, got {algebra!r}")

@@ -97,6 +97,7 @@ def test_epsilon_and_exact_overrides(db1_dir, capsys):
     ({"kind": "count", "inequalities": {"L": 1}},
      "inequalities must be a JSON list"),
     ({"preset": ["x"]}, "preset must be a JSON object"),
+    ({"kind": "count", "inequality": {"g": {"a": 3}}}, "bad function spec: 3"),
 ])
 def test_malformed_query_file_exit_2(db1_dir, capsys, query, reason):
     q = write_query(db1_dir, query)
@@ -304,6 +305,18 @@ def test_oracle_cap_exit_4(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("files, reason", [
+    ({}, "input error: no .csv tables found under "),
+    ({"empty.csv": ""}, "input error: table 'empty': missing header row"),
+])
+def test_no_table_exit_2(tmp_path, capsys, files, reason):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(["decompose", "--tables", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(reason) and err.count("\n") == 1
+
+
 def test_bad_csv_exit_2(tmp_path, capsys):
     (tmp_path / "t1.csv").write_text("a,b\n1,x\n")
     assert main(["decompose", "--tables", str(tmp_path)]) == 2
@@ -327,6 +340,14 @@ def test_table_byte_order_mark_is_not_part_of_a_feature_name(db1_dir, capsys):
     q = write_query(db1_dir, COUNT_LEQ9)
     assert main(["count", "--tables", str(db1_dir), "--query", q]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_text_mode_prints_mode_epsilon_and_alpha(db1_dir, capsys):
+    q = write_query(db1_dir, COUNT_LEQ9)
+    assert main(["count", "--tables", str(db1_dir), "--query", q,
+                 "--epsilon", "0.1"]) == 0
+    err = capsys.readouterr().err
+    assert f"# mode=approx epsilon=0.1 alpha={alpha_for(0.1, 2)} time=" in err
 
 
 def test_text_mode_prints_sketch_sizes(db1_dir, capsys):
@@ -475,6 +496,24 @@ def test_term_on_unknown_feature_exit_2(tmp_path, capsys, command, query, oracle
     err = capsys.readouterr().err
     assert err.startswith("rejected: ") and err.count("\n") == 1
     assert "'X', a feature no table has" in err
+
+
+@pytest.mark.parametrize("command", ["count", "oracle"])
+@pytest.mark.parametrize("query", [
+    {"kind": "count", "inequality": {
+        "g": {"a": {"kind": "scaled_square", "alpha": alpha}}, "L": 1}}
+    for alpha in (0.0, 1e-170)
+] + [{"preset": {"name": "ellipsoid_count", "features": ["a", "b", "c"],
+                 "alpha": [0.0, 1.0, 1.0]}}], ids=["zero", "tiny", "preset"])
+def test_scaled_square_alpha_squaring_to_0_exit_2(db1_dir, capsys, command,
+                                                  query):
+    """scaled_square divides by alpha * alpha, which is 0 for alpha = 0 and
+    for |alpha| below about 1.5e-162: refused, not a ZeroDivisionError."""
+    q = write_query(db1_dir, query)
+    assert main([command, "--tables", str(db1_dir), "--query", q]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: scaled_square alpha ")
+    assert "squares to 0" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["count", "oracle"])

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -787,3 +788,25 @@ def test_labeled_halfspace_matches_oracle(kind, algebra, driver, threshold):
     # 20 join rows, 8 of them labeled 1: those count only at L = inf
     count = oracle_eval(LABELED, QuerySpec(kind="count", inequalities=(ineq,)))
     assert count == {-1.5: 3, 0.0: 5, 2.5: 9, math.inf: 20}[threshold]
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_overflowing_sq_offset_is_inf_in_engine_and_oracle(mode):
+    """Float `**` raises OverflowError where `*` returns inf, so
+    sq_offset(y = 1e200) at 0 and at 2e200 used to end in a traceback. It
+    now reads +inf, as `square` does: a g term that takes its row out, and
+    min-plus's zero as an F term."""
+    db = Database(tables=(
+        Table("t1", ("x",), ((1e200,), (0.0,), (2e200,))),
+        Table("t2", ("z",), ((1.0,), (2.0,))),
+    ))
+    far = FunctionSpec("sq_offset", (1e200,))
+    ineq = AdditiveInequality(g={"x": far, "z": identity()}, threshold=1.5)
+    F = {"x": far, "z": identity()}
+    for spec, want in (
+        (QuerySpec(kind="count", inequalities=(ineq,)), 1),
+        (QuerySpec(kind="sumprod", algebra="min-plus", F=F,
+                   inequalities=(ineq,)), 1.0),
+    ):
+        assert oracle_eval(db, spec) == want
+        assert run_query(db, replace(spec, mode=mode)) == want

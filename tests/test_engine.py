@@ -21,7 +21,7 @@ from relagg.bruteforce import materialize
 from relagg.drivers import threshold_read
 from relagg.engine import EngineConfig, assign_features, evaluate
 from relagg.multiset import COUNTS, MS_ONE, ms_convolve, ms_singleton, ms_union
-from relagg.queryspec import identity
+from relagg.queryspec import AdditiveInequality, identity
 from conftest import (
     CROSS_CASE,
     STAR_CASE,
@@ -202,18 +202,18 @@ def test_cross_product():
         assert join_value(cut, ones(cut), config_for(COUNTING)) == 0
 
 
-def test_multiset_carrier_size_cap():
+def test_multiset_carrier_size_cap(monkeypatch):
+    # approx mode's cap lives in the sketch the drivers hand the engine;
+    # exact mode has none
+    monkeypatch.setattr(drivers, "SKETCH_SIZE_CAP", 5)
     db = Database(tables=(
         Table("t1", ("a",), tuple((float(i),) for i in range(10))),
         Table("t2", ("b",), tuple((float(i),) for i in range(10))),
     ))
-    config = EngineConfig(
-        plus=ms_union, times=ms_convolve,
-        one=ms_singleton(0.0), size_cap=5,
-    )
-    factors = {f: (lambda v: ms_singleton(v)) for f in db.feature_tables}
+    ineq = AdditiveInequality(g={"a": identity(), "b": identity()})
+    assert count_rows(db, ineq) == 100
     with pytest.raises(CapExceeded):
-        evaluate(db, factors, config)
+        count_rows(db, ineq, mode="approx")
 
 
 def test_matches_materialized_join_random():
