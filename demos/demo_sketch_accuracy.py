@@ -2,8 +2,9 @@
 
 Counts subsets of 18 random weights under a budget. Exact dynamic
 programming carries one multiset entry per distinct subset sum; the sketched
-mode keeps every intermediate within the sketch's logarithmic size bound,
-floor(log|A| / log1p(alpha)) + 1 entries, while keeping the answer within
+mode keeps every intermediate within the band sketch's logarithmic size
+bound, 2 ceil(log(hi/lo) / log1p(alpha)) + 4 entries, with lo and hi the
+smallest and largest cumulative counts, while keeping the answer within
 the requested relative error eps: alpha = (1+eps)^(1/D) - 1, where
 D = 2m - 3 is the number of sketches an m-table plan composes. It
 compresses only values past that bound, so here, where a few hundred

@@ -126,6 +126,24 @@ def repeat(monoid, x, k):
     return acc
 
 
+def finite_sum(monoid, total):
+    """`total`, a fold under `monoid`; a `sum` total that is inf or NaN
+    raises CapExceeded.
+
+    Table cells are finite, so such a sum means that a term or a partial
+    sum overflowed the float range, where a counting sum refuses it too.
+    A non-finite float stays non-finite under addition, so one check of
+    the folded total catches every overflow along the way.
+    """
+    if (monoid is _MONOIDS["sum"] and isinstance(total, float)
+            and not math.isfinite(total)):
+        raise CapExceeded(
+            f"the sum is {total}: a term or a partial sum overflowed the "
+            "float range"
+        )
+    return total
+
+
 @dataclass(frozen=True)
 class LawViolation:
     law: str

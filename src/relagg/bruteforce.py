@@ -8,10 +8,12 @@ knapsack-counting and partition instances used as end-to-end fixtures.
 
 from dataclasses import dataclass
 
+from .algebra import finite_sum
 from .errors import CapExceeded, QueryRejected
 from .queryspec import (
     AdditiveInequality,
     check_features,
+    checked_factors,
     checked_algebra,
     identity,
     scale,
@@ -86,7 +88,8 @@ def oracle_eval(db, spec, cap=DEFAULT_CAP):
             for f, v in zip(schema, row):
                 if f in spec.F:
                     total = algebra.plus(total, spec.F[f](v))
-        return total
+        return finite_sum(algebra, total)
+    checked_factors(db, algebra, spec.F)
     total = algebra.zero
     for row in rows:
         prod = algebra.one

@@ -34,9 +34,11 @@ what `run_query` and the CLI refuse. Each precondition is checked once, at
 the one spot every path passes through: a bad epsilon (in either mode) and
 the mode by `_evaluate`, a NaN threshold by `AdditiveInequality`, the algebra
 by `checked_algebra`, a term on a feature no table has by
-`check_features` (which the oracle calls too), the carrier and sign of
-the terms by `sumprod` and `sumsum` before any evaluation, and a second
-inequality by `run_query`.
+`check_features` and an overflowing SumProd F term by `checked_factors`
+(both of which the oracle calls too), the carrier and sign of the terms
+by `sumprod` and `sumsum` before any evaluation, a `sum` total that
+overflowed by `finite_sum` (as in the oracle), and a second inequality by
+`run_query`.
 """
 
 import bisect
@@ -44,11 +46,16 @@ import math
 from functools import reduce
 from itertools import accumulate
 
-from .algebra import repeat
+from .algebra import finite_sum, repeat
 from .engine import EngineConfig, assign_features, evaluate
 from .errors import CapExceeded, QueryRejected
 from .multiset import COUNTS, MS_ONE, Multiset, ms_convolve, ms_union
-from .queryspec import AdditiveInequality, check_features, checked_algebra
+from .queryspec import (
+    AdditiveInequality,
+    check_features,
+    checked_factors,
+    checked_algebra,
+)
 from .sketch import alpha_for, ms_sketch, ws_sketch
 from .tables import active_domain
 from .weightedset import lift, ws_convolve, ws_one, ws_plus
@@ -61,25 +68,25 @@ def threshold_read(threshold, base):
 
     Delta_L is additive over (+), and across a product one sorted read:
     Delta_L(a (x) b) = (+)_{(k, w) in a} w (x) Delta_{L-k}(b), taken from
-    b's prefix aggregates, built once per b, under the weights' `base`.
+    b's prefix aggregates, folded once per b from its weight column under
+    the weights' `base`, at a bisect of b's key column as it is stored.
     A pair qualifies iff `k_a + k_b <= L`, as its key in a (x) b would;
     `k_b <= L - k_a` disagrees with that under rounding either way, so the
     bisect on `L - k_a` is corrected at the boundary with the sum itself.
     """
     plus, times, zero = base.plus, base.times, base.zero
-    prefixes = {}  # id(b) -> (b, keys, prefix aggregates); holding b pins its id
+    prefixes = {}  # id(b) -> (b, prefix aggregates); holding b pins its id
 
     def read(a, b):
         if id(b) not in prefixes:
-            sums = list(accumulate((w for _, w in b.entries), plus, initial=zero))
-            prefixes[id(b)] = (b, [k for k, _ in b.entries], sums)
-        _, keys, sums = prefixes[id(b)]
-        total = zero
-        for ka, wa in a.entries:
+            prefixes[id(b)] = (b, list(accumulate(b.weights, plus, initial=zero)))
+        _, sums = prefixes[id(b)]
+        keys, n, total = b.keys, len(b.keys), zero
+        for ka, wa in zip(a.keys, a.weights):
             i = bisect.bisect_right(keys, threshold - ka)
             while i and ka + keys[i - 1] > threshold:
                 i -= 1
-            while i < len(keys) and ka + keys[i] <= threshold:
+            while i < n and ka + keys[i] <= threshold:
                 i += 1
             if not i:
                 break  # a's keys ascend, so no later one qualifies either
@@ -197,22 +204,22 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
             u = counts[v]
             if u:
                 total = monoid.plus(total, repeat(monoid, F[feature](v), u))
-    return total
+    return finite_sum(monoid, total)
 
 
 def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     """Semiring SumProd over qualifying join rows.
 
     Features absent from F contribute the multiplicative identity. Factor
-    values must lie in the nonnegative carrier (besides the semiring's
-    identities), over every feature's active domain.
+    values must be finite (`checked_factors` refuses an overflowed one) and
+    nonnegative, besides the semiring's zero, over every feature's active
+    domain.
     """
     semiring = checked_algebra("sumprod", semiring)
     ineq = ineq or AdditiveInequality()
     check_features(db, F, (ineq,))
-    for feature, v, fv in _term_values(F, db):
-        if not (fv in (semiring.zero, semiring.one)
-                or (fv >= 0 and math.isfinite(fv))):
+    for feature, v, fv in checked_factors(db, semiring, F):
+        if fv < 0 and fv != semiring.zero:
             raise QueryRejected(
                 f"factor value {fv} for feature {feature!r} at {v} lies "
                 "outside the nonnegative carrier; queries with negative terms "

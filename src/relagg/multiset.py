@@ -1,11 +1,12 @@
-"""Run-length-encoded multisets of reals: weighted sets over integer counts.
+"""Multisets of reals: weighted sets over integer counts.
 
 These are the carrier of the exact row-counting dynamic program. A
 `Multiset` is a `WeightedSet` whose base is `COUNTS`, Python ints under
 integer addition and multiplication, so the generic weighted-set code
-(`weight`, `len`, `dump`, `ws_triangle`, `ws_sketch`, the drivers' threshold
-read) serves it as it serves any base. Counts are exact Python integers, so
-frequencies as large as n^m are safe and no operation checks for overflow.
+(the key and count columns, `weight`, `len`, `dump`, `ws_triangle`,
+`ws_sketch`, the drivers' threshold read) serves it as it serves any base.
+Counts are exact Python integers, so frequencies as large as n^m are safe
+and no operation checks for overflow.
 
 Only the two operations the engine runs most stay specific to counts:
 union adds frequencies, convolution sums keys pairwise and multiplies
@@ -27,14 +28,16 @@ from .weightedset import WeightedSet
 COUNTS = Semiring("counts", operator.add, operator.mul, 0, 1, "increasing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Multiset(WeightedSet):
-    entries: tuple[tuple[float, int], ...] = ()
-    base: Semiring = field(default=COUNTS, init=False, repr=False)
+    base: Semiring = field(default=COUNTS, repr=False)
+
+    def __init__(self, entries=()):
+        WeightedSet.__init__(self, entries, COUNTS)
 
     def __post_init__(self):
         prev = None
-        for key, count in self.entries:
+        for key, count in zip(self.keys, self.weights):
             if not isinstance(count, int) or count < 1:
                 raise ValueError(f"count for key {key} must be a positive int")
             if prev is not None and key <= prev:
@@ -43,14 +46,14 @@ class Multiset(WeightedSet):
 
     @property
     def total(self):
-        return sum(c for _, c in self.entries)
+        return sum(self.weights)
 
     @classmethod
     def from_values(cls, values):
         counts = {}
         for v in values:
             counts[v] = counts.get(v, 0) + 1
-        return cls(tuple(sorted(counts.items())))
+        return cls(sorted(counts.items()))
 
 
 MS_EMPTY = Multiset()
@@ -66,24 +69,30 @@ def ms_union(*values):
     every entry and one sort, so k values of s entries cost O(k s) plus the
     sort. A lone nonempty operand is returned as it is. Sorted unique keys;
     counts are sums of positive ints."""
-    nonempty = [value for value in values if value.entries]
+    nonempty = [value for value in values if value.keys]
     if len(nonempty) == 1:
         return nonempty[0]
     acc = {}
-    for value in nonempty:
-        for key, count in value.entries:
-            acc[key] = acc.get(key, 0) + count
-    return Multiset._trusted(tuple(sorted(acc.items())), COUNTS)
+    get = acc.get
+    keys = [k for value in nonempty for k in value.keys]
+    counts = [c for value in nonempty for c in value.weights]
+    for key, count in zip(keys, counts):
+        acc[key] = get(key, 0) + count
+    keys = tuple(sorted(acc))
+    return Multiset._trusted(keys, tuple(map(acc.__getitem__, keys)), COUNTS)
 
 
 def ms_convolve(a, b):
     """Pairwise key sums with frequency products; total multiplies.
     Sorted unique keys; counts are sums of products of positive ints."""
-    if not a.entries or not b.entries:
+    if not a.keys or not b.keys:
         return MS_EMPTY
     acc = {}
-    for ka, ca in a.entries:
-        for kb, cb in b.entries:
+    get = acc.get
+    b_pairs = tuple(zip(b.keys, b.weights))
+    for ka, ca in zip(a.keys, a.weights):
+        for kb, cb in b_pairs:
             key = ka + kb
-            acc[key] = acc.get(key, 0) + ca * cb
-    return Multiset._trusted(tuple(sorted(acc.items())), COUNTS)
+            acc[key] = get(key, 0) + ca * cb
+    keys = tuple(sorted(acc))
+    return Multiset._trusted(keys, tuple(map(acc.__getitem__, keys)), COUNTS)

@@ -4,10 +4,11 @@ A query is a SumSum/SumProd/row-count aggregate over the join, optionally
 restricted by one additive inequality sum_i g_i(x_i) <= L. Each object
 checks what it can check alone: a known function kind and arity, a
 threshold that is not NaN, a known query kind. `checked_algebra` resolves
-the algebra of a query for the drivers and the oracle, and
-`check_features` refuses, for both, a term on a feature no table has.
-The mode and the other refusals that depend on the data or the mode are
-the drivers'.
+the algebra of a query for the drivers and the oracle; `check_features`
+refuses, for both, a term on a feature no table has, and
+`checked_factors` an F term that overflowed the float range. The mode
+and the other refusals that depend on the data or the mode are the
+drivers'.
 """
 
 import math
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .algebra import Monoid, Semiring, make_named
 from .errors import CapExceeded, QueryRejected
+from .tables import active_domain
 
 _INF = math.inf
 
@@ -173,6 +175,28 @@ def check_features(db, F, inequalities):
             )
 
 
+def checked_factors(db, semiring, F):
+    """The (feature, value, F term) triples over each feature's active
+    domain, in sorted order; a term that is inf or NaN, unless it is the
+    semiring's zero, raises CapExceeded.
+
+    Table cells are finite, so such a term overflowed the float range: a
+    counting weight of inf would be a silently wrong answer, and a tropical
+    product refuses it as it would an overflowing sum. The drivers and the
+    oracle both check before evaluating, so they refuse the same queries
+    whichever rows qualify.
+    """
+    terms = [(feature, v, fn(v)) for feature, fn in sorted(F.items())
+             for v in active_domain(db, feature)]
+    for feature, v, value in terms:
+        if value != semiring.zero and not math.isfinite(value):
+            raise CapExceeded(
+                f"F term of feature {feature!r} at {v} is {value}: it "
+                "overflowed the float range"
+            )
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # Application presets
 
@@ -299,6 +323,8 @@ def _max_sqdist_halfspace(features, y, beta, L):
 
 
 def _number(value, name):
+    if isinstance(value, bool):  # float(True) would read it as 1.0
+        raise QueryRejected(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -380,8 +406,14 @@ def spec_from_json(obj):
         )
     F = {f: function_from_json(fn)
          for f, fn in _expect(obj.get("F", {}), dict, "F").items()}
+    kind = obj.get("kind", "count")
+    for name in ("algebra", "F"):  # fields a count never reads
+        if kind == "count" and name in obj:
+            raise QueryRejected(
+                f"a count query takes no {name}, got {obj[name]!r}"
+            )
     return QuerySpec(
-        kind=obj.get("kind", "count"),
+        kind=kind,
         algebra=obj.get("algebra", "counting"),
         F=F,
         inequalities=ineqs,

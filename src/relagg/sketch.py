@@ -7,13 +7,15 @@ aggregate. It keeps the first key, then run-compresses the rest: a run
 absorbs keys while the aggregate stays within a (1+eps) geometric band of
 the last retained boundary, then collapses to its last key carrying the
 base (+)-aggregate of the run's weights. Cumulative aggregates at every
-original key are preserved within a (1+eps) factor. A multiset is the
-weighted set over integer counts (`COUNTS`), so the same pass sketches it:
-the sketch never overcounts and keeps tri_s >= tri / (1+eps) >=
-(1-eps) tri, exactly even for counts past the float range. A value within
-the band pass's size bound is returned unchanged: an exact value adds no
-error. Results are built with the input's own `_trusted`, skipping the
-entry check, so a multiset comes back as a multiset.
+original key are preserved within a (1+eps) factor. The pass reads a
+value's weight column into the running aggregates and its key column by
+position, and writes the retained keys and weights as two new columns. A
+multiset is the weighted set over integer counts (`COUNTS`), so the same
+pass sketches it: the sketch never overcounts and keeps tri_s >= tri /
+(1+eps) >= (1-eps) tri, exactly even for counts past the float range. A
+value within the band pass's size bound is returned unchanged: an exact
+value adds no error. Results are built with the input's own `_trusted`,
+skipping the entry check, so a multiset comes back as a multiset.
 
 Approx mode applies a sketch after every group fold and every product the
 engine runs: the drivers hand the engine the sketch of their carrier with
@@ -59,8 +61,8 @@ def ms_sketch(a, eps):
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    n = len(a.entries)
-    if n <= 4 or _fits(n, a.entries[0][1], a.entries[0][1] + n - 1, eps):
+    n = len(a.keys)
+    if n <= 4 or _fits(n, a.weights[0], a.weights[0] + n - 1, eps):
         return a
     return ws_sketch(a, eps)
 
@@ -80,8 +82,9 @@ def ws_sketch(a, eps):
         raise ValueError(
             f"base {base.name!r} addition is not monotone; cannot sketch"
         )
-    out = _band(a.entries, base.plus, base.plus_monotone == "decreasing", eps)
-    return a if out is None else type(a)._trusted(tuple(out), base)
+    out = _band(a.keys, a.weights, base.plus,
+                base.plus_monotone == "decreasing", eps)
+    return a if out is None else type(a)._trusted(*out, base)
 
 
 def _fits(n, lo, hi, eps):
@@ -89,11 +92,12 @@ def _fits(n, lo, hi, eps):
     return n <= 2 * math.ceil((math.log(hi) - math.log(lo)) / math.log1p(eps)) + 4
 
 
-def _band(entries, plus, decreasing, eps):
-    """Band-compressed `entries`, sorted by key, or None when they fit.
+def _band(keys, weights, plus, decreasing, eps):
+    """Band-compressed (keys, weights) columns, sorted by key, or None
+    when they fit.
 
     tri is the running (+)-fold of the weights in key order, reversed with
-    the entries when (+) is decreasing, so that it is nondecreasing in
+    the columns when (+) is decreasing, so that it is nondecreasing in
     processing order. The run after retained position i spans i + 1 ..
     j - 1, j the first position from i + 2 on whose tri exceeds the cut
     (1+eps) tri[i]; a negative tri[i] is its own cut, and inf stays inf.
@@ -115,17 +119,16 @@ def _band(entries, plus, decreasing, eps):
     is never below 4, so an input of at most 4 entries fits before the
     cumulative pass.
     """
-    n = len(entries)
+    n = len(keys)
     if n <= 4:
         return None
-    weights = [w for _, w in entries]
     tri = list(accumulate(weights, plus))
     if decreasing:
-        entries, weights, tri = entries[::-1], weights[::-1], tri[::-1]
+        keys, weights, tri = keys[::-1], weights[::-1], tri[::-1]
     lo, hi = bisect_right(tri, 0), bisect_left(tri, math.inf) - 1
     if lo <= hi and _fits(n, tri[lo], tri[hi], eps):
         return None
-    out, i = [entries[0]], 0
+    out_keys, out_weights, i = [keys[0]], [weights[0]], 0
     while i + 1 < n:
         try:
             cut = tri[i] if tri[i] < 0 else (1 + eps) * tri[i]
@@ -133,6 +136,10 @@ def _band(entries, plus, decreasing, eps):
             num, den = (1 + eps).as_integer_ratio()
             cut = tri[i] * num // den
         j = bisect_right(tri, cut, i + 2)
-        out.append((entries[j - 1][0], reduce(plus, weights[i + 1:j])))
+        out_keys.append(keys[j - 1])
+        out_weights.append(reduce(plus, weights[i + 1:j]))
         i = j - 1
-    return out[::-1] if decreasing else out
+    if decreasing:
+        out_keys.reverse()
+        out_weights.reverse()
+    return tuple(out_keys), tuple(out_weights)

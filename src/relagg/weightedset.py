@@ -1,52 +1,74 @@
-"""Weighted key sets over a base semiring.
+"""Weighted key sets over a base semiring, stored as two columns.
 
 Each real key carries a weight drawn from a base semiring (the weight
 plays the role of a possibly fractional multiplicity); `Multiset` is the
 subclass over integer counts, and the lookup, length, dump and Delta_L
-fold here serve it too. Union combines weights with the base (+) and
-takes any number of operands; convolution sums keys and combines weights
-with the base (x). Entries whose weight equals the base zero are dropped,
-keeping the representation canonical. The operations build results with
-`WeightedSet._trusted`, which skips the constructor's check; each
-docstring says why its result passes it.
+fold here serve it too. A value holds its keys, strictly increasing, in
+one tuple and their weights, aligned, in another: the readers bisect the
+key column and fold the weight column as they are, and a kernel sorts
+only keys. `entries` is a derived view of the (key, weight) pairs, and
+the checked constructor takes them. Union combines weights with the base
+(+) and takes any number of operands; convolution sums keys and combines
+weights with the base (x). Each accumulates into one dict in operand
+order, sorts its keys, and reads the weight column off the dict. Entries
+whose weight equals the base zero are dropped, keeping the representation
+canonical. The operations build results with `WeightedSet._trusted`,
+which skips the constructor's check; each docstring says why its result
+passes it.
 """
 
-import bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 
 from .algebra import Semiring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightedSet:
-    entries: tuple[tuple[float, float], ...]
+    keys: tuple[float, ...]
+    weights: tuple
     base: Semiring
 
+    def __init__(self, entries, base):
+        columns = tuple(zip(*entries))
+        keys, weights = columns if columns else ((), ())
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "base", base)
+        self.__post_init__()
+
     def __post_init__(self):
-        prev = None
-        for key, weight in self.entries:
-            if weight == self.base.zero:
+        zero, prev = self.base.zero, None
+        for key, weight in zip(self.keys, self.weights):
+            if weight == zero:
                 raise ValueError(f"weight at key {key} equals the base zero")
             if prev is not None and key <= prev:
                 raise ValueError("keys must be strictly increasing")
             prev = key
 
     @classmethod
-    def _trusted(cls, entries, base):
+    def _trusted(cls, keys, weights, base):
         """Without the check: the caller keeps the invariant."""
         value = object.__new__(cls)
-        object.__setattr__(value, "entries", entries)
+        object.__setattr__(value, "keys", keys)
+        object.__setattr__(value, "weights", weights)
         object.__setattr__(value, "base", base)
         return value
 
+    @property
+    def entries(self):
+        """The (key, weight) pairs, in key order."""
+        return tuple(zip(self.keys, self.weights))
+
     def weight(self, key):
-        i = bisect.bisect_left(self.entries, (key,))
-        if i < len(self.entries) and self.entries[i][0] == key:
-            return self.entries[i][1]
+        i = bisect_left(self.keys, key)
+        if i < len(self.keys) and self.keys[i] == key:
+            return self.weights[i]
         return self.base.zero
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.keys)
 
     def dump(self):
         return " ".join(f"{k}:{w}" for k, w in self.entries)
@@ -82,15 +104,18 @@ def ws_plus(first, *rest):
     nonempty operand is returned as it is."""
     for value in rest:
         _require_same_base(first, value)
-    nonempty = [value for value in (first, *rest) if value.entries]
+    nonempty = [value for value in (first, *rest) if value.keys]
     if len(nonempty) == 1:
         return nonempty[0]
     base, acc = first.base, {}
-    for value in nonempty:
-        for key, w in value.entries:
-            acc[key] = base.plus(acc[key], w) if key in acc else w
-    entries = tuple((k, w) for k, w in sorted(acc.items()) if w != base.zero)
-    return WeightedSet._trusted(entries, base)
+    plus = base.plus
+    keys = [k for value in nonempty for k in value.keys]
+    weights = [w for value in nonempty for w in value.weights]
+    for key, w in zip(keys, weights):
+        acc[key] = plus(acc[key], w) if key in acc else w
+    zero = base.zero
+    keys = tuple(sorted(k for k, w in acc.items() if w != zero))
+    return WeightedSet._trusted(keys, tuple(map(acc.__getitem__, keys)), base)
 
 
 def ws_convolve(a, b):
@@ -98,28 +123,20 @@ def ws_convolve(a, b):
     keys aggregate with the base (+); sorted unique keys, base zeros dropped."""
     _require_same_base(a, b)
     base = a.base
-    if not a.entries or not b.entries:
+    if not a.keys or not b.keys:
         return ws_empty(base)
-    acc = {}
-    for ka, wa in a.entries:
-        for kb, wb in b.entries:
+    plus, times, acc = base.plus, base.times, {}
+    b_pairs = tuple(zip(b.keys, b.weights))
+    for ka, wa in zip(a.keys, a.weights):
+        for kb, wb in b_pairs:
             key = ka + kb
-            w = base.times(wa, wb)
-            if key in acc:
-                acc[key] = base.plus(acc[key], w)
-            else:
-                acc[key] = w
-    entries = tuple(
-        (k, w) for k, w in sorted(acc.items()) if w != base.zero
-    )
-    return WeightedSet._trusted(entries, base)
+            w = times(wa, wb)
+            acc[key] = plus(acc[key], w) if key in acc else w
+    zero = base.zero
+    keys = tuple(sorted(k for k, w in acc.items() if w != zero))
+    return WeightedSet._trusted(keys, tuple(map(acc.__getitem__, keys)), base)
 
 
 def ws_triangle(a, ell):
     """Base (+)-fold of weights with key <= ell; the base zero when empty."""
-    acc = a.base.zero
-    for key, weight in a.entries:
-        if key > ell:
-            break
-        acc = a.base.plus(acc, weight)
-    return acc
+    return reduce(a.base.plus, a.weights[:bisect_right(a.keys, ell)], a.base.zero)

@@ -231,6 +231,30 @@ def test_non_finite_term_exit_4(tmp_path, capsys, command):
     assert "finite or +inf" in err and err.count("\n") == 1
 
 
+OVERFLOW_TABLES = {"t1.csv": "a\n1e300\n2.0\n", "t2.csv": "b\n1.0\n"}
+OVERFLOW_INEQ = {"g": {"b": {"kind": "identity"}}, "L": 5}
+
+
+@pytest.mark.parametrize("query, reason", [
+    ({"kind": "sumsum", "algebra": "sum",
+      "F": {"a": {"kind": "scale", "factor": 1e308}}}, "the sum is inf"),
+    ({"kind": "sumprod", "algebra": "counting", "F": {"a": {"kind": "square"}}},
+     "F term of feature 'a' at 1e+300 is inf"),
+], ids=["sumsum-sum", "sumprod-counting"])
+@pytest.mark.parametrize("engine", [True, False], ids=["engine", "oracle"])
+def test_overflowing_f_term_exit_4(tmp_path, capsys, query, reason, engine):
+    """Finite cells whose F term overflows: a sum that comes out inf, and a
+    counting weight of inf, exit 4 in the engine and the oracle alike (they
+    used to print Infinity, or exit 2 blaming negative terms)."""
+    for name, text in OVERFLOW_TABLES.items():
+        (tmp_path / name).write_text(text)
+    q = write_query(tmp_path, dict(query, inequality=OVERFLOW_INEQ))
+    command = query["kind"] if engine else "oracle"
+    assert main([command, "--tables", str(tmp_path), "--query", q]) == 4
+    err = capsys.readouterr().err
+    assert reason in err and "overflowed" in err and err.count("\n") == 1
+
+
 def test_readme_command_lines_parse():
     """Every `relagg ...` line of README's command-line block parses."""
     readme = (ROOT / "README.md").read_text()

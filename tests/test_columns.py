@@ -1,0 +1,177 @@
+"""The column kernels against a pair-list reference.
+
+A value stores its keys and its weights as two aligned columns. The
+reference below runs the same algorithms on tuples of (key, weight)
+pairs, the layout in which a weight cannot part from its key, and every
+kernel must match it exactly: same keys, same weights, same float
+rounding. The keys are drawn so that sums collide only after float
+rounding (1e16 + 1.0 == 1e16 + 0.0) or stay apart though equal over the
+reals (0.1 + 0.2 != 0.3 + 0.0), and counts reach past 2**1024, beyond the
+float range, where the band cut is taken in exact integers.
+"""
+
+import math
+from bisect import bisect_left, bisect_right
+from functools import reduce
+from itertools import accumulate
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relagg import (
+    Multiset,
+    WeightedSet,
+    make_named,
+    ms_convolve,
+    ms_sketch,
+    ms_union,
+    ws_convolve,
+    ws_plus,
+    ws_sketch,
+)
+from relagg.drivers import threshold_read
+from relagg.multiset import COUNTS
+
+BASES = {name: make_named(name) for name in ("counting", "min-plus", "max-plus")}
+KEYS = (-1e16, -0.1, 0.0, 0.1, 0.2, 0.3, 0.30000000000000004, 0.7, 1.0, 2.0,
+        1e16)
+# float weights whose sums round, so the order in which they fold shows
+WEIGHTS = (0.1, 0.2, 0.3, 0.7, 1.0, 3.0, 1e16)
+SMALL, HUGE = st.integers(1, 4), st.integers(2**1024, 2**1030)
+EPS = st.sampled_from([0.05, 0.5, 2.0, 8.0])
+
+
+# ---------------------------------------------------------------------------
+# The reference: the same algorithms over tuples of (key, weight) pairs
+
+
+def ref_plus(operands, base):
+    acc = {}
+    for entries in operands:
+        for key, w in entries:
+            acc[key] = base.plus(acc[key], w) if key in acc else w
+    return tuple((k, w) for k, w in sorted(acc.items()) if w != base.zero)
+
+
+def ref_convolve(a, b, base):
+    acc = {}
+    for ka, wa in a:
+        for kb, wb in b:
+            key, w = ka + kb, base.times(wa, wb)
+            acc[key] = base.plus(acc[key], w) if key in acc else w
+    return tuple((k, w) for k, w in sorted(acc.items()) if w != base.zero)
+
+
+def ref_sketch(entries, base, eps):
+    """The band pass over pairs; `entries` unchanged when they fit."""
+    n, plus = len(entries), base.plus
+    if n <= 4:
+        return entries
+    weights = [w for _, w in entries]
+    tri = list(accumulate(weights, plus))
+    decreasing = base.plus_monotone == "decreasing"
+    if decreasing:
+        entries, weights, tri = entries[::-1], weights[::-1], tri[::-1]
+    lo, hi = bisect_right(tri, 0), bisect_left(tri, math.inf) - 1
+    if lo <= hi and n <= 2 * math.ceil(
+            (math.log(tri[hi]) - math.log(tri[lo])) / math.log1p(eps)) + 4:
+        return entries[::-1] if decreasing else entries
+    out, i = [entries[0]], 0
+    while i + 1 < n:
+        try:
+            cut = tri[i] if tri[i] < 0 else (1 + eps) * tri[i]
+        except OverflowError:
+            num, den = (1 + eps).as_integer_ratio()
+            cut = tri[i] * num // den
+        j = bisect_right(tri, cut, i + 2)
+        out.append((entries[j - 1][0], reduce(plus, weights[i + 1:j])))
+        i = j - 1
+    return tuple(out[::-1] if decreasing else out)
+
+
+def ref_read(threshold, base, a, b):
+    """Delta_L(a (x) b) off b's prefix aggregates, L = threshold."""
+    keys = [k for k, _ in b]
+    sums = list(accumulate((w for _, w in b), base.plus, initial=base.zero))
+    total = base.zero
+    for ka, wa in a:
+        i = bisect_right(keys, threshold - ka)
+        while i and ka + keys[i - 1] > threshold:
+            i -= 1
+        while i < len(keys) and ka + keys[i] <= threshold:
+            i += 1
+        if not i:
+            break
+        total = base.plus(total, base.times(wa, sums[i]))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Draws
+
+
+def pairs(weights, max_size=6):
+    return st.dictionaries(st.sampled_from(KEYS), weights, max_size=max_size)\
+        .map(lambda d: tuple(sorted(d.items())))
+
+
+def multiset_lists(max_len=6):
+    """Small counts, counts past the float range, or both mixed."""
+    return st.sampled_from([SMALL, HUGE, st.one_of(SMALL, HUGE)]).flatmap(
+        lambda counts: st.lists(pairs(counts).map(Multiset), min_size=1,
+                                max_size=max_len))
+
+
+def weighted_lists(max_len=5):
+    return st.sampled_from(sorted(BASES)).flatmap(
+        lambda name: st.lists(
+            pairs(st.sampled_from(WEIGHTS)).map(
+                lambda e, base=BASES[name]: WeightedSet(e, base)),
+            min_size=2, max_size=max_len))
+
+
+# ---------------------------------------------------------------------------
+# The kernels match the reference exactly
+
+
+@settings(max_examples=150, deadline=None)
+@given(multiset_lists(), EPS, st.sampled_from(KEYS))
+def test_multiset_kernels_match_pair_reference(xs, eps, threshold):
+    entries = [x.entries for x in xs]
+    assert ms_union(*xs).entries == ref_plus(entries, COUNTS)
+    product = reduce(ms_convolve, xs)
+    want = reduce(lambda a, b: ref_convolve(a, b, COUNTS), entries)
+    assert product.entries == want
+    assert ms_sketch(product, eps).entries == ref_sketch(want, COUNTS, eps)
+    assert ws_sketch(product, eps).entries == ref_sketch(want, COUNTS, eps)
+    read = threshold_read(threshold, COUNTS)
+    for a in xs:
+        assert read(a, product) == ref_read(threshold, COUNTS, a.entries, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_lists(), EPS, st.sampled_from(KEYS))
+def test_weighted_kernels_match_pair_reference(xs, eps, threshold):
+    base = xs[0].base
+    entries = [x.entries for x in xs]
+    assert ws_plus(*xs).entries == ref_plus(entries, base)
+    product = reduce(ws_convolve, xs[:3])
+    want = reduce(lambda a, b: ref_convolve(a, b, base), entries[:3])
+    assert product.entries == want
+    assert ws_sketch(product, eps).entries == ref_sketch(want, base, eps)
+    read = threshold_read(threshold, base)
+    for a in xs:
+        assert read(a, product) == ref_read(threshold, base, a.entries, want)
+
+
+def test_draws_reach_float_collisions_and_huge_counts():
+    """The pools hold what the property tests are for: distinct keys whose
+    sums round together, sums equal over the reals that stay apart, and
+    counts past the float range."""
+    assert 1e16 + 1.0 == 1e16 + 0.0 and 0.1 + 0.2 != 0.3 + 0.0
+    a = Multiset(((0.0, 2**1024), (1.0, 3)))
+    b = Multiset(((0.0, 1), (1e16, 2**1030)))
+    product = ms_convolve(a, b)
+    want = ref_convolve(a.entries, b.entries, COUNTS)
+    assert product.entries == want and len(want) == 3
+    assert product.weight(1e16) == 2**1024 * 2**1030 + 3 * 2**1030

@@ -42,7 +42,7 @@ def test_a_multiset_is_the_weighted_set_over_counts():
     for built and constructed values, so they compare equal."""
     a = Multiset(((1.0, 2), (3.0, 1)))
     assert isinstance(a, WeightedSet) and a.base is COUNTS
-    assert repr(a) == "Multiset(entries=((1.0, 2), (3.0, 1)))"
+    assert repr(a) == "Multiset(keys=(1.0, 3.0), weights=(2, 1))"
     with pytest.raises(TypeError):
         Multiset(a.entries, COUNTS)
     assert ms_union(a, MS_ONE) == Multiset(((0.0, 1), (1.0, 2), (3.0, 1)))

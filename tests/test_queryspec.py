@@ -317,3 +317,12 @@ def test_spec_from_json_rejects_unknown_or_conflicting_fields():
         spec_from_json({"inequality": {}, "inequalities": []})
     with pytest.raises(QueryRejected):
         spec_from_json([1, 2])
+    # a count reads no algebra and no F, and a JSON boolean is not a number
+    with pytest.raises(QueryRejected, match="takes no algebra"):
+        spec_from_json({"kind": "count", "algebra": "nope"})
+    with pytest.raises(QueryRejected, match="takes no F"):
+        spec_from_json({"F": {"a": {"kind": "identity"}}})
+    with pytest.raises(QueryRejected, match="epsilon must be a number"):
+        spec_from_json({"kind": "count", "epsilon": True})
+    with pytest.raises(QueryRejected, match="L must be a number"):
+        spec_from_json({"inequality": {"L": False}})

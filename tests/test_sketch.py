@@ -70,11 +70,12 @@ def test_ms_sketch_skips_small_inputs_without_reading_total(monkeypatch):
     without its total and before the band pass."""
     import relagg.sketch
 
-    class EntriesOnly:  # no `total`: reading it raises AttributeError
-        entries = tuple((float(k), 1) for k in range(10))
+    class ColumnsOnly:  # no `total`: reading it raises AttributeError
+        keys = tuple(float(k) for k in range(10))
+        weights = (1,) * 10
 
     monkeypatch.setattr(relagg.sketch, "_band", None)  # a call would raise
-    a = EntriesOnly()
+    a = ColumnsOnly()
     # span >= log 10: 2 ceil(log 10 / log1p(1)) + 4 = 12 >= 10
     assert ms_sketch(a, 1.0) is a
 
