@@ -82,6 +82,7 @@ def oracle_eval(db, spec, cap=DEFAULT_CAP):
     if spec.kind == "count":
         return len(rows)
     algebra = checked_algebra(spec.kind, spec.algebra)
+    checked_factors(db, algebra, spec.F)
     if spec.kind == "sumsum":
         total = algebra.identity
         for row in rows:
@@ -89,7 +90,6 @@ def oracle_eval(db, spec, cap=DEFAULT_CAP):
                 if f in spec.F:
                     total = algebra.plus(total, spec.F[f](v))
         return finite_sum(algebra, total)
-    checked_factors(db, algebra, spec.F)
     total = algebra.zero
     for row in rows:
         prod = algebra.one

@@ -34,11 +34,11 @@ what `run_query` and the CLI refuse. Each precondition is checked once, at
 the one spot every path passes through: a bad epsilon (in either mode) and
 the mode by `_evaluate`, a NaN threshold by `AdditiveInequality`, the algebra
 by `checked_algebra`, a term on a feature no table has by
-`check_features` and an overflowing SumProd F term by `checked_factors`
-(both of which the oracle calls too), the carrier and sign of the terms
-by `sumprod` and `sumsum` before any evaluation, a `sum` total that
-overflowed by `finite_sum` (as in the oracle), and a second inequality by
-`run_query`.
+`check_features` and an overflowing F term of a SumProd or of a `max` or
+`min` SumSum by `checked_factors` (both of which the oracle calls too),
+the carrier and sign of the terms by `sumprod` and `sumsum` before any
+evaluation, a `sum` total that overflowed by `finite_sum` (as in the
+oracle), and a second inequality by `run_query`.
 """
 
 import bisect
@@ -57,7 +57,6 @@ from .queryspec import (
     checked_algebra,
 )
 from .sketch import alpha_for, ms_sketch, ws_sketch
-from .tables import active_domain
 from .weightedset import lift, ws_convolve, ws_one, ws_plus
 
 SKETCH_SIZE_CAP = 10**6  # approx mode aborts when a value outgrows this
@@ -119,7 +118,7 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr, readers=()):
         plus, times, sketch, one = ms_union, ms_convolve, ms_sketch, MS_ONE
 
         def leaf(k, w):
-            return Multiset(((k, w),))
+            return Multiset.from_columns((k,), (w,), COUNTS)
     else:
         plus, times, sketch, one = ws_plus, ws_convolve, ws_sketch, ws_one(base)
 
@@ -143,13 +142,6 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr, readers=()):
         config.sketch = capped
     pairs, reads = evaluate(db, factors, config, readers=readers, instr=instr)
     return pairs, reads, threshold_read(ineq.threshold, base)
-
-
-def _term_values(F, db):
-    """(feature, value, F[feature](value)) over each feature's active domain."""
-    for feature, fn in sorted(F.items()):
-        for v in active_domain(db, feature):
-            yield feature, v, fn(v)
 
 
 def count_rows(db, ineq=None, epsilon=0.1, mode="exact", instr=None):
@@ -176,8 +168,9 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     monoid = checked_algebra("sumsum", monoid)
     ineq = ineq or AdditiveInequality()
     check_features(db, F, (ineq,))
+    terms = checked_factors(db, monoid, F)
     if mode == "approx":
-        values = [fv for _, _, fv in _term_values(F, db)]
+        values = [fv for _, _, fv in terms]
         if any(fv > 0 for fv in values) and any(fv < 0 for fv in values):
             raise QueryRejected(
                 "sumsum terms mix positive and negative values; relative "

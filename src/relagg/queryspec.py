@@ -175,21 +175,29 @@ def check_features(db, F, inequalities):
             )
 
 
-def checked_factors(db, semiring, F):
+def checked_factors(db, algebra, F):
     """The (feature, value, F term) triples over each feature's active
-    domain, in sorted order; a term that is inf or NaN, unless it is the
-    semiring's zero, raises CapExceeded.
+    domain, in sorted order; a term that is inf or NaN raises CapExceeded,
+    unless it is the semiring's zero or the algebra is the `sum` monoid.
 
     Table cells are finite, so such a term overflowed the float range: a
-    counting weight of inf would be a silently wrong answer, and a tropical
-    product refuses it as it would an overflowing sum. The drivers and the
-    oracle both check before evaluating, so they refuse the same queries
-    whichever rows qualify.
+    counting weight of inf would be a silently wrong answer, a tropical
+    product refuses it as it would an overflowing sum, and a `max` or `min`
+    fold would answer inf, or drop the term, where the exact fold is
+    finite; that fold's total cannot tell, since a `min` over no
+    qualifying row is rightly +inf. A `sum` is checked on its total by
+    `finite_sum`, which a non-finite term keeps non-finite and which also
+    catches a partial sum that overflows. The drivers and the oracle both
+    check before evaluating, so they refuse the same queries whichever
+    rows qualify.
     """
     terms = [(feature, v, fn(v)) for feature, fn in sorted(F.items())
              for v in active_domain(db, feature)]
+    if algebra is make_named("sum"):
+        return terms
+    zero = algebra.zero if isinstance(algebra, Semiring) else None
     for feature, v, value in terms:
-        if value != semiring.zero and not math.isfinite(value):
+        if value != zero and not math.isfinite(value):
             raise CapExceeded(
                 f"F term of feature {feature!r} at {v} is {value}: it "
                 "overflowed the float range"

@@ -6,15 +6,16 @@ subclass over integer counts, and the lookup, length, dump and Delta_L
 fold here serve it too. A value holds its keys, strictly increasing, in
 one tuple and their weights, aligned, in another: the readers bisect the
 key column and fold the weight column as they are, and a kernel sorts
-only keys. `entries` is a derived view of the (key, weight) pairs, and
-the checked constructor takes them. Union combines weights with the base
-(+) and takes any number of operands; convolution sums keys and combines
-weights with the base (x). Each accumulates into one dict in operand
-order, sorts its keys, and reads the weight column off the dict. Entries
-whose weight equals the base zero are dropped, keeping the representation
-canonical. The operations build results with `WeightedSet._trusted`,
-which skips the constructor's check; each docstring says why its result
-passes it.
+only keys. `entries` is a derived view of the (key, weight) pairs. The
+checked constructor takes them, and `from_columns` takes the two columns
+under the same check, so a one-entry leaf splits no pairs. Union combines
+weights with the base (+) and takes any number of operands; convolution
+sums keys and combines weights with the base (x). Each accumulates into
+one dict in operand order, sorts its keys, and reads the weight column
+off the dict. Entries whose weight equals the base zero are dropped,
+keeping the representation canonical. The operations build results with
+`WeightedSet._trusted`, which skips the constructor's check; each
+docstring says why its result passes it.
 """
 
 from bisect import bisect_left, bisect_right
@@ -56,6 +57,14 @@ class WeightedSet:
         object.__setattr__(value, "base", base)
         return value
 
+    @classmethod
+    def from_columns(cls, keys, weights, base):
+        """The checked constructor over the two columns, aligned tuples:
+        no pairs to split, and the same check as `__init__`."""
+        value = cls._trusted(keys, weights, base)
+        value.__post_init__()
+        return value
+
     @property
     def entries(self):
         """The (key, weight) pairs, in key order."""
@@ -87,7 +96,7 @@ def lift(g_val, f_val, base):
     """Leaf value {(g, f)}, or the empty set when f is the base zero."""
     if f_val == base.zero:
         return ws_empty(base)
-    return WeightedSet(((g_val, f_val),), base)
+    return WeightedSet.from_columns((g_val,), (f_val,), base)
 
 
 def _require_same_base(a, b):

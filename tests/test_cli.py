@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import shlex
 
@@ -240,12 +241,18 @@ OVERFLOW_INEQ = {"g": {"b": {"kind": "identity"}}, "L": 5}
       "F": {"a": {"kind": "scale", "factor": 1e308}}}, "the sum is inf"),
     ({"kind": "sumprod", "algebra": "counting", "F": {"a": {"kind": "square"}}},
      "F term of feature 'a' at 1e+300 is inf"),
-], ids=["sumsum-sum", "sumprod-counting"])
+    ({"kind": "sumsum", "algebra": "max", "F": {"a": {"kind": "square"}}},
+     "F term of feature 'a' at 1e+300 is inf"),
+    ({"kind": "sumsum", "algebra": "min",
+      "F": {"a": {"kind": "scale", "factor": -1e10}}},
+     "F term of feature 'a' at 1e+300 is -inf"),
+], ids=["sumsum-sum", "sumprod-counting", "sumsum-max", "sumsum-min"])
 @pytest.mark.parametrize("engine", [True, False], ids=["engine", "oracle"])
 def test_overflowing_f_term_exit_4(tmp_path, capsys, query, reason, engine):
-    """Finite cells whose F term overflows: a sum that comes out inf, and a
-    counting weight of inf, exit 4 in the engine and the oracle alike (they
-    used to print Infinity, or exit 2 blaming negative terms)."""
+    """Finite cells whose F term overflows: a sum that comes out inf, a
+    counting weight of inf, and a max or min term of +/-inf exit 4 in the
+    engine and the oracle alike (they used to print Infinity, or exit 2
+    blaming negative terms)."""
     for name, text in OVERFLOW_TABLES.items():
         (tmp_path / name).write_text(text)
     q = write_query(tmp_path, dict(query, inequality=OVERFLOW_INEQ))
@@ -253,6 +260,22 @@ def test_overflowing_f_term_exit_4(tmp_path, capsys, query, reason, engine):
     assert main([command, "--tables", str(tmp_path), "--query", q]) == 4
     err = capsys.readouterr().err
     assert reason in err and "overflowed" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("engine", [True, False], ids=["engine", "oracle"])
+def test_min_sumsum_over_no_qualifying_row_is_inf(tmp_path, capsys, engine):
+    """The term check does not touch the total: a `min` fold over no
+    qualifying row is its identity, +inf, and exits 0."""
+    for name, text in OVERFLOW_TABLES.items():
+        (tmp_path / name).write_text(text)
+    q = write_query(tmp_path, {
+        "kind": "sumsum", "algebra": "min", "F": {"a": {"kind": "identity"}},
+        "inequality": {"g": {"b": {"kind": "identity"}}, "L": 0},
+    })
+    command = "sumsum" if engine else "oracle"
+    assert main([command, "--tables", str(tmp_path), "--query", q,
+                 "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == math.inf
 
 
 def test_readme_command_lines_parse():

@@ -8,6 +8,11 @@ rounding. The keys are drawn so that sums collide only after float
 rounding (1e16 + 1.0 == 1e16 + 0.0) or stay apart though equal over the
 reals (0.1 + 0.2 != 0.3 + 0.0), and counts reach past 2**1024, beyond the
 float range, where the band cut is taken in exact integers.
+
+Multiset convolution has two paths, the pairwise loop and the packed
+big-int product for integral float keys on a dense span; the lattice
+draws below reach both, and the product must match the reference on
+either.
 """
 
 import math
@@ -15,9 +20,11 @@ from bisect import bisect_left, bisect_right
 from functools import reduce
 from itertools import accumulate
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relagg import multiset
 from relagg import (
     Multiset,
     WeightedSet,
@@ -175,3 +182,116 @@ def test_draws_reach_float_collisions_and_huge_counts():
     want = ref_convolve(a.entries, b.entries, COUNTS)
     assert product.entries == want and len(want) == 3
     assert product.weight(1e16) == 2**1024 * 2**1030 + 3 * 2**1030
+
+
+# ---------------------------------------------------------------------------
+# Convolution on integer lattices: the packed path against the reference
+
+EXACT = 2**53
+# first keys: offset and negative lattices, and runs that end near +/-2**53,
+# past which a float no longer holds every integer
+STARTS = (0, 0, 3, -7, -7, -40, 2**40, EXACT - 30, EXACT - 3, -EXACT + 1,
+          -EXACT - 2)
+LATTICE_COUNTS = (st.integers(1, 3), st.integers(1, 2**40),
+                  st.integers(2**64, 2**70))
+
+
+@st.composite
+def lattices(draw):
+    """A multiset on integer keys: dense or sparse, float keys (a 0 may be
+    -0.0) or int keys, a last key of +inf, or empty."""
+    start = draw(st.sampled_from(STARTS))
+    gaps = draw(st.lists(st.sampled_from((1, 1, 2, 3)), max_size=12))
+    if gaps and draw(st.sampled_from((False, False, True))):  # sparse
+        gaps[draw(st.integers(0, len(gaps) - 1))] = 10**6
+    ints = list(accumulate(gaps, initial=start))
+    form = draw(st.sampled_from(("float",) * 4 + ("-0.0", "int", "inf",
+                                                  "empty")))
+    if form == "empty":
+        return Multiset()
+    keys = ints if form == "int" else sorted({float(k) for k in ints})
+    if form == "-0.0":
+        keys = [-0.0 if k == 0 else k for k in keys]
+    if form == "inf":  # +inf only: -inf + inf is NaN, a key no order holds
+        keys = keys + [math.inf]
+    counts = draw(st.lists(draw(st.sampled_from(LATTICE_COUNTS)),
+                           min_size=len(keys), max_size=len(keys)))
+    return Multiset(tuple(zip(keys, counts)))
+
+
+def lattice(n, start=0, count=1):
+    """n entries on consecutive integer float keys."""
+    return Multiset(tuple((float(start + i), count) for i in range(n)))
+
+
+def takes_packed_path(a, b):
+    return multiset._packed(a, b) is not None
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattices(), lattices())
+def test_lattice_convolution_matches_pair_reference(a, b):
+    """Equal keys, equal counts, and the same types: float keys, int
+    counts, on whichever path the operands take."""
+    got = ms_convolve(a, b)
+    want = ref_convolve(a.entries, b.entries, COUNTS)
+    assert got.entries == want
+    assert [type(k) for k in got.keys] == [type(k) for k, _ in want]
+    assert [type(c) for c in got.weights] == [type(c) for _, c in want]
+
+
+def test_packed_path_returns_positive_zero_for_negative_zero_keys():
+    """-0.0 is an integral float, so a lattice holding it is packed; the
+    packed key is the integer 0 as a float, +0.0, where the pairwise sum
+    -0.0 + -0.0 is -0.0. The two compare equal, as dict keys too."""
+    a = Multiset(((-0.0, 2), (1.0, 1)))
+    assert takes_packed_path(a, a)
+    packed, pairwise = ms_convolve(a, a), multiset._pairwise(a, a)
+    assert packed.keys == pairwise.keys == (0.0, 1.0, 2.0)
+    assert packed.weights == pairwise.weights == (4, 4, 1)
+    assert math.copysign(1, packed.keys[0]) == 1
+    assert math.copysign(1, pairwise.keys[0]) == -1
+
+
+PATH_CASES = {  # name -> (a, b, whether the packed path takes them)
+    "dense-28x29": (lattice(28), lattice(29, start=-5), True),
+    "end-sum-near-minus-2**53": (lattice(3, start=-EXACT + 2),
+                                 lattice(3, start=-1), True),
+    # an end sum of magnitude 2**53: a key sum might round
+    "end-sum-2**53": (lattice(3, start=EXACT - 3), lattice(2), False),
+    "end-sum-minus-2**53": (lattice(3, start=-EXACT + 1),
+                            lattice(3, start=-1), False),
+    # span 5 > 2 x 2 pairs, then span 4
+    "span-past-pairs": (Multiset(((0.0, 1), (3.0, 1))),
+                        Multiset(((0.0, 1), (1.0, 1))), False),
+    "span-at-pairs": (Multiset(((0.0, 1), (2.0, 1))),
+                      Multiset(((0.0, 1), (1.0, 1))), True),
+    "real-key": (Multiset(((0.0, 1), (0.5, 1))), lattice(4), False),
+    "int-keys": (Multiset(((0, 1), (1, 1))), lattice(4), False),
+    "inf-key": (Multiset(((0.0, 1), (math.inf, 1))), lattice(4), False),
+    # count bounds: 2**64 - 1 fits a 64-bit item, 2**64 does not
+    "bound-2**64-1": (lattice(1, count=2**32 - 1),
+                      lattice(2, count=2**32 + 1), True),
+    "bound-2**64": (lattice(1, count=2**32), lattice(2, count=2**32), False),
+}
+
+
+@pytest.mark.parametrize("a, b, packed", PATH_CASES.values(), ids=PATH_CASES)
+def test_convolution_path_follows_the_operands(a, b, packed):
+    assert takes_packed_path(a, b) is packed
+    got = ms_convolve(a, b)
+    assert got.entries == ref_convolve(a.entries, b.entries, COUNTS)
+
+
+def test_dense_lattice_products_skip_the_pairwise_loop(monkeypatch):
+    """28 x 29 lattice operands, the size of star-m2m's products, are one
+    big-int product: the pairwise loop must not run."""
+    a = Multiset(tuple((float(k), k % 3 + 1) for k in range(0, 31) if k % 11))
+    b = Multiset(tuple((float(k), 1 + k * k) for k in range(-20, 9)))
+    assert (len(a), len(b)) == (28, 29)
+
+    def refuse(a, b):
+        raise AssertionError("the pairwise loop ran on a dense lattice")
+    monkeypatch.setattr(multiset, "_pairwise", refuse)
+    got = ms_convolve(a, b)
+    assert got.entries == ref_convolve(a.entries, b.entries, COUNTS)

@@ -24,6 +24,19 @@ def test_construction_rules():
         Multiset(((1.0, 1), (1.0, 2)))
 
 
+def test_from_columns_runs_the_check():
+    """The column constructor builds what the pair constructor builds and
+    refuses what it refuses."""
+    assert Multiset.from_columns((1.0, 2.0), (3, 1), COUNTS) == Multiset(
+        ((1.0, 3), (2.0, 1)))
+    with pytest.raises(ValueError):
+        Multiset.from_columns((1.0,), (0,), COUNTS)
+    with pytest.raises(ValueError):
+        Multiset.from_columns((2.0, 1.0), (1, 1), COUNTS)
+    with pytest.raises(ValueError):
+        WeightedSet.from_columns((1.0,), (COUNTS.zero,), COUNTS)
+
+
 def test_from_values():
     a = Multiset.from_values([3.0, 1.0, 3.0, 2.0, 3.0])
     assert a.entries == ((1.0, 1), (2.0, 1), (3.0, 3))
