@@ -2,7 +2,8 @@
 
 Carriers are plain floats (or ints) extended with +/-infinity. Each named
 semiring records the metadata the approximation algorithms need: whether
-its addition is monotone.
+its addition is monotone. `PAIRS` holds, per monoid, the semiring of
+(count, fold) pairs over which SumSum runs.
 """
 
 import math
@@ -110,20 +111,35 @@ def make_named(name):
     raise KeyError(f"unknown algebra {name!r}; known: {', '.join(known)}")
 
 
-def repeat(monoid, x, k):
-    """Fold of k copies of x under the monoid, by doubling (O(log k) ops)."""
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"repeat count must be nonnegative, got {k}")
-    acc = monoid.identity
-    base = x
-    while k:
-        if k & 1:
-            acc = monoid.plus(acc, base)
-        k >>= 1
-        if k:
-            base = monoid.plus(base, base)
-    return acc
+def _pairs(monoid):
+    """SumSum's base over `monoid`: (count, fold) pairs, a count and a
+    fold carried together through one SumProd.
+
+    A pair (c, s) stands for c join rows whose terms fold to s. (+) adds
+    the counts and folds the folds; (x) joins every row of one side to
+    every row of the other: (c1, s1) (x) (c2, s2) = (c1 c2, c1.s2 (+)
+    c2.s1), where c.s, the fold of c copies of s, is c s under `sum` (the
+    dual numbers c + s e, e^2 = 0) and s under the idempotent `max` and
+    `min` (the identity when c is 0). Zero is (0, identity) and one
+    (1, identity). Only `sum`'s pairs are sketched, so only they are
+    marked monotone: on a nonnegative carrier both components grow under
+    (+).
+    """
+    plus, identity = monoid.plus, monoid.identity
+    if monoid.name == "sum":
+        def times(x, y):
+            return x[0] * y[0], x[0] * y[1] + y[0] * x[1]
+    else:
+        def times(x, y):
+            return x[0] * y[0], plus(y[1] if x[0] else identity,
+                                     x[1] if y[0] else identity)
+    return Semiring(f"{monoid.name} pairs",
+                    lambda x, y: (x[0] + y[0], plus(x[1], y[1])), times,
+                    (0, identity), (1, identity),
+                    "increasing" if monoid.name == "sum" else "none")
+
+
+PAIRS = {name: _pairs(monoid) for name, monoid in _MONOIDS.items()}
 
 
 def finite_sum(monoid, total):

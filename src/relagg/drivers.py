@@ -4,28 +4,26 @@ Each driver reduces its query to a SumProd evaluation over a dynamic
 programming semiring, and every driver runs it through `_evaluate`, which
 chooses the carrier, the sketch and the approx size cap; the engine only
 folds, multiplies and sends. The base chooses the carrier: row counting
-and SumSum count over `COUNTS`, whose weighted sets are the multisets,
-and SumProd takes the weighted sets over its semiring. A leaf factor
-carries the inequality term of a feature as its key and the F term (the
-base one when F has none) as its weight. Only a feature with a term, in
-the inequality or in F, gets a factor; any other contributes the
-carrier's one, which the engine never multiplies in. A term that is -inf
-or NaN is refused (CapExceeded) by `AdditiveInequality.term_value`, as it
-is by the oracle; a +inf term takes its row out. The answer is the root
-value's cumulative aggregate at the threshold, Delta_L(v) =
-(+)_{k <= L} v[k]. The engine stops before the root's last product and
-returns (a, b) pairs, one per join key of the root; `threshold_read`
-reads each Delta_L(a (x) b) off a and b under the weights' base, and the
-driver folds these scalars, so no root product or fold is built. SumSum
-asks the same single evaluation for its owning tables as readers, and
-reads each of their rows the same way: the engine sends its messages back
-down and pairs the row with the product of every message into its table.
-Exact mode uses the exact carrier operations; approx mode has the engine
-sketch the result of every group fold and every product (`ms_sketch` for
-multisets, which skips a cheaply provable fit and then runs `ws_sketch`,
-the band pass every weighted set takes) with a per-sketch parameter
-alpha = alpha_for(epsilon, m), so the answer is within (1 +/- epsilon) of
-the exact one, and refuses (CapExceeded) a sketched value past
+counts over `COUNTS`, whose weighted sets are the multisets, SumProd takes
+the weighted sets over its semiring, and SumSum those over the monoid's
+(count, fold) pairs, `algebra.PAIRS`. A leaf factor carries the
+inequality term of a feature as its key and the F term (the base one
+when F has none) as its weight. Only a feature with a term, in the
+inequality or in F, gets a factor; any other contributes the carrier's
+one, which the engine never multiplies in. A term that is -inf or NaN is
+refused (CapExceeded) by `AdditiveInequality.term_value`, as it is by the
+oracle; a +inf term takes its row out. The answer is the root value's
+cumulative aggregate at the threshold, Delta_L(v) = (+)_{k <= L} v[k].
+The engine stops before the root's last product and returns (a, b)
+pairs, one per join key of the root; `threshold_read` reads each
+Delta_L(a (x) b) off a and b under the weights' base, and the driver
+folds these, so no root product or fold is built. Exact mode uses the
+exact carrier operations; approx mode has the engine sketch the result
+of every group fold and every product (`ms_sketch` for multisets, which
+skips a cheaply provable fit and then runs `ws_sketch`, the band pass
+every weighted set takes) with a per-sketch parameter alpha =
+alpha_for(epsilon, m), so the answer is within (1 +/- epsilon) of the
+exact one, and refuses (CapExceeded) a sketched value past
 `SKETCH_SIZE_CAP` entries. A group folds in one n-ary union, so it is
 sketched once, not once per pairwise union.
 
@@ -46,10 +44,11 @@ import math
 from functools import reduce
 from itertools import accumulate
 
-from .algebra import finite_sum, repeat
-from .engine import EngineConfig, assign_features, evaluate
+from .algebra import PAIRS, finite_sum
+from .engine import EngineConfig, evaluate
 from .errors import CapExceeded, QueryRejected
-from .multiset import COUNTS, MS_ONE, Multiset, ms_convolve, ms_union
+from .multiset import (COUNTS, MS_ONE, Multiset, ms_convolve, ms_union,
+                       pair_convolve)
 from .queryspec import (
     AdditiveInequality,
     check_features,
@@ -95,18 +94,19 @@ def threshold_read(threshold, base):
     return read
 
 
-def _evaluate(db, base, F, ineq, epsilon, mode, instr, readers=()):
+def _evaluate(db, base, F, ineq, epsilon, mode, instr):
     """One SumProd evaluation over weighted sets of `base`: the root's
-    pairs, the readers' triples, and the read Delta_L(a (x) b) for both.
+    pairs, and the read Delta_L(a (x) b) for each.
 
     The base chooses the carrier: `COUNTS` the multisets, any other base
-    its weighted sets. The leaf of a feature with a term, in the
-    inequality or in F, pairs the inequality term with the F term (the
-    base one when F has none). Approx mode hands the engine the carrier's
-    sketch with alpha_for(epsilon, m), which also refuses (CapExceeded) a
-    sketched value past SKETCH_SIZE_CAP entries. The carrier functions
-    are looked up here, at call time, so wrappers set on this module's
-    attributes see every call.
+    its weighted sets, whose product is `pair_convolve` over `sum`'s
+    pairs. The leaf of a feature with a term, in the inequality or in F,
+    pairs the inequality term with the F term (the base one when F has
+    none). Approx mode hands the engine the carrier's sketch with
+    alpha_for(epsilon, m), which also refuses (CapExceeded) a sketched
+    value past SKETCH_SIZE_CAP entries. The carrier functions are looked
+    up here, at call time, so wrappers set on this module's attributes
+    see every call.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise QueryRejected(
@@ -120,7 +120,8 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr, readers=()):
         def leaf(k, w):
             return Multiset.from_columns((k,), (w,), COUNTS)
     else:
-        plus, times, sketch, one = ws_plus, ws_convolve, ws_sketch, ws_one(base)
+        plus, sketch, one = ws_plus, ws_sketch, ws_one(base)
+        times = pair_convolve if base is PAIRS["sum"] else ws_convolve
 
         def leaf(k, w):
             return lift(k, w, base)
@@ -140,8 +141,8 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr, readers=()):
                                   f"entries (cap {SKETCH_SIZE_CAP})")
             return value
         config.sketch = capped
-    pairs, reads = evaluate(db, factors, config, readers=readers, instr=instr)
-    return pairs, reads, threshold_read(ineq.threshold, base)
+    pairs = evaluate(db, factors, config, instr=instr)
+    return pairs, threshold_read(ineq.threshold, base)
 
 
 def count_rows(db, ineq=None, epsilon=0.1, mode="exact", instr=None):
@@ -152,52 +153,42 @@ def count_rows(db, ineq=None, epsilon=0.1, mode="exact", instr=None):
     """
     ineq = ineq or AdditiveInequality()
     check_features(db, {}, (ineq,))
-    pairs, _, read = _evaluate(db, COUNTS, {}, ineq, epsilon, mode, instr)
+    pairs, read = _evaluate(db, COUNTS, {}, ineq, epsilon, mode, instr)
     return sum(read(a, b) for a, b in pairs)
 
 
 def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     """Monoid fold of per-feature terms over qualifying join rows.
 
-    One row-counting evaluation, with the tables that own a feature of F as
-    readers, gives each of their rows the number of qualifying join rows
-    extending it. For each feature, the counts of its owner's rows are
-    summed per active-domain value, then the term is repeated that many
-    times. Approx mode refuses terms that mix signs over the active domains.
+    One SumProd over the monoid's (count, fold) pairs, `algebra.PAIRS`:
+    the leaf of a feature of F at v weighs (1, F(v)), any other the pair
+    one (1, identity), and the answer is the fold component of the root
+    reads' (+)-fold. Approx mode refuses terms that mix signs over the
+    active domains. It sketches `sum` pairs, and answers an all-negative
+    `sum` F as minus that of -F, whose pairs are nonnegative. A `max` or
+    `min` sumsum is computed exactly in either mode: a sketch keeps every
+    positive cumulative count positive, so its answer was exact anyway.
     """
     monoid = checked_algebra("sumsum", monoid)
     ineq = ineq or AdditiveInequality()
     check_features(db, F, (ineq,))
-    terms = checked_factors(db, monoid, F)
-    if mode == "approx":
-        values = [fv for _, _, fv in terms]
-        if any(fv > 0 for fv in values) and any(fv < 0 for fv in values):
-            raise QueryRejected(
-                "sumsum terms mix positive and negative values; relative "
-                "error does not survive cancellation (the subtraction "
-                "problem), so no approximation is attempted"
-            )
-    owner, _ = assign_features(db)
-    features = sorted(F)
-    _, reads, read = _evaluate(db, COUNTS, {}, ineq, epsilon, mode, instr,
-                               readers={owner[f] for f in features})
-    counted = {  # table -> (row, qualifying join rows extending it)
-        t: [(row, read(a, b)) for row, a, b in triples]
-        for t, triples in reads.items()
-    }
-    total = monoid.identity
-    for feature in features:
-        t = owner[feature]
-        col = db.table(t).schema.index(feature)
-        counts = {}
-        for row, c in counted[t]:
-            v = row[col]
-            counts[v] = counts.get(v, 0) + c
-        for v in sorted(counts):
-            u = counts[v]
-            if u:
-                total = monoid.plus(total, repeat(monoid, F[feature](v), u))
-    return finite_sum(monoid, total)
+    values = [fv for _, _, fv in checked_factors(db, monoid, F)]
+    negative = any(fv < 0 for fv in values)
+    if mode == "approx" and negative and any(fv > 0 for fv in values):
+        raise QueryRejected(
+            "sumsum terms mix positive and negative values; relative "
+            "error does not survive cancellation (the subtraction "
+            "problem), so no approximation is attempted"
+        )
+    summed, base = monoid.name == "sum", PAIRS[monoid.name]
+    sign = -1 if summed and negative and mode == "approx" else 1
+    if mode == "approx" and not summed:
+        mode = "exact"
+    pairs, read = _evaluate(
+        db, base, {f: lambda v, fn=fn: (1, sign * fn(v)) for f, fn in F.items()},
+        ineq, epsilon, mode, instr)
+    total = reduce(base.plus, (read(a, b) for a, b in pairs), base.zero)
+    return finite_sum(monoid, sign * total[1])
 
 
 def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
@@ -218,7 +209,7 @@ def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
                 "outside the nonnegative carrier; queries with negative terms "
                 "cannot be approximated (the subtraction problem)"
             )
-    pairs, _, read = _evaluate(db, semiring, F, ineq, epsilon, mode, instr)
+    pairs, read = _evaluate(db, semiring, F, ineq, epsilon, mode, instr)
     return reduce(semiring.plus, (read(a, b) for a, b in pairs), semiring.zero)
 
 

@@ -21,15 +21,20 @@ both is an integral float, the output span (a.hi - a.lo) + (b.hi - b.lo) + 1
 is at most |a| |b|, both end sums lie strictly within +/-2**53 (so every
 key sum is exact), and the bound min(|a|, |b|) max(a's counts) max(b's
 counts) on an output count fits an unsigned `array` item of at most 64
-bits. Each operand's counts are then laid out densely, one item per key of
-its span, read as one little-endian int, and the two ints multiplied once
-(Kronecker substitution: no output count carries into its neighbour's
-item); the product's items are the output counts. That costs
+bits, as does every operand count (a column of `pair_convolve`'s that
+is all 0 bounds no output above 0). Each operand's counts are then laid
+out densely, one item per key of its span, read as one little-endian
+int, and the two ints multiplied once (Kronecker substitution: no output
+count carries into its neighbour's item); the product's items are the
+output counts. That costs
 O(|a| + |b| + span) plus one big-int product, against |a| |b| dict
 updates in the pairwise loop, which every other input takes: real,
 sparse, infinite or int-typed keys, and counts past 64 bits. Deciding
 costs one O(1) span test and a scan that stops at the first key that is
 not an integral float.
+
+SumSum's `sum` pairs reuse the packed path: `pair_convolve` views their
+count and sum columns as multisets on the same keys.
 """
 
 import operator
@@ -38,7 +43,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from .algebra import Semiring
-from .weightedset import WeightedSet
+from .weightedset import WeightedSet, ws_convolve
 
 # The counting algebra of multisets. Unlike the named "counting" semiring
 # its operations need no float-overflow check: ints cannot overflow.
@@ -133,7 +138,8 @@ def _packed(a, b):
     lo, hi = int(ak[0]) + int(bk[0]), int(ak[-1]) + int(bk[-1])
     if not -_EXACT < lo <= hi < _EXACT:
         return None
-    bound = min(na, nb) * max(a.weights) * max(b.weights)
+    ma, mb = max(a.weights), max(b.weights)
+    bound = max(min(na, nb) * ma * mb, ma, mb)
     for code, size, top in _ITEMS:
         if bound <= top:
             break
@@ -145,6 +151,41 @@ def _packed(a, b):
     coeffs.frombytes(product.to_bytes(n * size, "little"))
     keys = tuple(map(float, compress(range(lo, lo + n), coeffs)))
     return Multiset._trusted(keys, tuple(filter(None, coeffs)), COUNTS)
+
+
+def pair_convolve(a, b):
+    """`ws_convolve` over `sum`'s (count, sum) pairs. When every sum is a
+    nonnegative integral float, it takes three packed products if each
+    qualifies: counts c_a c_b, and sums c_a s_b + s_a c_b, of columns
+    viewed as multisets. A sum is nonzero only where a count is, so the
+    sums are read at the counts' keys; they add as exact ints and round
+    to float once. Any other input takes `ws_convolve`."""
+    if a.keys and b.keys:
+        (ca, sa), (cb, sb) = zip(*a.weights), zip(*b.weights)
+        sa, sb = _integral(sa), _integral(sb)
+        if sa is not None and sb is not None:
+            count, *sums = (_packed(Multiset._trusted(a.keys, x, COUNTS),
+                                    Multiset._trusted(b.keys, y, COUNTS))
+                            for x, y in ((ca, cb), (ca, sb), (sa, cb)))
+            if count is not None and None not in sums:
+                acc = dict.fromkeys(count.keys, 0)
+                for part in sums:
+                    for key, s in zip(part.keys, part.weights):
+                        acc[key] += s
+                weights = tuple(zip(count.weights, map(float, acc.values())))
+                return WeightedSet._trusted(count.keys, weights, a.base)
+    return ws_convolve(a, b)
+
+
+def _integral(column):
+    """The column as ints if each item is a nonnegative integral float,
+    else None."""
+    try:
+        if min(column) >= 0 and all(map(float.is_integer, column)):
+            return tuple(map(int, column))
+    except TypeError:
+        pass  # an item that is not a float, an int say
+    return None
 
 
 def _pack(value, code, size):

@@ -7,7 +7,8 @@ aggregate. It keeps the first key, then run-compresses the rest: a run
 absorbs keys while the aggregate stays within a (1+eps) geometric band of
 the last retained boundary, then collapses to its last key carrying the
 base (+)-aggregate of the run's weights. Cumulative aggregates at every
-original key are preserved within a (1+eps) factor. The pass reads a
+original key are preserved within a (1+eps) factor, in each component
+when the weights are SumSum's (count, sum) pairs. The pass reads a
 value's weight column into the running aggregates and its key column by
 position, and writes the retained keys and weights as two new columns. A
 multiset is the weighted set over integer counts (`COUNTS`), so the same
@@ -35,12 +36,12 @@ def alpha_for(eps, m):
     alpha = (1+eps)^(1/D) - 1, D = max(2m - 3, 1). Each sketch on the plan
     keeps cumulative aggregates within one (1 +/- alpha) factor, and the
     factors compose: a union's error is its worse operand's and a
-    product's error factors multiply. Every read the engine hands the
-    drivers, at the root or at a reader table, whose messages come from
-    every side, composes m - 1 sketched group folds and m - 2 sketched
-    products; the last product is the fused read, never built, and the
-    join-key folds and seeding products are exact (`relagg.engine` gives
-    the count). So a read carries at most D = 2m - 3 factors:
+    product's error factors multiply, in each component of SumSum's pairs
+    too (`_band`). Every read the engine hands the drivers, at the root,
+    composes m - 1 sketched group folds and m - 2 sketched products; the
+    last product is the fused read, never built, and the join-key folds
+    and seeding products are exact (`relagg.engine` gives the count). So
+    a read carries at most D = 2m - 3 factors:
     (1+alpha)^D = 1+eps, and (1-alpha)^D >= 1 - D alpha >= 1 - eps since
     alpha <= eps / D.
     """
@@ -62,7 +63,7 @@ def ms_sketch(a, eps):
     if not eps > 0:
         raise ValueError("eps must be positive")
     n = len(a.keys)
-    if n <= 4 or _fits(n, a.weights[0], a.weights[0] + n - 1, eps):
+    if n <= 4 or n <= _bound(a.weights[0], a.weights[0] + n - 1, eps):
         return a
     return ws_sketch(a, eps)
 
@@ -87,9 +88,22 @@ def ws_sketch(a, eps):
     return a if out is None else type(a)._trusted(*out, base)
 
 
-def _fits(n, lo, hi, eps):
-    """n <= 2 ceil(log(hi/lo) / log1p(eps)) + 4: the band pass's size bound."""
-    return n <= 2 * math.ceil((math.log(hi) - math.log(lo)) / math.log1p(eps)) + 4
+def _bound(lo, hi, eps):
+    """2 ceil(log(hi/lo) / log1p(eps)) + 4: the band pass's size bound for
+    a column whose positive finite aggregates span [lo, hi]."""
+    return 2 * math.ceil((math.log(hi) - math.log(lo)) / math.log1p(eps)) + 4
+
+
+def _cut(t, eps):
+    """The band's cut above an aggregate t: (1+eps) t; a negative t is its
+    own cut, and inf stays inf. An int t whose cut overflows a float is
+    cut at the exact floor(t (1+eps)), with 1+eps as the ratio of ints it
+    is: an int exceeds that floor iff it exceeds the real cut."""
+    try:
+        return t if t < 0 else (1 + eps) * t
+    except OverflowError:  # an int aggregate past the float range
+        num, den = (1 + eps).as_integer_ratio()
+        return t * num // den
 
 
 def _band(keys, weights, plus, decreasing, eps):
@@ -98,26 +112,38 @@ def _band(keys, weights, plus, decreasing, eps):
 
     tri is the running (+)-fold of the weights in key order, reversed with
     the columns when (+) is decreasing, so that it is nondecreasing in
-    processing order. The run after retained position i spans i + 1 ..
-    j - 1, j the first position from i + 2 on whose tri exceeds the cut
-    (1+eps) tri[i]; a negative tri[i] is its own cut, and inf stays inf.
-    An int tri[i] whose cut overflows a float is cut at the exact
-    floor(tri[i] (1+eps)), with 1+eps as the ratio of ints it is: an int
-    exceeds that floor iff it exceeds the real cut. The run is retained at
-    its last position, carrying the left-to-right (+)-fold of its weights.
-    Nonzero weights under a monotone (+) never fold to the base zero, so
-    no entry is dropped.
+    processing order; a pair weight, SumSum's (count, sum), gives a
+    column of tri per component, each nondecreasing. The run after
+    retained position i spans i + 1 .. j - 1, j the first position from
+    i + 2 on where some column exceeds its cut `_cut(tri[i])`. The run is
+    retained at its last position, carrying the left-to-right (+)-fold of
+    its weights. Nonzero weights under a monotone (+) never fold to the
+    base zero, so no entry is dropped. Every position p of a run but its
+    last has each column within [tri[i], cut], so the retained
+    cumulative at p, tri[i], lies within [tri[p] / (1+eps), tri[p]] in
+    every component, and is exact at retained positions.
 
-    Size bound: the entries fit when there are at most 2 ceil(log(hi/lo) /
-    log1p(eps)) + 4 of them, lo and hi the smallest and largest positive
-    finite aggregates; on the nonnegative carrier the pass returns no
-    more. It keeps the first key and the last of each run: one entry per
-    band base, plus one. A run closes at an aggregate t > (1+eps) base,
-    and the base after the next close is >= t. So positive bases lie in
-    [lo, hi] and grow by more than (1+eps) every two closes, the last to
-    close lies below hi / (1+eps), and at most two bases are 0. The bound
-    is never below 4, so an input of at most 4 entries fits before the
-    cumulative pass.
+    Pair error composition: on nonnegative pairs, the count and the sum of
+    a product's cumulative at L, C = sum_k c_a(k) C_b(L - k) and S =
+    sum_k (c_a(k) S_b(L - k) + s_a(k) C_b(L - k)), are bilinear with
+    nonnegative coefficients in one operand's weights and the other's
+    cumulatives (and symmetrically), and a union adds them. So if each
+    component of an operand's cumulative is within [x / (1+a), x], the
+    product's are within the product of the operands' factors and the
+    union's within the worse one, as for counts: the depth D = 2m - 3 of
+    `alpha_for` bounds the sum component of every read.
+
+    Size bound: a column fits at most `_bound(lo, hi)` entries, lo and hi
+    its smallest and largest positive finite aggregates (4 when it has
+    none), and the columns together fit the sum of their bounds; on the
+    nonnegative carrier the pass returns no more. It keeps the first key
+    and the last of each run, and each run closes at a column that passes
+    its cut. A column closes a run at an aggregate t > (1+eps) base, and
+    its base two of its closes later is >= t. So its positive bases lie in
+    [lo, hi] and grow by more than (1+eps) every two of its closes, the
+    last to close lies below hi / (1+eps), and at most two of its bases
+    are 0, while an inf base never closes. A bound is never below 4, so an
+    input of at most 4 entries fits before the cumulative pass.
     """
     n = len(keys)
     if n <= 4:
@@ -125,17 +151,16 @@ def _band(keys, weights, plus, decreasing, eps):
     tri = list(accumulate(weights, plus))
     if decreasing:
         keys, weights, tri = keys[::-1], weights[::-1], tri[::-1]
-    lo, hi = bisect_right(tri, 0), bisect_left(tri, math.inf) - 1
-    if lo <= hi and _fits(n, tri[lo], tri[hi], eps):
+    columns = list(zip(*tri)) if isinstance(tri[0], tuple) else [tri]
+    bound = 0
+    for column in columns:
+        lo, hi = bisect_right(column, 0), bisect_left(column, math.inf) - 1
+        bound += _bound(column[lo], column[hi], eps) if lo <= hi else 4
+    if n <= bound:
         return None
     out_keys, out_weights, i = [keys[0]], [weights[0]], 0
     while i + 1 < n:
-        try:
-            cut = tri[i] if tri[i] < 0 else (1 + eps) * tri[i]
-        except OverflowError:  # an int aggregate past the float range
-            num, den = (1 + eps).as_integer_ratio()
-            cut = tri[i] * num // den
-        j = bisect_right(tri, cut, i + 2)
+        j = min(bisect_right(c, _cut(c[i], eps), i + 2) for c in columns)
         out_keys.append(keys[j - 1])
         out_weights.append(reduce(plus, weights[i + 1:j]))
         i = j - 1

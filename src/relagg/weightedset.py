@@ -4,9 +4,9 @@ Each real key carries a weight drawn from a base semiring (the weight
 plays the role of a possibly fractional multiplicity); `Multiset` is the
 subclass over integer counts, and the lookup, length, dump and Delta_L
 fold here serve it too. A value holds its keys, strictly increasing, in
-one tuple and their weights, aligned, in another: the readers bisect the
-key column and fold the weight column as they are, and a kernel sorts
-only keys. `entries` is a derived view of the (key, weight) pairs. The
+one tuple and their weights, aligned, in another: a threshold read
+bisects the key column and folds the weight column as they are, and a
+kernel sorts only keys. `entries` is a derived view of the (key, weight) pairs. The
 checked constructor takes them, and `from_columns` takes the two columns
 under the same check, so a one-entry leaf splits no pairs. Union combines
 weights with the base (+) and takes any number of operands; convolution

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from relagg import check_axioms, make_named, repeat
-from relagg.algebra import Semiring, find_law_violation
+from relagg import check_axioms, make_named
+from relagg.algebra import PAIRS, Semiring, find_law_violation
 
 INF = math.inf
 
@@ -38,6 +38,12 @@ def test_named_instances_are_singletons():
     assert make_named("min-plus") is make_named("min-plus")
 
 
+def repeat(monoid, x, k):
+    """The fold of k copies of x as SumSum's pair product forms it: k join
+    rows without a term, each joined to one row whose term is x."""
+    return PAIRS[monoid.name].times((k, monoid.identity), (1, x))[1]
+
+
 def test_repeat_sum():
     assert repeat(make_named("sum"), 1.5, 4) == 6.0
 
@@ -61,9 +67,18 @@ def test_repeat_splits_additively():
         assert repeat(m, x, j + k) == m.plus(repeat(m, x, j), repeat(m, x, k))
 
 
-def test_repeat_rejects_negative():
-    with pytest.raises(ValueError):
-        repeat(make_named("sum"), 1.0, -1)
+@pytest.mark.parametrize("name, terms", [
+    ("sum", [-2, 0, 3]), ("min", [-2, 0, 3, INF]), ("max", [-2, 0, 3, -INF]),
+])
+def test_pair_bases_are_semirings(name, terms):
+    """(count, fold) pairs over each monoid satisfy every semiring law,
+    pairs of count 0 included; over `sum` they are the dual numbers
+    c + s e, e^2 = 0."""
+    base = PAIRS[name]
+    samples = [(c, s) for c in (0, 1, 2, 5) for s in terms]
+    assert check_axioms(base, samples)
+    assert base.zero == (0, make_named(name).identity)
+    assert base.one == (1, make_named(name).identity)
 
 
 def test_counting_axioms_on_integers():

@@ -12,7 +12,9 @@ float range, where the band cut is taken in exact integers.
 Multiset convolution has two paths, the pairwise loop and the packed
 big-int product for integral float keys on a dense span; the lattice
 draws below reach both, and the product must match the reference on
-either.
+either. SumSum's product of (count, sum) pairs packs its count and sum
+columns the same way when every sum is a nonnegative integral float, and
+must match `ws_convolve` over the pair base on either path.
 """
 
 import math
@@ -36,8 +38,9 @@ from relagg import (
     ws_plus,
     ws_sketch,
 )
+from relagg.algebra import PAIRS
 from relagg.drivers import threshold_read
-from relagg.multiset import COUNTS
+from relagg.multiset import COUNTS, pair_convolve
 
 BASES = {name: make_named(name) for name in ("counting", "min-plus", "max-plus")}
 KEYS = (-1e16, -0.1, 0.0, 0.1, 0.2, 0.3, 0.30000000000000004, 0.7, 1.0, 2.0,
@@ -295,3 +298,103 @@ def test_dense_lattice_products_skip_the_pairwise_loop(monkeypatch):
     monkeypatch.setattr(multiset, "_pairwise", refuse)
     got = ms_convolve(a, b)
     assert got.entries == ref_convolve(a.entries, b.entries, COUNTS)
+
+
+# ---------------------------------------------------------------------------
+# SumSum's (count, sum) pair product: packed columns against ws_convolve
+
+SUM_PAIRS = PAIRS["sum"]
+# sum columns: integral floats (twice as likely; a 0 may be -0.0), all 0,
+# and three forms the packed path refuses: a negative sum, a real sum and
+# int sums
+PAIR_SUMS = (st.integers(0, 50).map(float), st.integers(0, 9).map(float),
+             st.just(0.0),
+             st.sampled_from((-0.0, 0.0, 3.0)), st.integers(-2, 50).map(float),
+             st.sampled_from((0.0, 0.5, 2.0)), st.integers(0, 50))
+
+
+@st.composite
+def pair_lattices(draw):
+    """A lattice draw's keys and counts, each count paired with a sum. A
+    count past 2**64 never takes the packed path, so on that path every
+    c s and every sum of them is an exact float."""
+    ms = draw(lattices())
+    sums = draw(st.sampled_from(PAIR_SUMS))
+    weights = tuple((c, draw(sums)) for c in ms.weights)
+    return WeightedSet(tuple(zip(ms.keys, weights)), SUM_PAIRS)
+
+
+def _view(keys, column):
+    return Multiset._trusted(keys, column, COUNTS)
+
+
+def takes_packed_pair_path(a, b):
+    """Every sum a nonnegative integral float, and the count product and
+    both sum products (c_a s_b, s_a c_b) take the packed path."""
+    if not (a.keys and b.keys):
+        return False
+    (ca, sa), (cb, sb) = zip(*a.weights), zip(*b.weights)
+    if not all(type(s) is float and s >= 0 and s.is_integer() for s in sa + sb):
+        return False
+    sa, sb = tuple(map(int, sa)), tuple(map(int, sb))
+    return all(takes_packed_path(_view(a.keys, x), _view(b.keys, y))
+               for x, y in ((ca, cb), (ca, sb), (sa, cb)))
+
+
+def _pair_product(monkeypatch, a, b):
+    """pair_convolve(a, b) and whether it fell back to `ws_convolve`."""
+    fallbacks = []
+
+    def generic(a, b):
+        fallbacks.append(1)
+        return ws_convolve(a, b)
+    with monkeypatch.context() as mp:
+        mp.setattr(multiset, "ws_convolve", generic)
+        return pair_convolve(a, b), bool(fallbacks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair_lattices(), pair_lattices())
+def test_pair_product_matches_generic_convolution(a, b):
+    """Equal keys and equal (count, sum) weights of the same types as
+    `ws_convolve` over the pair base, and the packed path exactly when the
+    operands qualify."""
+    with pytest.MonkeyPatch.context() as mp:
+        got, generic = _pair_product(mp, a, b)
+    want = ws_convolve(a, b)
+    assert got.entries == want.entries and got.base is SUM_PAIRS
+    assert [tuple(map(type, w)) for w in got.weights] == \
+        [tuple(map(type, w)) for w in want.weights]
+    assert generic is not takes_packed_pair_path(a, b)
+
+
+def pair_lattice(n, start=0, count=1, sums=lambda k: float(k % 3)):
+    """n (count, sum) entries on consecutive integer float keys."""
+    return WeightedSet(tuple((float(start + i), (count, sums(i)))
+                             for i in range(n)), SUM_PAIRS)
+
+
+PAIR_PATH_CASES = {  # name -> (a, b, whether the packed path takes them)
+    "dense-28x29": (pair_lattice(28), pair_lattice(29, start=-5), True),
+    "all-zero-sums": (pair_lattice(5, sums=lambda k: 0.0), pair_lattice(4), True),
+    "negative-sum": (pair_lattice(5, sums=lambda k: k - 1.0), pair_lattice(4),
+                     False),
+    "real-sum": (pair_lattice(5, sums=lambda k: k / 2), pair_lattice(4), False),
+    "int-sums": (pair_lattice(5, sums=lambda k: k), pair_lattice(4), False),
+    "real-key": (WeightedSet(((0.0, (1, 1.0)), (0.5, (1, 1.0))), SUM_PAIRS),
+                 pair_lattice(4), False),
+    # counts 2**31 x 1 fit 64 bits, c_a s_b = 2**31 x 2**34 does not
+    "sum-bound-past-2**64": (pair_lattice(1, count=2**31, sums=lambda k: 0.0),
+                             pair_lattice(2, sums=lambda k: 2.0**34), False),
+    "sum-bound-2**64-1": (pair_lattice(1, count=2**31, sums=lambda k: 0.0),
+                          pair_lattice(2, sums=lambda k: 2.0**32), True),
+}
+
+
+@pytest.mark.parametrize("a, b, packed", PAIR_PATH_CASES.values(),
+                         ids=PAIR_PATH_CASES)
+def test_pair_product_path_follows_the_operands(monkeypatch, a, b, packed):
+    assert takes_packed_pair_path(a, b) is packed
+    got, generic = _pair_product(monkeypatch, a, b)
+    assert generic is not packed
+    assert got.entries == ws_convolve(a, b).entries

@@ -357,11 +357,9 @@ def test_one_table_rows_read_with_one():
         plus=ms_union, times=ms_convolve, one=MS_ONE
     )
     factors = {f: ms_singleton for f in db.feature_tables}
-    pairs, reads = evaluate(db, factors, config, readers=(1,))
-    # the table's one join key () holds all its rows
+    pairs = evaluate(db, factors, config)
+    # the table's one join key () holds all its rows, read with the one
     assert [(len(a), b) for a, b in pairs] == [(40, MS_ONE)]
-    assert [row for row, _, _ in reads[1]] == list(db.table(1).rows)
-    assert all(b is MS_ONE for _, _, b in reads[1])
     _check_against_oracle(
         db, AdditiveInequality(g={"x1": identity()}, threshold=0.5)
     )
@@ -417,14 +415,14 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
 
 
 def test_sumsum_on_a_chain_builds_one_product_per_message(monkeypatch):
-    """On the chain 1 - 2 - 3 every table reads (y_i is t_i's), so all four
-    messages are sent: t1 and t3 fold their one key alone, t2 builds one
-    product per message (its value times the other message into it), and
-    t2's read one more (its two incoming messages), as many as sharing
-    prefix and suffix products would. Approx mode sketches the four message
-    folds and the three products."""
+    """On the chain 1 - 2 - 3, rooted at t3, sumsum is one upward pass over
+    (count, sum) pairs: each row seeds its x_i leaf times its y_i leaf, an
+    unsketched product; t1 folds its one key into its message, t2 builds
+    one product (its value times t1's message) and folds it into its
+    message, and t3's read fuses the last product. Approx mode sketches
+    the two message folds and the product."""
     calls = Counter()
-    for name in ("ms_union", "ms_convolve", "ms_sketch"):
+    for name in ("ws_plus", "pair_convolve", "ws_sketch"):
         _spy(monkeypatch, calls, drivers, name)
     db = _cross_real(3, 12, seed=7)
     ineq = AdditiveInequality(
@@ -433,12 +431,12 @@ def test_sumsum_on_a_chain_builds_one_product_per_message(monkeypatch):
     F = {f"y{i}": identity() for i in range(1, 4)}
     exact = oracle_eval(db, QuerySpec(kind="sumsum", algebra="sum", F=F,
                                       inequalities=(ineq,)))
-    for mode, sketches in (("exact", 0), ("approx", 4 + 3)):
+    for mode, sketches in (("exact", 0), ("approx", 2 + 1)):
         calls.clear()
         got = sumsum(db, "sum", F, ineq, mode=mode)
-        # three join-key folds and four message folds
-        assert calls == Counter(ms_union=3 + 4, ms_convolve=3,
-                                ms_sketch=sketches)
+        # three join-key folds and two message folds; 3 x 12 rows seeded
+        assert calls == Counter(ws_plus=3 + 2, pair_convolve=3 * 12 + 1,
+                                ws_sketch=sketches)
         assert _within(got, exact, 0.1)
 
 
@@ -472,26 +470,36 @@ def _counting_shrinks(compressed, name, sketch):
     [("k1", "k2", "k3", "k4"), ("k1",), ("k2",), ("k3",), ("k4",)],
 ], ids=["chain", "star"])
 def test_approx_within_epsilon_at_worst_depth(monkeypatch, schemas):
+    """Each query stays within epsilon of its exact answer on 5-table
+    plans where sketches compress: the counts' `ms_sketch`, the tropical
+    weighted sets' `ws_sketch`, and that of sumsum's (count, sum) pairs,
+    for F >= 0 and for an all-negative F, answered by negation."""
     db = _binary_keyed(schemas, seed=1)
     xs = {f"x{i}": identity() for i in range(1, 6)}
+    negated = {f"x{i}": scale(-1.0) for i in range(1, 6)}
     ineq = AdditiveInequality(g=xs, threshold=1.5)
     queries = {
         "count": lambda **kw: count_rows(db, ineq, **kw),
         "sum": lambda **kw: sumsum(db, "sum", xs, ineq, **kw),
+        "negative sum": lambda **kw: sumsum(db, "sum", negated, ineq, **kw),
         "min-plus": lambda **kw: sumprod(db, "min-plus", xs, ineq, **kw),
         "max-plus": lambda **kw: sumprod(db, "max-plus", xs, ineq, **kw),
     }
     exact = {name: query() for name, query in queries.items()}
+    assert exact["negative sum"] == -exact["sum"] < 0
 
     compressed = Counter()
-    for name in ("ms_sketch", "ws_sketch"):
-        monkeypatch.setattr(drivers, name, _counting_shrinks(
-            compressed, name, getattr(drivers, name)))
     for eps in (0.1, 0.3):
         for name, query in queries.items():
-            got = query(epsilon=eps, mode="approx")
-            assert abs(got - exact[name]) <= eps * exact[name], (name, eps)
-    assert compressed["ms_sketch"] and compressed["ws_sketch"]
+            with monkeypatch.context() as mp:
+                for sketch in ("ms_sketch", "ws_sketch"):
+                    mp.setattr(drivers, sketch, _counting_shrinks(
+                        compressed, (name, sketch), getattr(drivers, sketch)))
+                got = query(epsilon=eps, mode="approx")
+            assert abs(got - exact[name]) <= eps * abs(exact[name]), (name, eps)
+    assert compressed["count", "ms_sketch"]
+    assert compressed["sum", "ws_sketch"] and compressed["negative sum", "ws_sketch"]
+    assert compressed["min-plus", "ws_sketch"] + compressed["max-plus", "ws_sketch"]
 
 
 @pytest.mark.parametrize("name", ["min-plus", "max-plus"])
@@ -609,6 +617,26 @@ def test_approx_within_epsilon_where_sketches_compress(case):
     assert compressed["ms_sketch"] + compressed["ws_sketch"]
 
 
+@settings(max_examples=8, deadline=None)
+@given(compressing_cases())
+def test_approx_sumsum_of_negative_terms(case):
+    """With every F term negative, approx `sum` sumsum is minus that of -F,
+    whose (count, sum) pairs are sketched, and stays within (1 +/- eps) of
+    the oracle (`test_approx_within_epsilon_at_worst_depth` shows such a
+    sketch compress). `max` and `min` are computed exactly in approx mode
+    too, so they equal the oracle; negating F would swap the two."""
+    db, ineq, eps = case
+    F = {f: scale(-1.0) for f in ineq.g}  # uniform reals in [0, 1): -x <= 0
+    for algebra in ("sum", "max", "min"):
+        spec = QuerySpec(kind="sumsum", algebra=algebra, F=F,
+                         inequalities=(ineq,), mode="approx", epsilon=eps)
+        exact, got = oracle_eval(db, spec), run_query(db, spec)
+        if algebra == "sum":
+            assert exact <= 0 and _within(-got, -exact, eps)
+        else:
+            assert got == exact, algebra
+
+
 # Seeding: a leaf per distinct value of a feature with a term, and no
 # product for a feature without one.
 
@@ -664,7 +692,7 @@ def test_each_factor_runs_once_per_distinct_value(monkeypatch, kind, algebra,
     monkeypatch.setattr(drivers, "evaluate", spying)
     got = driver(db, F, ineq, mode=mode)
     assert max(calls.values()) == 1
-    termed = {"a", "b", "c"} if kind == "sumprod" else {"a", "b"}
+    termed = {"a", "b"} if kind == "count" else {"a", "b", "c"}
     assert {f for f, _ in calls} == termed
     assert len(calls) == sum(len(set(db.table(db.feature_tables[f][0])
                                      .column(f))) for f in termed)
@@ -687,7 +715,7 @@ def test_feature_without_a_term_seeds_no_product(monkeypatch, kind, algebra,
     db = Database(tables=_star_with_repeats(4).tables[:2])
     ineq = AdditiveInequality(g={"a": identity(), "b": identity()}, threshold=5)
     calls = Counter()
-    for name in ("ms_convolve", "ws_convolve"):
+    for name in ("ms_convolve", "ws_convolve", "pair_convolve"):
         fn = getattr(drivers, name)
         monkeypatch.setattr(
             drivers, name,

@@ -1,7 +1,6 @@
 import math
 import operator
 import random
-from collections import Counter
 from functools import reduce
 
 import pytest
@@ -18,15 +17,13 @@ from relagg import (
 )
 from relagg import drivers
 from relagg.bruteforce import materialize
-from relagg.drivers import threshold_read
 from relagg.engine import EngineConfig, assign_features, evaluate
-from relagg.multiset import COUNTS, MS_ONE, ms_convolve, ms_singleton, ms_union
+from relagg.multiset import ms_convolve, ms_singleton, ms_union
 from relagg.queryspec import AdditiveInequality, identity
 from conftest import (
     CROSS_CASE,
     STAR_CASE,
     random_acyclic_db,
-    random_affine_inequality,
     tree_cases,
     tree_db,
 )
@@ -46,7 +43,7 @@ def config_for(s):
 def join_value(db, factors, config, instr=None):
     """The aggregate over the whole join: the fold of a (x) b over the
     root's pairs that `evaluate` returns."""
-    pairs, _ = evaluate(db, factors, config, instr=instr)
+    pairs = evaluate(db, factors, config, instr=instr)
     return config.plus(*[config.times(a, b) for a, b in pairs])
 
 
@@ -100,51 +97,14 @@ def test_feature_missing_from_factors_contributes_one(db1):
     assert join_value(db1, only_c, config_for(MAX_PLUS)) == 7
 
 
-def _counting_factors(db, ineq):
-    return {f: (lambda v, g=ineq.term(f): ms_singleton(g(v)))
-            for f in db.feature_tables}
-
-
-def test_row_counts_at_every_table(db1):
-    """Read at any table, each row's count is the number of qualifying join
-    rows extending it, so every table's counts sum to `count_rows`."""
-    rng = random.Random(84)
-    config = EngineConfig(
-        plus=ms_union, times=ms_convolve, one=MS_ONE
-    )
-    dbs = [db1] + [random_acyclic_db(rng, max_m=5) for _ in range(60)]
-    for db in dbs:
-        ineq = random_affine_inequality(rng, db)
-        tables = range(1, db.m + 1)
-        _, reads = evaluate(
-            db, _counting_factors(db, ineq), config, readers=tables
-        )
-        read = threshold_read(ineq.threshold, COUNTS)
-        join = materialize(db)
-        qualifying = [row for row in join.rows
-                      if ineq.row_sum(join.schema, row) <= ineq.threshold]
-        total = count_rows(db, ineq)
-        assert total == len(qualifying)
-        for t in tables:
-            schema = db.table(t).schema
-            cols = [join.schema.index(f) for f in schema]
-            extending = Counter(tuple(r[c] for c in cols) for r in qualifying)
-            counts = Counter()  # a row's copies add up on both sides
-            for row, a, b in reads[t]:
-                counts[row] += read(a, b)
-            assert sum(counts.values()) == total
-            for row in set(db.table(t).rows):
-                assert counts[row] == extending[row], (t, row)
-
-
 def test_sumsum_evaluates_once(monkeypatch):
-    """One sumsum query is one evaluation, whatever the number of tables
-    owning a feature."""
+    """One sumsum query is one upward evaluation, whatever the number of
+    tables owning a feature, with a factor for each feature of F."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("readers"))
-        return evaluate(*args, **kwargs)
+    def counted(db, factors, config, **kwargs):
+        calls.append(sorted(factors))
+        return evaluate(db, factors, config, **kwargs)
 
     monkeypatch.setattr(drivers, "evaluate", counted)
     for m in range(1, 7):
@@ -156,7 +116,7 @@ def test_sumsum_evaluates_once(monkeypatch):
         calls.clear()
         # two join rows: x_i = i at k = 0, and x_i = 2 at k = 1
         assert sumsum(db, "sum", xs) == sum(range(1, m + 1)) + 2 * m
-        assert calls == [set(range(1, m + 1))]
+        assert calls == [sorted(xs)]
 
 
 @given(tree_cases())
@@ -165,20 +125,17 @@ def test_sumsum_evaluates_once(monkeypatch):
 def test_every_read_composes_2m_minus_3_sketches(case):
     """Carry each value's sketch count instead of a value: a fold keeps its
     largest item's count and a product adds its operands' counts, as their
-    errors compose, and each sketch adds one. Every pair and row read, at
-    the root or any other table, then composes D = 2m - 3 sketches, the
-    depth `alpha_for` spends epsilon on."""
+    errors compose, and each sketch adds one. Every pair the root reads
+    then composes D = 2m - 3 sketches, the depth `alpha_for` spends
+    epsilon on."""
     db, _ = tree_db(*case)
     depth = EngineConfig(
         plus=lambda *items: max(items), times=operator.add, one=0,
         sketch=lambda d: d + 1,
     )
     factors = {f: (lambda v: 0) for f in db.feature_tables}
-    tables = range(1, db.m + 1)
-    pairs, reads = evaluate(db, factors, depth, readers=tables)
-    read = [a + b for a, b in pairs]
-    read += [a + b for t in tables for _, a, b in reads[t]]
-    assert set(read) <= {max(2 * db.m - 3, 0)}
+    pairs = evaluate(db, factors, depth)
+    assert {a + b for a, b in pairs} <= {max(2 * db.m - 3, 0)}
 
 
 def test_dangling_rows_pruned():

@@ -1,8 +1,10 @@
 import math
 import random
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import weighted_sets
@@ -15,6 +17,7 @@ from relagg import (
     ws_sketch,
     ws_triangle,
 )
+from relagg.algebra import PAIRS
 from relagg.multiset import ms_union
 
 MIN_PLUS = make_named("min-plus")
@@ -251,6 +254,67 @@ def test_ws_sketch_output_within_size_bound(a, eps):
     s = ws_sketch(a, eps)
     assert len(s) <= _size_bound(a, eps)
     assert ws_bound_ok(a, s, eps)
+
+
+SUM_PAIRS = PAIRS["sum"]
+
+
+def _pair_set(keys, weights):
+    return WeightedSet(tuple(zip(map(float, keys), weights)), SUM_PAIRS)
+
+
+@st.composite
+def sum_pair_sets(draw):
+    """SumSum's `sum` pairs on up to 120 keys, enough that many draws pass
+    the summed size bound: counts small, past the float range, or mixed,
+    and integral float sums (exact cumulatives), all zero in some draws."""
+    keys = sorted(draw(st.lists(st.integers(-200, 200), unique=True,
+                                min_size=30, max_size=120)))
+    counts = draw(st.sampled_from([st.integers(1, 1000),
+                                   st.integers(2**1024, 2**1030),
+                                   st.integers(1, 2**1030)]))
+    sums = draw(st.sampled_from([st.just(0.0),
+                                 st.integers(0, 10**6).map(float)]))
+    return _pair_set(keys, [(draw(counts), draw(sums)) for _ in keys])
+
+
+def _column_bound(column, eps):
+    """A cumulative column's size bound: 2 ceil(log(hi/lo) / log1p(eps)) + 4
+    over its positive finite aggregates, 4 when it has none."""
+    positive = [t for t in column if 0 < t < math.inf]
+    if not positive:
+        return 4
+    span = math.log(max(positive)) - math.log(min(positive))
+    return 2 * math.ceil(span / math.log1p(eps)) + 4
+
+
+@given(sum_pair_sets(), st.sampled_from([0.05, 0.5, 1.0, 3.0]))
+@example(_pair_set(range(40), [(1, 0.0)] * 40), 0.5)  # an all-zero sum column
+# sums that start to grow where the counts are mid-band: the sum column
+# must close those runs
+@example(_pair_set(range(60), [(1, float(k >= 30)) for k in range(60)]), 0.5)
+def test_pair_sketch_keeps_each_component_within_its_band(a, eps):
+    """At every input key, each component of the sketch's cumulative (count,
+    sum) lies in [tri / (1+eps), tri], tri the input's, and the output
+    holds no more entries than the sum of the two columns' size bounds."""
+    s = ws_sketch(a, eps)
+    assert s.base is SUM_PAIRS and set(s.keys) <= set(a.keys)
+    tri = list(accumulate(a.weights, SUM_PAIRS.plus))
+    ratio = Fraction(1 + eps)
+    for key, exact in zip(a.keys, tri):
+        got = ws_triangle(s, key)
+        for x, y in zip(got, exact):
+            assert Fraction(x) <= Fraction(y) <= ratio * Fraction(x), (key, got, exact)
+    assert len(s) <= sum(_column_bound(column, eps) for column in zip(*tri))
+
+
+def test_pair_sketch_compresses_an_all_zero_sum_column():
+    """Sums that are all 0 never close a run: the counts alone cut it."""
+    a = _pair_set(range(40), [(1, 0.0)] * 40)
+    s = ws_sketch(a, 0.5)
+    assert len(s) < len(a) and all(w == 0.0 for _, w in s.weights)
+    counts = Multiset(tuple((float(k), 1) for k in range(40)))
+    assert s.keys == ws_sketch(counts, 0.5).keys
 
 
 def test_ws_sketch_requires_monotone_base():
