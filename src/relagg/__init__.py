@@ -6,7 +6,7 @@ without ever materializing the join. A brute-force oracle provides ground
 truth for verification.
 """
 
-from .algebra import Monoid, Semiring, check_axioms, make_named
+from .algebra import Monoid, Semiring, make_named
 from .bruteforce import (
     gen_knapsack,
     gen_partition,

@@ -34,7 +34,8 @@ costs one O(1) span test and a scan that stops at the first key that is
 not an integral float.
 
 SumSum's `sum` pairs reuse the packed path: `pair_convolve` views their
-count and sum columns as multisets on the same keys.
+count and sum columns as multisets on the same keys, unless both operands
+hold one entry.
 """
 
 import operator
@@ -159,8 +160,10 @@ def pair_convolve(a, b):
     qualifies: counts c_a c_b, and sums c_a s_b + s_a c_b, of columns
     viewed as multisets. A sum is nonzero only where a count is, so the
     sums are read at the counts' keys; they add as exact ints and round
-    to float once. Any other input takes `ws_convolve`."""
-    if a.keys and b.keys:
+    to float once. Any other input takes `ws_convolve`, and so does a
+    product of two one-entry operands (a row's seeding product), which is
+    one pair (x) there and would pay the packed path's fixed cost."""
+    if len(a.keys) * len(b.keys) > 1:
         (ca, sa), (cb, sb) = zip(*a.weights), zip(*b.weights)
         sa, sb = _integral(sa), _integral(sb)
         if sa is not None and sb is not None:

