@@ -2,12 +2,32 @@
 
 Carriers are plain floats (or ints) extended with +/-infinity. Each named
 semiring records the metadata the approximation algorithms need: whether
-its addition is monotone. `PAIRS` holds, per monoid, the semiring of
-(count, fold) pairs over which SumSum runs.
+its addition is monotone.
+
+`SUMSUM_BASES` holds, per monoid, the base over which SumSum runs. `sum`
+takes (count, sum) pairs: a pair (c, s) stands for c join rows whose
+terms sum to s. (+) adds both components, and (x) joins every row of one
+side to every row of the other: (c1, s1) (x) (c2, s2) = (c1 c2, c1 s2 +
+c2 s1), the dual numbers c + s e, e^2 = 0. Zero is (0, 0) and one (1, 0).
+On a nonnegative carrier both components grow under (+), so only these
+pairs are marked monotone, and only they are sketched.
+
+`max` and `min` need no count. The fold over qualifying rows of the fold
+of each row's terms is one SumProd over plain floats in the bottleneck
+dioid: (+) = (x) = the monoid's op, zero its identity (-inf for `max`,
++inf for `min`), and one the finite extreme on the same side (-/+
+`sys.float_info.max`); neither is monotone. This base is not a semiring,
+since its zero does not annihilate: max(-inf, x) is x. But a weighted set
+never stores a base-zero weight, so no product ever meets one. The
+weights that do occur only need (+) and (x) associative, commutative and
+distributive, which `max` and `min` are, and `one` neutral on them. Each
+is a fold of F terms and of `one` itself, and `checked_factors` keeps
+every F term finite, so `one` is neutral on all of them.
 """
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import CapExceeded
@@ -110,35 +130,15 @@ def make_named(name):
     raise KeyError(f"unknown algebra {name!r}; known: {', '.join(known)}")
 
 
-def _pairs(monoid):
-    """SumSum's base over `monoid`: (count, fold) pairs, a count and a
-    fold carried together through one SumProd.
-
-    A pair (c, s) stands for c join rows whose terms fold to s. (+) adds
-    the counts and folds the folds; (x) joins every row of one side to
-    every row of the other: (c1, s1) (x) (c2, s2) = (c1 c2, c1.s2 (+)
-    c2.s1), where c.s, the fold of c copies of s, is c s under `sum` (the
-    dual numbers c + s e, e^2 = 0) and s under the idempotent `max` and
-    `min` (the identity when c is 0). Zero is (0, identity) and one
-    (1, identity). Only `sum`'s pairs are sketched, so only they are
-    marked monotone: on a nonnegative carrier both components grow under
-    (+).
-    """
-    plus, identity = monoid.plus, monoid.identity
-    if monoid.name == "sum":
-        def times(x, y):
-            return x[0] * y[0], x[0] * y[1] + y[0] * x[1]
-    else:
-        def times(x, y):
-            return x[0] * y[0], plus(y[1] if x[0] else identity,
-                                     x[1] if y[0] else identity)
-    return Semiring(f"{monoid.name} pairs",
-                    lambda x, y: (x[0] + y[0], plus(x[1], y[1])), times,
-                    (0, identity), (1, identity),
-                    "increasing" if monoid.name == "sum" else "none")
-
-
-PAIRS = {name: _pairs(monoid) for name, monoid in _MONOIDS.items()}
+# SumSum's base per monoid, the algebra its one SumProd runs in (see the
+# module docstring): `sum` pairs, and the scalar `max`/`min` bottleneck.
+SUMSUM_BASES = {
+    "sum": Semiring("sum pairs", lambda x, y: (x[0] + y[0], x[1] + y[1]),
+                    lambda x, y: (x[0] * y[0], x[0] * y[1] + y[0] * x[1]),
+                    (0, 0), (1, 0), "increasing"),
+    "max": Semiring("max-max", max, max, -INF, -sys.float_info.max),
+    "min": Semiring("min-min", min, min, INF, sys.float_info.max),
+}
 
 
 def finite_sum(monoid, total):

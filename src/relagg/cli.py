@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: decompose, count, sumsum, sumprod, oracle, gen. Exit codes:
-0 success, 2 rejected query or unreadable input, 3 cyclic join,
-4 cap or overflow.
+0 success, 2 rejected query, unreadable input or unwritable output,
+3 cyclic join, 4 cap or overflow.
 JSON reports are deterministic for fixed inputs (timing is text-mode only).
 """
 
@@ -154,10 +154,13 @@ def _cmd_gen(args):
         query = {"kind": "count",
                  "inequalities": [inequality_to_json(i) for i in ineqs]}
     out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for t in db.tables:
-        (out / f"{t.name}.csv").write_text(dump_table(t))
-    (out / "query.json").write_text(json.dumps(query, indent=2, sort_keys=True))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for t in db.tables:
+            (out / f"{t.name}.csv").write_text(dump_table(t))
+        (out / "query.json").write_text(json.dumps(query, indent=2, sort_keys=True))
+    except OSError as exc:
+        raise TableError(f"cannot write {exc.filename or out}: {exc.strerror}") from None
     print(f"wrote {db.m} tables and query.json to {out}")
     return EXIT_OK
 

@@ -6,23 +6,24 @@ chooses the carrier, the sketch and the approx size cap; the engine only
 folds, multiplies and sends. The base chooses the carrier: row counting
 counts over `COUNTS`, whose weighted sets are the multisets, SumProd takes
 the weighted sets over its semiring, and SumSum those over the monoid's
-(count, fold) pairs, `algebra.PAIRS`. A leaf factor carries the
-inequality term of a feature as its key and the F term (the base one
-when F has none) as its weight. Only a feature with a term, in the
-inequality or in F, gets a factor; any other contributes the carrier's
-one, which the engine never multiplies in. A term that is -inf or NaN is
-refused (CapExceeded) by `AdditiveInequality.term_value`, as it is by the
-oracle; a +inf term takes its row out. The answer is the root value's
+base in `algebra.SUMSUM_BASES`: (count, sum) pairs for `sum`, plain
+floats for `max` and `min`. A leaf factor carries the inequality term of
+a feature as its key and the F term (the base one when F has none) as
+its weight. Only a feature with a term, in the inequality or in F, gets
+a factor; any other contributes the carrier's one, which the engine
+never multiplies in. A term that is -inf or NaN is refused (CapExceeded)
+by `AdditiveInequality.term_value`, as it is by the oracle; a +inf term
+takes its row out. The answer is the root value's
 cumulative aggregate at the threshold, Delta_L(v) = (+)_{k <= L} v[k].
 The engine stops before the root's last product and returns (a, b)
 pairs, one per join key of the root; `threshold_read` reads each
-Delta_L(a (x) b) off a and b under the weights' base, and the driver
-folds these, so no root product or fold is built. Exact mode uses the
-exact carrier operations; approx mode has the engine sketch the result
-of every group fold and every product (`ms_sketch` for multisets, which
-skips a cheaply provable fit and then runs `ws_sketch`, the band pass
-every weighted set takes) with a per-sketch parameter alpha =
-alpha_for(epsilon, m), so the answer is within (1 +/- epsilon) of the
+Delta_L(a (x) b) off a and b under the weights' base, and `_evaluate`
+folds these into the answer, so no root product or fold is built. Exact
+mode uses the exact carrier operations; approx mode has the engine sketch
+the result of every group fold and every product (`ms_sketch` for
+multisets, which skips a cheaply provable fit and then runs `ws_sketch`,
+the band pass every weighted set takes) with a per-sketch parameter
+alpha = alpha_for(epsilon, m), so the answer is within (1 +/- epsilon) of the
 exact one, and refuses (CapExceeded) a sketched value past
 `SKETCH_SIZE_CAP` entries. A group folds in one n-ary union, so it is
 sketched once, not once per pairwise union.
@@ -44,7 +45,7 @@ import math
 from functools import reduce
 from itertools import accumulate
 
-from .algebra import PAIRS, finite_sum
+from .algebra import SUMSUM_BASES, finite_sum
 from .engine import EngineConfig, evaluate
 from .errors import CapExceeded, QueryRejected
 from .multiset import (COUNTS, MS_ONE, Multiset, ms_convolve, ms_union,
@@ -95,8 +96,8 @@ def threshold_read(threshold, base):
 
 
 def _evaluate(db, base, F, ineq, epsilon, mode, instr):
-    """One SumProd evaluation over weighted sets of `base`: the root's
-    pairs, and the read Delta_L(a (x) b) for each.
+    """One SumProd evaluation over weighted sets of `base`: the base
+    (+)-fold, over the root's pairs (a, b), of the reads Delta_L(a (x) b).
 
     The base chooses the carrier: `COUNTS` the multisets, any other base
     its weighted sets, whose product is `pair_convolve` over `sum`'s
@@ -121,7 +122,7 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
             return Multiset.from_columns((k,), (w,), COUNTS)
     else:
         plus, sketch, one = ws_plus, ws_sketch, ws_one(base)
-        times = pair_convolve if base is PAIRS["sum"] else ws_convolve
+        times = pair_convolve if base is SUMSUM_BASES["sum"] else ws_convolve
 
         def leaf(k, w):
             return lift(k, w, base)
@@ -142,7 +143,8 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
             return value
         config.sketch = capped
     pairs = evaluate(db, factors, config, instr=instr)
-    return pairs, threshold_read(ineq.threshold, base)
+    read = threshold_read(ineq.threshold, base)
+    return reduce(base.plus, (read(a, b) for a, b in pairs), base.zero)
 
 
 def count_rows(db, ineq=None, epsilon=0.1, mode="exact", instr=None):
@@ -153,21 +155,24 @@ def count_rows(db, ineq=None, epsilon=0.1, mode="exact", instr=None):
     """
     ineq = ineq or AdditiveInequality()
     check_features(db, {}, (ineq,))
-    pairs, read = _evaluate(db, COUNTS, {}, ineq, epsilon, mode, instr)
-    return sum(read(a, b) for a, b in pairs)
+    return _evaluate(db, COUNTS, {}, ineq, epsilon, mode, instr)
 
 
 def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     """Monoid fold of per-feature terms over qualifying join rows.
 
-    One SumProd over the monoid's (count, fold) pairs, `algebra.PAIRS`:
-    the leaf of a feature of F at v weighs (1, F(v)), any other the pair
-    one (1, identity), and the answer is the fold component of the root
-    reads' (+)-fold. Approx mode refuses terms that mix signs over the
-    active domains. It sketches `sum` pairs, and answers an all-negative
-    `sum` F as minus that of -F, whose pairs are nonnegative. A `max` or
-    `min` sumsum is computed exactly in either mode: a sketch keeps every
-    positive cumulative count positive, so its answer was exact anyway.
+    One SumProd over the monoid's base, `algebra.SUMSUM_BASES`. Under
+    `sum` the leaf of a feature of F at v weighs the pair (1, F(v)), any
+    other the pair one (1, 0), and the answer is the sum component.
+    Under `max` or `min` it weighs F(v) itself, any other the base one,
+    -/+ float_info.max, neutral on every finite F term, and the answer
+    is the value read; with F empty it is the monoid identity, returned
+    after the evaluation so that its refusals still fire. Approx mode
+    refuses terms that mix signs over the active domains. It sketches
+    `sum` pairs, and answers an all-negative `sum` F as minus that of -F,
+    whose pairs are nonnegative. A `max` or `min` sumsum is computed
+    exactly in either mode: its base is not monotone, so nothing
+    sketches it.
     """
     monoid = checked_algebra("sumsum", monoid)
     ineq = ineq or AdditiveInequality()
@@ -180,14 +185,15 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
             "error does not survive cancellation (the subtraction "
             "problem), so no approximation is attempted"
         )
-    summed, base = monoid.name == "sum", PAIRS[monoid.name]
-    sign = -1 if summed and negative and mode == "approx" else 1
-    if mode == "approx" and not summed:
-        mode = "exact"
-    pairs, read = _evaluate(
+    base = SUMSUM_BASES[monoid.name]
+    if monoid.name != "sum":
+        total = _evaluate(db, base, F, ineq, epsilon,
+                          "exact" if mode == "approx" else mode, instr)
+        return total if F else monoid.identity
+    sign = -1 if negative and mode == "approx" else 1
+    total = _evaluate(
         db, base, {f: lambda v, fn=fn: (1, sign * fn(v)) for f, fn in F.items()},
         ineq, epsilon, mode, instr)
-    total = reduce(base.plus, (read(a, b) for a, b in pairs), base.zero)
     return finite_sum(monoid, sign * total[1])
 
 
@@ -209,8 +215,7 @@ def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
                 "outside the nonnegative carrier; queries with negative terms "
                 "cannot be approximated (the subtraction problem)"
             )
-    pairs, read = _evaluate(db, semiring, F, ineq, epsilon, mode, instr)
-    return reduce(semiring.plus, (read(a, b) for a, b in pairs), semiring.zero)
+    return _evaluate(db, semiring, F, ineq, epsilon, mode, instr)
 
 
 def run_query(db, spec, instr=None):

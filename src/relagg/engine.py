@@ -23,7 +23,8 @@ in that order, after all its children, and the root is the one table with
 no parent. The root's last product is not built: `evaluate` pairs the
 root's value times every message but its last child's with that message,
 key by key, and the drivers read each pair at a threshold. Every query
-kind is this one pass; SumSum runs it over (count, fold) pairs.
+kind is this one pass; `sum` SumSum runs it over (count, sum) pairs, and
+`max` and `min` SumSum over plain floats (`algebra.SUMSUM_BASES`).
 
 The engine only folds, multiplies and sends. The carrier, its sketch and
 approx mode's size cap are the caller's choice, passed in `EngineConfig`

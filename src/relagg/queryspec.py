@@ -337,6 +337,8 @@ def _number(value, name):
         return float(value)
     except (TypeError, ValueError):
         raise QueryRejected(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # a JSON integer past the float range
+        raise QueryRejected(f"{name} lies outside the float range") from None
 
 
 def _expect(value, cls, name):

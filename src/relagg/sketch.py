@@ -8,7 +8,9 @@ absorbs keys while the aggregate stays within a (1+eps) geometric band of
 the last retained boundary, then collapses to its last key carrying the
 base (+)-aggregate of the run's weights. Cumulative aggregates at every
 original key are preserved within a (1+eps) factor, in each component
-when the weights are SumSum's (count, sum) pairs. The pass reads a
+when the weights are `sum` SumSum's (count, sum) pairs, the only SumSum
+base that is sketched (`max` and `min` run over plain floats under a
+base that is not monotone, exactly). The pass reads a
 value's weight column into the running aggregates and its key column by
 position, and writes the retained keys and weights as two new columns. A
 multiset is the weighted set over integer counts (`COUNTS`), so the same

@@ -1,13 +1,15 @@
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import pytest
 
 from relagg import make_named
-from relagg.algebra import PAIRS, Semiring
+from relagg.algebra import SUMSUM_BASES, Semiring
 
 INF = math.inf
 
@@ -21,11 +23,12 @@ class LawViolation:
         return f"{self.law} fails on {self.witness}"
 
 
-def find_law_violation(plus, times, zero, one, triples):
+def find_law_violation(plus, times, zero, one, triples, annihilates=True):
     """First violated semiring law over the given (a, b, c) triples, else None.
 
     The eight laws: commutativity/associativity/identity for (+), the same
-    for (x), annihilation by the zero, and distributivity.
+    for (x), annihilation by the zero (unless `annihilates` is false), and
+    distributivity.
     """
     for a, b, c in triples:
         if plus(a, b) != plus(b, a):
@@ -38,7 +41,7 @@ def find_law_violation(plus, times, zero, one, triples):
             return LawViolation("times commutativity", (a, b))
         if times(a, times(b, c)) != times(times(a, b), c):
             return LawViolation("times associativity", (a, b, c))
-        if times(a, zero) != zero:
+        if annihilates and times(a, zero) != zero:
             return LawViolation("zero annihilation", (a,))
         if times(a, one) != a:
             return LawViolation("times identity", (a,))
@@ -88,9 +91,15 @@ def test_named_instances_are_singletons():
 
 
 def repeat(monoid, x, k):
-    """The fold of k copies of x as SumSum's pair product forms it: k join
-    rows without a term, each joined to one row whose term is x."""
-    return PAIRS[monoid.name].times((k, monoid.identity), (1, x))[1]
+    """The fold of k copies of x as SumSum's base forms it. Over `sum`
+    pairs, the pair product: k join rows without a term, each joined to
+    one row whose term is x. Over the scalar `max`/`min` base, which has no
+    count, the (+)-fold of k rows weighing x; k = 0 rows is the empty
+    fold, as a weighted set stores no zero weight."""
+    base = SUMSUM_BASES[monoid.name]
+    if monoid.name == "sum":
+        return base.times((k, monoid.identity), (1, x))[1]
+    return reduce(base.plus, [x] * k, base.zero)
 
 
 def test_repeat_sum():
@@ -98,7 +107,8 @@ def test_repeat_sum():
 
 
 def test_repeat_idempotent_min():
-    assert repeat(make_named("min"), 7, 1000) == 7
+    for name in ("min", "max"):
+        assert repeat(make_named(name), 7, 1000) == 7
 
 
 def test_repeat_zero_gives_identity():
@@ -116,18 +126,31 @@ def test_repeat_splits_additively():
         assert repeat(m, x, j + k) == m.plus(repeat(m, x, j), repeat(m, x, k))
 
 
+BIG = sys.float_info.max
+
+
 @pytest.mark.parametrize("name, terms", [
-    ("sum", [-2, 0, 3]), ("min", [-2, 0, 3, INF]), ("max", [-2, 0, 3, -INF]),
+    ("sum", [-2, 0, 3]),
+    ("min", [-BIG, -2.5, -0.0, 0.0, 3.0, BIG]),
+    ("max", [-BIG, -2.5, -0.0, 0.0, 3.0, BIG]),
 ])
 def test_pair_bases_are_semirings(name, terms):
-    """(count, fold) pairs over each monoid satisfy every semiring law,
-    pairs of count 0 included; over `sum` they are the dual numbers
-    c + s e, e^2 = 0."""
-    base = PAIRS[name]
-    samples = [(c, s) for c in (0, 1, 2, 5) for s in terms]
-    assert check_axioms(base, samples)
-    assert base.zero == (0, make_named(name).identity)
-    assert base.one == (1, make_named(name).identity)
+    """`sum`'s (count, sum) pairs satisfy every semiring law, pairs of
+    count 0 included: they are the dual numbers c + s e, e^2 = 0. The
+    scalar `max`/`min` base satisfies every law but annihilation on finite
+    weights, negatives, +/-0.0 and +/-float_info.max included; its zero
+    does not annihilate, and no weighted set stores it."""
+    monoid, base = make_named(name), SUMSUM_BASES[name]
+    if name == "sum":
+        assert check_axioms(base, [(c, s) for c in (0, 1, 2, 5) for s in terms])
+        assert (base.zero, base.one) == ((0, 0), (1, 0))
+        return
+    assert find_law_violation(base.plus, base.times, base.zero, base.one,
+                              product(terms, repeat=3), annihilates=False) is None
+    assert base.times(3.0, base.zero) == 3.0  # no annihilation
+    assert base.plus is base.times is monoid.plus
+    assert (base.zero, base.one) == ((-INF, -BIG) if name == "max" else (INF, BIG))
+    assert base.plus_monotone == "none"
 
 
 def test_counting_axioms_on_integers():

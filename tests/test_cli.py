@@ -108,6 +108,25 @@ def test_malformed_query_file_exit_2(db1_dir, capsys, query, reason):
     assert reason in err
 
 
+HUGE = 10**400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize("query, field", [
+    ({"kind": "count", "inequality": {"L": HUGE}}, "L"),
+    (dict(COUNT_LEQ9, epsilon=HUGE), "epsilon"),
+    ({"kind": "count", "inequality": {
+        "g": {"a": {"kind": "scale", "factor": HUGE}}}},
+     "scale field 'factor'"),
+    ({"preset": {"name": "sphere_count", "features": ["a", "b", "c"],
+                 "y": [1.0, HUGE, 1.0], "r": 1.0}}, "y[1]"),
+], ids=["L", "epsilon", "function-field", "preset-vector"])
+def test_number_past_the_float_range_exit_2(db1_dir, capsys, query, field):
+    q = write_query(db1_dir, query)
+    assert main(["count", "--tables", str(db1_dir), "--query", q]) == 2
+    assert capsys.readouterr().err == (
+        f"rejected: {field} lies outside the float range\n")
+
+
 def test_query_file_not_json_exit_2(db1_dir, capsys):
     q = db1_dir / "query.json"
     q.write_text('{"kind": ')
@@ -413,6 +432,18 @@ def test_gen_non_integer_weight_exit_2(tmp_path, capsys, instance, weights):
     assert err.startswith("rejected: --weights must be comma-separated integers")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/inst"])
+def test_gen_unwritable_out_exit_2(tmp_path, capsys, out):
+    """--out naming an existing file, or a directory that cannot be made
+    under one, exits 2 with one line."""
+    (tmp_path / "file").write_text("")
+    path = tmp_path / out
+    assert main(["gen", "knapsack", "--weights", "3,5", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {path}: ")
+    assert err.count("\n") == 1
 
 
 BIG = "1" + "0" * 400  # too large for a float

@@ -46,7 +46,7 @@ from relagg import (
     ws_plus,
     ws_sketch,
 )
-from relagg.algebra import PAIRS
+from relagg.algebra import SUMSUM_BASES
 from relagg.drivers import threshold_read
 from relagg.multiset import COUNTS, pair_convolve
 
@@ -434,7 +434,7 @@ def test_dense_lattice_products_skip_the_pairwise_loop(monkeypatch):
 # ---------------------------------------------------------------------------
 # SumSum's (count, sum) pair product: packed columns against ws_convolve
 
-SUM_PAIRS = PAIRS["sum"]
+SUM_PAIRS = SUMSUM_BASES["sum"]
 # sum columns: integral floats (twice as likely; a 0 may be -0.0), all 0,
 # and three forms the packed path refuses: a negative sum, a real sum and
 # int sums

@@ -17,7 +17,7 @@ from relagg import (
     ws_sketch,
     ws_triangle,
 )
-from relagg.algebra import PAIRS
+from relagg.algebra import SUMSUM_BASES
 from relagg.multiset import ms_union
 
 MIN_PLUS = make_named("min-plus")
@@ -256,7 +256,7 @@ def test_ws_sketch_output_within_size_bound(a, eps):
     assert ws_bound_ok(a, s, eps)
 
 
-SUM_PAIRS = PAIRS["sum"]
+SUM_PAIRS = SUMSUM_BASES["sum"]
 
 
 def _pair_set(keys, weights):
