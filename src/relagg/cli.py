@@ -100,10 +100,11 @@ def _run_engine(args, kind):
     start = time.perf_counter()
     result = drivers.run_query(db, spec, instr=instr)
     elapsed = time.perf_counter() - start
-    approx = spec.mode == "approx"
+    mode = drivers.run_mode(spec.kind, spec.algebra, spec.mode)
+    approx = mode == "approx"
     report = {
         "result": result,
-        "mode": spec.mode,
+        "mode": mode,
         "epsilon": spec.epsilon if approx else None,
         "alpha": alpha_for(spec.epsilon, db.m) if approx else None,
         "sketch": {

@@ -147,6 +147,18 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
     return reduce(base.plus, (read(a, b) for a, b in pairs), base.zero)
 
 
+def run_mode(kind, algebra, mode):
+    """The mode a `kind` query over `algebra` runs in when asked for
+    `mode`. Approx mode sketches only a base whose (+) is monotone, so a
+    `max` or `min` SumSum, whose base is not, runs exactly in either mode.
+    """
+    if mode == "approx" and kind == "sumsum":
+        base = SUMSUM_BASES[checked_algebra(kind, algebra).name]
+        if base.plus_monotone == "none":
+            return "exact"
+    return mode
+
+
 def count_rows(db, ineq=None, epsilon=0.1, mode="exact", instr=None):
     """Number of join rows satisfying the inequality.
 
@@ -167,17 +179,22 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     Under `max` or `min` it weighs F(v) itself, any other the base one,
     -/+ float_info.max, neutral on every finite F term, and the answer
     is the value read; with F empty it is the monoid identity, returned
-    after the evaluation so that its refusals still fire. Approx mode
-    refuses terms that mix signs over the active domains. It sketches
-    `sum` pairs, and answers an all-negative `sum` F as minus that of -F,
-    whose pairs are nonnegative. A `max` or `min` sumsum is computed
-    exactly in either mode: its base is not monotone, so nothing
-    sketches it.
+    after the evaluation so that its refusals still fire. Approx `sum`
+    refuses terms that mix signs over the active domains, sketches the
+    pairs, and answers an all-negative F as minus that of -F, whose pairs
+    are nonnegative. A `max` or `min` sumsum is computed exactly in either
+    mode (`run_mode`), so it takes terms of either sign.
     """
     monoid = checked_algebra("sumsum", monoid)
     ineq = ineq or AdditiveInequality()
     check_features(db, F, (ineq,))
-    values = [fv for _, _, fv in checked_factors(db, monoid, F)]
+    terms = checked_factors(db, monoid, F)
+    base = SUMSUM_BASES[monoid.name]
+    if monoid.name != "sum":
+        total = _evaluate(db, base, F, ineq, epsilon,
+                          run_mode("sumsum", monoid, mode), instr)
+        return total if F else monoid.identity
+    values = [fv for _, _, fv in terms]
     negative = any(fv < 0 for fv in values)
     if mode == "approx" and negative and any(fv > 0 for fv in values):
         raise QueryRejected(
@@ -185,11 +202,6 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
             "error does not survive cancellation (the subtraction "
             "problem), so no approximation is attempted"
         )
-    base = SUMSUM_BASES[monoid.name]
-    if monoid.name != "sum":
-        total = _evaluate(db, base, F, ineq, epsilon,
-                          "exact" if mode == "approx" else mode, instr)
-        return total if F else monoid.identity
     sign = -1 if negative and mode == "approx" else 1
     total = _evaluate(
         db, base, {f: lambda v, fn=fn: (1, sign * fn(v)) for f, fn in F.items()},

@@ -9,6 +9,10 @@ refuses, for both, a term on a feature no table has, and
 `checked_factors` an F term that overflowed the float range. The mode
 and the other refusals that depend on the data or the mode are the
 drivers'.
+
+The canned queries are one table, `PRESETS`: each names a query kind,
+an algebra, a region of `REGIONS` (which gives g and L) and an F term;
+`preset` reads their parameters with the query file's own parsers.
 """
 
 import math
@@ -209,25 +213,47 @@ def checked_factors(db, algebra, F):
 # Application presets
 
 
+# Region -> (its vector parameter, the g function kind that takes it, its
+# scalar parameters, the threshold L as a function of them).
+REGIONS = {
+    "halfspace": ("beta", "scale", ("L",), lambda L: L),  # beta.x <= L
+    "sphere": ("y", "sq_offset", ("r",), lambda r: r * r),  # |x - y|^2 <= r^2
+    # sum_i (x_i / alpha_i)^2 <= 1
+    "ellipsoid": ("alpha", "scaled_square", (), lambda: 1.0),
+}
+
+# Preset -> (query kind, algebra, region, F term). The F term is None or
+# (function kind, per-feature parameter): a vector parameter's name, a
+# constant as a 1-tuple, or () for none.
+PRESETS = {
+    "halfspace_count": ("count", "counting", "halfspace", None),
+    "sphere_count": ("count", "counting", "sphere", None),
+    "ellipsoid_count": ("count", "counting", "ellipsoid", None),
+    "sum_abs_halfspace": ("sumsum", "sum", "halfspace", ("abs_offset", "y")),
+    "sum_squares_ellipsoid": ("sumsum", "sum", "ellipsoid", ("square", ())),
+    "nnz_halfspace": ("sumsum", "sum", "halfspace", ("indicator_nonzero", ())),
+    "min_1norm_sphere": ("sumprod", "min-plus", "sphere", ("abs_offset", (0.0,))),
+    "max_sqdist_halfspace": ("sumprod", "max-plus", "halfspace", ("sq_offset", "y")),
+}
+
+
 def preset(name, params):
-    """Canned query encodings for common geometric aggregates.
+    """The `QuerySpec` of the canned geometric query `name` in `PRESETS`.
 
     `params` must contain "features", the feature names of the join in the
-    order vector parameters refer to them. Vector parameters must match that
-    dimension.
+    order vector parameters refer to them, and exactly the parameters the
+    preset's region and F term name; "epsilon" and "mode" are optional, as
+    in a query file. Each F and g term applies the parameter's i-th entry
+    to the i-th feature. Parameters are read as query-file fields are: a
+    scalar is a number, a vector a list of numbers of the features'
+    dimension. `halfspace_count` alone also takes "label_feature", a
+    feature left out of beta's dimension whose g term is 0 at -1 and +inf
+    elsewhere, so only rows labeled -1 count.
     """
-    builders = {
-        "halfspace_count": _halfspace_count,
-        "sphere_count": _sphere_count,
-        "ellipsoid_count": _ellipsoid_count,
-        "sum_abs_halfspace": _sum_abs_halfspace,
-        "sum_squares_ellipsoid": _sum_squares_ellipsoid,
-        "nnz_halfspace": _nnz_halfspace,
-        "min_1norm_sphere": _min_1norm_sphere,
-        "max_sqdist_halfspace": _max_sqdist_halfspace,
-    }
-    if name not in builders:
+    if not isinstance(name, str) or name not in PRESETS:
         raise QueryRejected(f"unknown preset {name!r}")
+    kind, algebra, region, f_term = PRESETS[name]
+    vector, g_kind, scalars, threshold = REGIONS[region]
     params = dict(params)
     features = params.pop("features", None)
     if not (isinstance(features, list) and features
@@ -237,93 +263,48 @@ def preset(name, params):
         )
     mode = params.pop("mode", "exact")
     epsilon = _number(params.pop("epsilon", 0.1), "epsilon")
-    try:
-        spec = builders[name](features, **params)
-    except TypeError as exc:
-        raise QueryRejected(f"preset {name!r}: {exc}") from None
+    label = params.pop("label_feature", None) if name == "halfspace_count" else None
+    if label is not None and not isinstance(label, str):
+        raise QueryRejected(f"label_feature must be a string, got {label!r}")
+    features = [f for f in features if f != label]
+    f_kind, f_param = f_term or (None, None)
+    wanted = {p for p in (vector, f_param) if isinstance(p, str)}.union(scalars)
+    missing = sorted(wanted - set(params))
+    if missing:
+        raise QueryRejected(f"preset {name!r} needs parameters {missing}")
+    unknown = sorted(set(params) - wanted)
+    if unknown:
+        raise QueryRejected(f"preset {name!r} takes no parameters {unknown}")
+
+    def terms(fn_kind, param):
+        """{feature: fn_kind(its entry of vector `param`, or `param`)}."""
+        if isinstance(param, str):
+            args = [(x,) for x in _vector(param, params[param], features)]
+        else:
+            args = [param] * len(features)
+        return {f: FunctionSpec(fn_kind, a) for f, a in zip(features, args)}
+
+    g = terms(g_kind, vector)
+    if label is not None:
+        g[label] = FunctionSpec("indicator_eq", (-1.0, 0.0, _INF))
+    L = threshold(*(_number(params[p], p) for p in scalars))
     return QuerySpec(
-        kind=spec.kind,
-        algebra=spec.algebra,
-        F=spec.F,
-        inequalities=spec.inequalities,
+        kind=kind,
+        algebra=algebra,
+        F=terms(f_kind, f_param) if f_term else {},
+        inequalities=(AdditiveInequality(g=g, threshold=L),),
         epsilon=epsilon,
         mode=mode,
     )
 
 
 def _vector(name, value, features):
+    _expect(value, list, name)
     if len(value) != len(features):
         raise QueryRejected(
             f"{name} has dimension {len(value)}, expected {len(features)}"
         )
     return [_number(x, f"{name}[{i}]") for i, x in enumerate(value)]
-
-
-def _halfspace_count(features, beta, L, label_feature=None):
-    """Points with beta.x <= L; with a label feature, only those labeled -1."""
-    point_features = [f for f in features if f != label_feature]
-    beta = _vector("beta", beta, point_features)
-    g = {f: scale(b) for f, b in zip(point_features, beta)}
-    if label_feature is not None:
-        g[label_feature] = FunctionSpec("indicator_eq", (-1.0, 0.0, _INF))
-    ineq = AdditiveInequality(g=g, threshold=L)
-    return QuerySpec(kind="count", inequalities=(ineq,))
-
-
-def _sphere_count(features, y, r):
-    y = _vector("y", y, features)
-    g = {f: FunctionSpec("sq_offset", (yi,)) for f, yi in zip(features, y)}
-    ineq = AdditiveInequality(g=g, threshold=r * r)
-    return QuerySpec(kind="count", inequalities=(ineq,))
-
-
-def _ellipsoid_count(features, alpha):
-    alpha = _vector("alpha", alpha, features)
-    g = {f: FunctionSpec("scaled_square", (a,)) for f, a in zip(features, alpha)}
-    ineq = AdditiveInequality(g=g, threshold=1.0)
-    return QuerySpec(kind="count", inequalities=(ineq,))
-
-
-def _sum_abs_halfspace(features, y, beta, L):
-    y = _vector("y", y, features)
-    beta = _vector("beta", beta, features)
-    F = {f: FunctionSpec("abs_offset", (yi,)) for f, yi in zip(features, y)}
-    g = {f: scale(b) for f, b in zip(features, beta)}
-    ineq = AdditiveInequality(g=g, threshold=L)
-    return QuerySpec(kind="sumsum", algebra="sum", F=F, inequalities=(ineq,))
-
-
-def _sum_squares_ellipsoid(features, alpha):
-    alpha = _vector("alpha", alpha, features)
-    F = {f: FunctionSpec("square") for f in features}
-    g = {f: FunctionSpec("scaled_square", (a,)) for f, a in zip(features, alpha)}
-    ineq = AdditiveInequality(g=g, threshold=1.0)
-    return QuerySpec(kind="sumsum", algebra="sum", F=F, inequalities=(ineq,))
-
-
-def _nnz_halfspace(features, beta, L):
-    beta = _vector("beta", beta, features)
-    F = {f: FunctionSpec("indicator_nonzero") for f in features}
-    g = {f: scale(b) for f, b in zip(features, beta)}
-    ineq = AdditiveInequality(g=g, threshold=L)
-    return QuerySpec(kind="sumsum", algebra="sum", F=F, inequalities=(ineq,))
-
-
-def _min_1norm_sphere(features, y, r):
-    y = _vector("y", y, features)
-    F = {f: FunctionSpec("abs_offset", (0.0,)) for f in features}
-    g = {f: FunctionSpec("sq_offset", (yi,)) for f, yi in zip(features, y)}
-    ineq = AdditiveInequality(g=g, threshold=r * r)
-    return QuerySpec(kind="sumprod", algebra="min-plus", F=F, inequalities=(ineq,))
-
-
-def _max_sqdist_halfspace(features, y, beta, L):
-    y = _vector("y", y, features)
-    beta = _vector("beta", beta, features)
-    F = {f: FunctionSpec("sq_offset", (yi,)) for f, yi in zip(features, y)}
-    g = {f: scale(b) for f, b in zip(features, beta)}
-    ineq = AdditiveInequality(g=g, threshold=L)
-    return QuerySpec(kind="sumprod", algebra="max-plus", F=F, inequalities=(ineq,))
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,22 @@ def test_epsilon_and_exact_overrides(db1_dir, capsys):
      "inequalities must be a JSON list"),
     ({"preset": ["x"]}, "preset must be a JSON object"),
     ({"kind": "count", "inequality": {"g": {"a": 3}}}, "bad function spec: 3"),
-])
+] + [({"preset": dict(p, features=["a", "b", "c"])}, reason) for p, reason in [
+    ({"name": "halfspace_count", "beta": [1, 1, 1], "L": True},
+     "L must be a number"),
+    ({"name": "sphere_count", "y": [1, 1, 5], "r": True}, "r must be a number"),
+    ({"name": "halfspace_count", "beta": "111", "L": 9},
+     "beta must be a JSON list"),
+    ({"name": "halfspace_count", "beta": [1, 1], "L": 9,
+      "label_feature": ["c"]}, "label_feature must be a string"),
+    ({"name": "sphere_count", "y": [1, 1, 5]},
+     "preset 'sphere_count' needs parameters ['r']"),
+    ({"name": "sphere_count", "y": [1, 1, 5], "r": 1, "color": "red"},
+     "preset 'sphere_count' takes no parameters ['color']"),
+    ({"name": "sphere_count", "y": [1, 1, 5], "r": 1, "label_feature": "c"},
+     "preset 'sphere_count' takes no parameters ['label_feature']"),
+    ({"name": ["sphere_count"]}, "unknown preset ['sphere_count']"),
+]])
 def test_malformed_query_file_exit_2(db1_dir, capsys, query, reason):
     q = write_query(db1_dir, query)
     assert main(["count", "--tables", str(db1_dir), "--query", q]) == 2
@@ -119,7 +134,12 @@ HUGE = 10**400  # a JSON integer too large for a float
      "scale field 'factor'"),
     ({"preset": {"name": "sphere_count", "features": ["a", "b", "c"],
                  "y": [1.0, HUGE, 1.0], "r": 1.0}}, "y[1]"),
-], ids=["L", "epsilon", "function-field", "preset-vector"])
+    ({"preset": {"name": "halfspace_count", "features": ["a", "b", "c"],
+                 "beta": [1.0, 1.0, 1.0], "L": HUGE}}, "L"),
+    ({"preset": {"name": "sphere_count", "features": ["a", "b", "c"],
+                 "y": [1.0, 1.0, 5.0], "r": HUGE}}, "r"),
+], ids=["L", "epsilon", "function-field", "preset-vector", "preset-L",
+        "preset-r"])
 def test_number_past_the_float_range_exit_2(db1_dir, capsys, query, field):
     q = write_query(db1_dir, query)
     assert main(["count", "--tables", str(db1_dir), "--query", q]) == 2
@@ -406,6 +426,20 @@ def test_table_byte_order_mark_is_not_part_of_a_feature_name(db1_dir, capsys):
     q = write_query(db1_dir, COUNT_LEQ9)
     assert main(["count", "--tables", str(db1_dir), "--query", q]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+@pytest.mark.parametrize("algebra, want", [("max", 1.0), ("min", -6.0)])
+def test_approx_max_min_sumsum_reports_exact(db1_dir, capsys, algebra, want):
+    """An approx `max` or `min` sumsum runs exactly and sketches nothing,
+    so its report claims no error budget; its terms may mix signs."""
+    q = write_query(db1_dir, dict(COUNT_LEQ9, kind="sumsum", algebra=algebra, F={
+        "a": {"kind": "identity"}, "c": {"kind": "scale", "factor": -1}}))
+    assert main(["sumsum", "--tables", str(db1_dir), "--query", q,
+                 "--epsilon", "0.1", "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["mode"], report["epsilon"], report["alpha"]) == (
+        "exact", None, None)
+    assert report["result"] == want
 
 
 def test_text_mode_prints_mode_epsilon_and_alpha(db1_dir, capsys):

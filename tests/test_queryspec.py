@@ -1,18 +1,21 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from relagg import (
     AdditiveInequality,
+    Database,
     FunctionSpec,
     QueryRejected,
     QuerySpec,
+    Table,
     preset,
     run_query,
     spec_from_json,
 )
-from relagg.bruteforce import gen_knapsack, gen_partition
+from relagg.bruteforce import gen_knapsack, gen_partition, oracle_eval
 from relagg.queryspec import (
     FUNCTION_KINDS,
     constant,
@@ -199,6 +202,74 @@ def test_preset_unknown_parameter():
         preset("sphere_count", {
             "features": ["x"], "y": [0.0], "r": 1.0, "color": "red",
         })
+
+
+def _xy(kind, x, y):
+    """{x: kind(x), y: kind(y)}, a term per feature with its parameters."""
+    return {"x": FunctionSpec(kind, x), "y": FunctionSpec(kind, y)}
+
+
+def _ineq(g, threshold):
+    return (AdditiveInequality(g=g, threshold=threshold),)
+
+
+LABEL = FunctionSpec("indicator_eq", (-1.0, 0.0, math.inf))
+
+# (preset, its parameters besides "features": ["x", "y"] and "epsilon":
+# 0.2, the QuerySpec it builds)
+PRESET_CASES = [
+    ("halfspace_count", {"beta": [1.0, 2.0], "L": 1.0},
+     QuerySpec(kind="count", algebra="counting",
+               inequalities=_ineq(_xy("scale", (1.0,), (2.0,)), 1.0))),
+    ("halfspace_count", {"features": ["x", "lbl", "y"], "beta": [1.0, 2.0],
+                         "L": 1.0, "label_feature": "lbl"},
+     QuerySpec(kind="count", algebra="counting",
+               inequalities=_ineq(
+                   {**_xy("scale", (1.0,), (2.0,)), "lbl": LABEL}, 1.0))),
+    ("sphere_count", {"y": [0.5, 1.0], "r": 1.5},
+     QuerySpec(kind="count", algebra="counting",
+               inequalities=_ineq(_xy("sq_offset", (0.5,), (1.0,)), 2.25))),
+    ("ellipsoid_count", {"alpha": [2.0, 3.0]},
+     QuerySpec(kind="count", algebra="counting",
+               inequalities=_ineq(_xy("scaled_square", (2.0,), (3.0,)), 1.0))),
+    ("sum_abs_halfspace", {"y": [1.0, -1.0], "beta": [1.0, 1.0], "L": 2.0},
+     QuerySpec(kind="sumsum", algebra="sum",
+               F=_xy("abs_offset", (1.0,), (-1.0,)),
+               inequalities=_ineq(_xy("scale", (1.0,), (1.0,)), 2.0))),
+    ("sum_squares_ellipsoid", {"alpha": [2.0, 3.0]},
+     QuerySpec(kind="sumsum", algebra="sum", F=_xy("square", (), ()),
+               inequalities=_ineq(_xy("scaled_square", (2.0,), (3.0,)), 1.0))),
+    ("nnz_halfspace", {"beta": [1.0, -1.0], "L": 0.5},
+     QuerySpec(kind="sumsum", algebra="sum", F=_xy("indicator_nonzero", (), ()),
+               inequalities=_ineq(_xy("scale", (1.0,), (-1.0,)), 0.5))),
+    ("min_1norm_sphere", {"y": [0.5, 1.0], "r": 2.0},
+     QuerySpec(kind="sumprod", algebra="min-plus",
+               F=_xy("abs_offset", (0.0,), (0.0,)),
+               inequalities=_ineq(_xy("sq_offset", (0.5,), (1.0,)), 4.0))),
+    ("max_sqdist_halfspace", {"y": [0.0, 1.0], "beta": [1.0, 1.0], "L": 2.0},
+     QuerySpec(kind="sumprod", algebra="max-plus",
+               F=_xy("sq_offset", (0.0,), (1.0,)),
+               inequalities=_ineq(_xy("scale", (1.0,), (1.0,)), 2.0))),
+]
+
+# Six join rows; the two with y = -2 are labeled 1, the others -1.
+PRESET_DB = Database(tables=(
+    Table("t1", ("k", "x"), ((0.0, -1.0), (0.0, 2.0), (1.0, 0.5))),
+    Table("t2", ("k", "y", "lbl"), ((0.0, 1.0, -1.0), (0.0, -2.0, 1.0),
+                                    (1.0, 0.0, -1.0), (1.0, 3.0, -1.0))),
+))
+
+
+@pytest.mark.parametrize("name, params, want", PRESET_CASES,
+                         ids=[name if "label_feature" not in params
+                              else f"{name}-label"
+                              for name, params, _ in PRESET_CASES])
+def test_preset_builds_its_query_and_runs_as_the_oracle(name, params, want):
+    """Each preset builds exactly the query written out here, and the
+    exact engine answers it as the oracle does."""
+    spec = preset(name, {"features": ["x", "y"], "epsilon": 0.2, **params})
+    assert spec == replace(want, epsilon=0.2, mode="exact")
+    assert run_query(PRESET_DB, spec) == oracle_eval(PRESET_DB, spec)
 
 
 # ---------------------------------------------------------------------------
