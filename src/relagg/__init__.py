@@ -37,6 +37,6 @@ from .queryspec import (
 )
 from .sketch import alpha_for, ms_sketch, ws_sketch
 from .tables import Database, Table, active_domain, load_table, stats
-from .weightedset import WeightedSet, lift, ws_convolve, ws_plus, ws_triangle
+from .weightedset import WeightedSet, ws_convolve, ws_plus, ws_triangle
 
 __version__ = "0.1.0"

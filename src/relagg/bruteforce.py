@@ -89,6 +89,8 @@ def oracle_eval(db, spec, cap=DEFAULT_CAP):
             for f, v in zip(schema, row):
                 if f in spec.F:
                     total = algebra.plus(total, spec.F[f](v))
+        if algebra.name != "sum":
+            total += 0.0  # a zero answer is +0.0, whichever zero came first
         return finite_sum(algebra, total)
     total = algebra.zero
     for row in rows:

@@ -7,14 +7,16 @@ folds, multiplies and sends. The base chooses the carrier: row counting
 counts over `COUNTS`, whose weighted sets are the multisets, SumProd takes
 the weighted sets over its semiring, and SumSum those over the monoid's
 base in `algebra.SUMSUM_BASES`: (count, sum) pairs for `sum`, plain
-floats for `max` and `min`. A leaf factor carries the inequality term of
-a feature as its key and the F term (the base one when F has none) as
-its weight. Only a feature with a term, in the inequality or in F, gets
-a factor; any other contributes the carrier's one, which the engine
-never multiplies in. A term that is -inf or NaN is refused (CapExceeded)
-by `AdditiveInequality.term_value`, as it is by the oracle; a +inf term
-takes its row out. The answer is the root value's
-cumulative aggregate at the threshold, Delta_L(v) = (+)_{k <= L} v[k].
+floats for `max` and `min`. A leaf factor returns one (key, weight)
+entry: the inequality term of a feature and its F term (the base one
+when F has none). Only a feature with a term, in the inequality or in F,
+gets a factor; any other takes no part. The carrier's gather makes each
+row one entry, the product of its leaves, and accumulates a join key's
+entries in one scan, with one sort and no per-row value. A term that is
+-inf or NaN is refused (CapExceeded) by `AdditiveInequality.term_value`,
+as it is by the oracle; a +inf term takes its row out. The answer is the
+root value's cumulative aggregate at the threshold,
+Delta_L(v) = (+)_{k <= L} v[k].
 The engine stops before the root's last product and returns (a, b)
 pairs, one per join key of the root; `threshold_read` reads each
 Delta_L(a (x) b) off a and b under the weights' base, and `_evaluate`
@@ -48,7 +50,7 @@ from itertools import accumulate
 from .algebra import SUMSUM_BASES, finite_sum
 from .engine import EngineConfig, evaluate
 from .errors import CapExceeded, QueryRejected
-from .multiset import (COUNTS, MS_ONE, Multiset, ms_convolve, ms_union,
+from .multiset import (COUNTS, MS_ONE, ms_convolve, ms_gather, ms_union,
                        pair_convolve)
 from .queryspec import (
     AdditiveInequality,
@@ -57,7 +59,7 @@ from .queryspec import (
     checked_algebra,
 )
 from .sketch import alpha_for, ms_sketch, ws_sketch
-from .weightedset import lift, ws_convolve, ws_one, ws_plus
+from .weightedset import ws_convolve, ws_gather, ws_one, ws_plus
 
 SKETCH_SIZE_CAP = 10**6  # approx mode aborts when a value outgrows this
 
@@ -102,8 +104,10 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
     The base chooses the carrier: `COUNTS` the multisets, any other base
     its weighted sets, whose product is `pair_convolve` over `sum`'s
     pairs. The leaf of a feature with a term, in the inequality or in F,
-    pairs the inequality term with the F term (the base one when F has
-    none). Approx mode hands the engine the carrier's sketch with
+    is the (key, weight) entry of the inequality term and the F term (the
+    base one when F has none), and the carrier's gather (`ms_gather`,
+    `ws_gather`) builds each join key's value from its rows' leaves.
+    Approx mode hands the engine the carrier's sketch with
     alpha_for(epsilon, m), which also refuses (CapExceeded) a sketched
     value past SKETCH_SIZE_CAP entries. The carrier functions are looked
     up here, at call time, so wrappers set on this module's attributes
@@ -117,21 +121,19 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
         raise QueryRejected(f"unknown mode {mode!r}")
     if base is COUNTS:
         plus, times, sketch, one = ms_union, ms_convolve, ms_sketch, MS_ONE
-
-        def leaf(k, w):
-            return Multiset.from_columns((k,), (w,), COUNTS)
+        gather = ms_gather
     else:
         plus, sketch, one = ws_plus, ws_sketch, ws_one(base)
         times = pair_convolve if base is SUMSUM_BASES["sum"] else ws_convolve
 
-        def leaf(k, w):
-            return lift(k, w, base)
+        def gather(rows):
+            return ws_gather(rows, base)
     factors = {
-        f: lambda v, f=f, fn=F.get(f): leaf(
+        f: lambda v, f=f, fn=F.get(f): (
             ineq.term_value(f, v), base.one if fn is None else fn(v))
         for f in db.feature_tables if f in ineq.g or f in F
     }
-    config = EngineConfig(plus=plus, times=times, one=one)
+    config = EngineConfig(plus=plus, times=times, one=one, gather=gather)
     if mode == "approx":
         alpha = alpha_for(epsilon, db.m)
 
@@ -178,11 +180,11 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     other the pair one (1, 0), and the answer is the sum component.
     Under `max` or `min` it weighs F(v) itself, any other the base one,
     -/+ float_info.max, neutral on every finite F term, and the answer
-    is the value read; with F empty it is the monoid identity, returned
-    after the evaluation so that its refusals still fire. Approx `sum`
-    refuses terms that mix signs over the active domains, sketches the
-    pairs, and answers an all-negative F as minus that of -F, whose pairs
-    are nonnegative. A `max` or `min` sumsum is computed exactly in either
+    is the value read, a zero as +0.0 (as in the oracle); with F empty it
+    is the monoid identity, returned after the evaluation so that its
+    refusals still fire. Approx `sum` refuses terms that mix signs over
+    the active domains, sketches the pairs, and answers an all-negative F
+    as minus that of -F, whose pairs are nonnegative. A `max` or `min` sumsum is computed exactly in either
     mode (`run_mode`), so it takes terms of either sign.
     """
     monoid = checked_algebra("sumsum", monoid)
@@ -193,7 +195,8 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     if monoid.name != "sum":
         total = _evaluate(db, base, F, ineq, epsilon,
                           run_mode("sumsum", monoid, mode), instr)
-        return total if F else monoid.identity
+        # + 0.0: a zero answer is +0.0 whichever signed zero the fold kept
+        return total + 0.0 if F else monoid.identity
     values = [fv for _, _, fv in terms]
     negative = any(fv < 0 for fv in values)
     if mode == "approx" and negative and any(fv > 0 for fv in values):

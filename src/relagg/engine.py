@@ -2,16 +2,18 @@
 aggregated by their join keys.
 
 Evaluates a SumProd-style aggregate over the bag join of a database without
-materializing the join. Each table is seeded once: a row's value q is the
-product of the leaves of the features the table owns that have a factor.
-A feature with none contributes the carrier's one, so it takes no part in
-any product, and a row with no such feature is one. Each factor runs once
-per distinct value of its feature, whose leaf a memo keeps: n rows over d
-distinct values build d leaves, not n. Each row goes straight into the
-group of its join key (every feature the table shares with a neighbour in
-the join tree), and each group folds into one value with the carrier's
-exact n-ary union. The fold is exact because (x) distributes over (+), and
-it is not sketched, so it adds nothing to the approximation depth.
+materializing the join. Each table is seeded once, by one scan: a row's
+leaves are those of the features the table owns that have a factor, in
+schema order, and each row goes straight into the group of its join key
+(every feature the table shares with a neighbour in the join tree). A
+feature with no factor contributes nothing, and a row with no such
+feature holds no leaves. Each factor runs once per distinct value of its
+feature, whose leaf a memo keeps: n rows over d distinct values build d
+leaves, not n. `config.gather` then builds each group's value from its
+rows in one call; the drivers' gathers turn each row into one (key,
+weight) entry and accumulate the entries, with one sort per group and no
+per-row value or union. The gather is exact and is not sketched, so it
+adds nothing to the approximation depth.
 
 One upward pass sends every message: the message from x to its parent y
 is the fold, grouped by the key x shares with y (one group if none), of
@@ -33,19 +35,19 @@ approx mode's size cap are the caller's choice, passed in `EngineConfig`
 knows nothing of the cap, which the sketch itself enforces.
 
 Approximation depth: approx mode sketches every group fold and every
-product (not the join-key folds, not the seeding products of singletons).
-By induction over the tree, a message from x to its parent, which
-summarizes the s tables of x's subtree, composes s sketched folds and
-s - 1 sketched products: the n messages from x's children cover the other
-s - 1 tables, so they compose s - 1 folds and s - 1 - n products;
-multiplying x's exact value by them takes n more products however the
-n + 1 factors are associated, and the group fold adds one fold. The read
-at the root multiplies its value by its d children's messages, which
-cover the other m - 1 tables: m - 1 folds and (m - 1 - d) + d products,
-the last of which is the fused read and never built. So every read
-composes D = 2m - 3 sketches, the depth `sketch.alpha_for` spends epsilon
-on: a union's error is its worse operand's and a product's error factors
-multiply, so no read carries more than D factors of (1 +/- alpha).
+product (not the seeding gathers). By induction over the tree, a message
+from x to its parent, which summarizes the s tables of x's subtree,
+composes s sketched folds and s - 1 sketched products: the n messages
+from x's children cover the other s - 1 tables, so they compose s - 1
+folds and s - 1 - n products; multiplying x's exact value by them takes
+n more products however the n + 1 factors are associated, and the group
+fold adds one fold. The read at the root multiplies its value by its d
+children's messages, which cover the other m - 1 tables: m - 1 folds and
+(m - 1 - d) + d products, the last of which is the fused read and never
+built. So every read composes D = 2m - 3 sketches, the depth
+`sketch.alpha_for` spends epsilon on: a union's error is its worse
+operand's and a product's error factors multiply, so no read carries more
+than D factors of (1 +/- alpha).
 
 With sketched operations the result is order dependent, so elimination
 order and grouping are fixed and deterministic: the order is
@@ -56,6 +58,7 @@ their first row.
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .jointree import build_decomposition
@@ -66,6 +69,7 @@ class EngineConfig:
     plus: callable  # plus(*values), one or more -> their exact (+)-fold
     times: callable
     one: object
+    gather: callable  # gather(rows) -> one join key's value, see `evaluate`
     sketch: callable = None  # approx mode: applied to each group fold and product
 
 
@@ -107,32 +111,43 @@ def _key_getter(cols):
     return lambda row: ()
 
 
-def _seed(db, factors, config, key_features, instr):
-    """Each table's {join key: exact fold of its rows' values}.
+def _getter(cols):
+    """row -> its value at the one column of `cols`, else the tuple of its
+    values at `cols`: a scalar hashes faster than its 1-tuple."""
+    if cols:
+        return operator.itemgetter(*cols)
+    return operator.itemgetter(slice(0, 0))
 
-    A row's value q is the product of the leaves of the features the table
-    owns and `factors` lists, `config.one` when there are none. Each
-    factor runs once per distinct value: a memo per feature keeps its
-    leaves."""
+
+def _seed(db, factors, config, key_features, instr):
+    """Each table's {join key: the gather of its rows}.
+
+    A row's leaves are those of the features the table owns and `factors`
+    lists, in schema order, so every row of a table holds as many. Each
+    factor runs once per distinct value, in first-row order: a memo per
+    feature keeps its leaves, and a memo per table keeps the leaves of
+    each distinct value (or tuple of values) a row holds at those
+    features."""
     _, partition = assign_features(db)
     keyed = {}
     for t, features in key_features.items():
         src = db.table(t)
-        owned = [(src.schema.index(f), factors[f], {})
-                 for f in src.schema if f in partition[t] and f in factors]
-        key_of = _key_getter([src.schema.index(f) for f in features])
-        groups = {}
+        owned = [f for f in src.schema if f in partition[t] and f in factors]
+        memos = [(factors[f], {}) for f in owned]
+        values_of = _getter([src.schema.index(f) for f in owned])
+        leaves = dict.fromkeys(map(values_of, src.rows))
+        for values in leaves:
+            leaves[values] = tuple(
+                memo[v] if v in memo else memo.setdefault(v, fn(v))
+                for v, (fn, memo) in zip(
+                    (values,) if len(owned) == 1 else values, memos))
+        key_of = _getter([src.schema.index(f) for f in features])
+        groups = defaultdict(list)
         for row in src.rows:
-            q = None
-            for c, fn, memo in owned:
-                v = row[c]
-                leaf = memo.get(v)
-                if leaf is None:
-                    leaf = memo[v] = fn(v)
-                q = leaf if q is None else config.times(q, leaf)
-            groups.setdefault(key_of(row), []).append(
-                config.one if q is None else q)
-        keyed[t] = _fold(groups, None, config, instr)
+            groups[key_of(row)].append(leaves[values_of(row)])
+        if len(features) == 1:  # a key of one feature is its 1-tuple
+            groups = {(key,): rows for key, rows in groups.items()}
+        keyed[t] = _fold(groups, config.gather, None, instr)
     return keyed
 
 
@@ -146,13 +161,13 @@ def _built(value, sketch, instr):
     return value
 
 
-def _fold(groups, sketch, config, instr):
-    """{group: (+)-fold of its items}, one `plus` call per group."""
+def _fold(groups, fold, sketch, instr):
+    """{group: fold(its items)}, one `fold` call per group."""
     folded = {}
     for group, items in groups.items():
         if instr is not None:
             instr.record_fold(len(items))
-        folded[group] = _built(config.plus(*items), sketch, instr)
+        folded[group] = _built(fold(items), sketch, instr)
     return folded
 
 
@@ -167,8 +182,12 @@ def _grouped(pairs, project):
 def evaluate(db, factors, config, instr=None):
     """The root's (a, b) pairs.
 
-    `factors` maps a feature name to a function value -> carrier, its
-    leaf; a feature missing from `factors` contributes `config.one`. The
+    `factors` maps a feature name to a function value -> its leaf, and
+    `config.gather(rows)` builds a join key's value from the rows that
+    hold it, in row order: each row is the tuple of its leaves, those of
+    the features its table owns that `factors` lists, in schema order, so
+    every row of one call holds as many (none for a table that owns no
+    such feature). A feature missing from `factors` takes no part. The
     aggregate over the bag join is the (+)-fold of a (x) b over the root's
     pairs: one per join key of the table eliminated last, with b =
     `config.one` when there is a single table. The product is not built.
@@ -209,7 +228,8 @@ def evaluate(db, factors, config, instr=None):
 
     for c, p in parent.items():
         groups = _grouped(times_messages(c, children[c]).items(), edge[c, p])
-        message[c] = _fold(groups, config.sketch, config, instr)
+        message[c] = _fold(groups, lambda items: config.plus(*items),
+                           config.sketch, instr)
     if not children[root]:
         return [(value, config.one) for value in keyed[root].values()]
     *rest, last = children[root]

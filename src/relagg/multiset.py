@@ -8,11 +8,12 @@ integer addition and multiplication, so the generic weighted-set code
 Counts are exact Python integers, so frequencies as large as n^m are safe
 and no operation checks for overflow.
 
-Only the two operations the engine runs most stay specific to counts:
-union adds frequencies, convolution sums keys pairwise and multiplies
-frequencies. Their integer loops skip the generic ones' base calls and
-zero filter, which a positive count never needs. Union takes any number of
-operands, so the engine folds a group of rows in one call. Both build
+Only the operations the engine runs most stay specific to counts: union
+adds frequencies, the seeding gather adds its rows' counts, convolution
+sums keys pairwise and multiplies frequencies. Their integer loops skip
+the generic ones' base calls and zero filter, which a positive count never
+needs; union and the gather share one. Union takes any number of
+operands, so the engine folds a group of messages in one call. All build
 results with `Multiset._trusted`, which skips the constructor's check; each
 docstring says why its result passes it.
 
@@ -34,17 +35,16 @@ costs one O(1) span test and a scan that stops at the first key that is
 not an integral float.
 
 SumSum's `sum` pairs reuse the packed path: `pair_convolve` views their
-count and sum columns as multisets on the same keys, unless both operands
-hold one entry.
+count and sum columns as multisets on the same keys.
 """
 
 import operator
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 
 from .algebra import Semiring
-from .weightedset import WeightedSet, ws_convolve
+from .weightedset import WeightedSet, row_entries, ws_convolve
 
 # The counting algebra of multisets. Unlike the named "counting" semiring
 # its operations need no float-overflow check: ints cannot overflow.
@@ -87,22 +87,34 @@ def ms_singleton(key, count=1):
     return Multiset(((key, count),))
 
 
-def ms_union(*values):
-    """Union of any number of multisets: frequencies add. One dict over
-    every entry and one sort, so k values of s entries cost O(k s) plus the
-    sort. A lone nonempty operand is returned as it is. Sorted unique keys;
-    counts are sums of positive ints."""
-    nonempty = [value for value in values if value.keys]
-    if len(nonempty) == 1:
-        return nonempty[0]
+def _counted(entries):
+    """The multiset of each key's count sum over (key, count) `entries`:
+    one dict over every entry and one sort. Sorted unique keys; counts are
+    sums of positive ints."""
     acc = {}
     get = acc.get
-    keys = [k for value in nonempty for k in value.keys]
-    counts = [c for value in nonempty for c in value.weights]
-    for key, count in zip(keys, counts):
+    for key, count in entries:
         acc[key] = get(key, 0) + count
     keys = tuple(sorted(acc))
     return Multiset._trusted(keys, tuple(map(acc.__getitem__, keys)), COUNTS)
+
+
+def ms_union(*values):
+    """Union of any number of multisets: frequencies add (`_counted`), so
+    k values of s entries cost O(k s) plus the sort. A lone nonempty
+    operand is returned as it is."""
+    nonempty = [value for value in values if value.keys]
+    if len(nonempty) == 1:
+        return nonempty[0]
+    return _counted(chain.from_iterable(
+        zip(value.keys, value.weights) for value in nonempty))
+
+
+def ms_gather(rows):
+    """`ws_gather` over COUNTS: one join key's multiset from its rows'
+    entries (`row_entries`; a count is a product of positive ints, never
+    zero), added up by `ms_union`'s loop (`_counted`)."""
+    return _counted(row_entries(rows, COUNTS))
 
 
 def ms_convolve(a, b):
@@ -160,10 +172,8 @@ def pair_convolve(a, b):
     qualifies: counts c_a c_b, and sums c_a s_b + s_a c_b, of columns
     viewed as multisets. A sum is nonzero only where a count is, so the
     sums are read at the counts' keys; they add as exact ints and round
-    to float once. Any other input takes `ws_convolve`, and so does a
-    product of two one-entry operands (a row's seeding product), which is
-    one pair (x) there and would pay the packed path's fixed cost."""
-    if len(a.keys) * len(b.keys) > 1:
+    to float once. Any other input takes `ws_convolve`."""
+    if a.keys and b.keys:
         (ca, sa), (cb, sb) = zip(*a.weights), zip(*b.weights)
         sa, sb = _integral(sa), _integral(sb)
         if sa is not None and sb is not None:

@@ -240,11 +240,11 @@ PRESETS = {
 def preset(name, params):
     """The `QuerySpec` of the canned geometric query `name` in `PRESETS`.
 
-    `params` must contain "features", the feature names of the join in the
-    order vector parameters refer to them, and exactly the parameters the
-    preset's region and F term name; "epsilon" and "mode" are optional, as
-    in a query file. Each F and g term applies the parameter's i-th entry
-    to the i-th feature. Parameters are read as query-file fields are: a
+    `params` must contain "features", the feature names of the join, each
+    once, in the order vector parameters refer to them, and exactly the
+    parameters the preset's region and F term name; "epsilon" and "mode"
+    are optional, as in a query file. Each F and g term applies the
+    parameter's i-th entry to the i-th feature. Parameters are read as query-file fields are: a
     scalar is a number, a vector a list of numbers of the features'
     dimension. `halfspace_count` alone also takes "label_feature", a
     feature left out of beta's dimension whose g term is 0 at -1 and +inf
@@ -261,6 +261,9 @@ def preset(name, params):
         raise QueryRejected(
             f"preset {name!r} needs 'features', a nonempty list of strings"
         )
+    for i, f in enumerate(features):
+        if f in features[:i]:
+            raise QueryRejected(f"preset {name!r} lists feature {f!r} twice")
     mode = params.pop("mode", "exact")
     epsilon = _number(params.pop("epsilon", 0.1), "epsilon")
     label = params.pop("label_feature", None) if name == "halfspace_count" else None

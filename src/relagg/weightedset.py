@@ -6,16 +6,17 @@ subclass over integer counts, and the lookup, length, dump and Delta_L
 fold here serve it too. A value holds its keys, strictly increasing, in
 one tuple and their weights, aligned, in another: a threshold read
 bisects the key column and folds the weight column as they are, and a
-kernel sorts only keys. `entries` is a derived view of the (key, weight) pairs. The
-checked constructor takes them, and `from_columns` takes the two columns
-under the same check, so a one-entry leaf splits no pairs. Union combines
-weights with the base (+) and takes any number of operands; convolution
-sums keys and combines weights with the base (x). Each accumulates into
-one dict in operand order, sorts its keys, and reads the weight column
-off the dict. Entries whose weight equals the base zero are dropped,
-keeping the representation canonical. The operations build results with
-`WeightedSet._trusted`, which skips the constructor's check; each
-docstring says why its result passes it.
+kernel sorts only keys. `entries` is a derived view of the (key, weight)
+pairs. The checked constructor takes them, and `from_columns` takes the
+two columns under the same check. Union combines weights with the base
+(+) and takes any number of operands; convolution sums keys and combines
+weights with the base (x); the seeding gather turns each row of a join
+key into one (key, weight) entry and combines the entries as union does,
+in the same loop. Each accumulates into one dict in operand order, sorts
+its keys, and reads the weight column off the dict. Entries whose weight
+equals the base zero are dropped, keeping the representation canonical.
+The operations build results with `WeightedSet._trusted`, which skips the
+constructor's check; each docstring says why its result passes it.
 
 Over the named max-plus and min-plus semirings (those two objects, not
 any base whose (+) is `max` or `min`), both kernels fold inline when
@@ -109,13 +110,6 @@ def ws_one(base):
     return WeightedSet(((0.0, base.one),), base)
 
 
-def lift(g_val, f_val, base):
-    """Leaf value {(g, f)}, or the empty set when f is the base zero."""
-    if f_val == base.zero:
-        return ws_empty(base)
-    return WeightedSet.from_columns((g_val,), (f_val,), base)
-
-
 def _require_same_base(a, b):
     if a.base is not b.base:
         raise ValueError(
@@ -191,26 +185,62 @@ def _from_dict(acc, base, nonzero=False):
     return WeightedSet._trusted(keys, tuple(map(acc.__getitem__, keys)), base)
 
 
-def ws_plus(first, *rest):
-    """Pointwise base (+) of one or more weighted sets over one base. One
-    dict over every entry: the weights of a key combine in operand order,
-    base-zero results are dropped, and the keys are sorted once. A lone
-    nonempty operand is returned as it is. Under max-plus or min-plus with
+def _summed(keys, weights, base):
+    """The weighted set of the (+)-fold of each key's weights, in order:
+    base zeros dropped, keys sorted once. Under max-plus or min-plus with
     every weight finite, one comparison per entry does the (+)."""
-    for value in rest:
-        _require_same_base(first, value)
-    nonempty = [value for value in (first, *rest) if value.keys]
-    if len(nonempty) == 1:
-        return nonempty[0]
-    base = first.base
-    keys = [k for value in nonempty for k in value.keys]
-    weights = [w for value in nonempty for w in value.weights]
     if _inline(base, weights):
         return _from_dict(_tropical_plus(keys, weights, base), base, True)
     acc, plus = {}, base.plus
     for key, w in zip(keys, weights):
         acc[key] = plus(acc[key], w) if key in acc else w
     return _from_dict(acc, base)
+
+
+def ws_plus(first, *rest):
+    """Pointwise base (+) of one or more weighted sets over one base. One
+    dict over every entry (`_summed`): the weights of a key combine in
+    operand order, base-zero results are dropped, and the keys are sorted
+    once. A lone nonempty operand is returned as it is."""
+    for value in rest:
+        _require_same_base(first, value)
+    nonempty = [value for value in (first, *rest) if value.keys]
+    if len(nonempty) == 1:
+        return nonempty[0]
+    return _summed([k for value in nonempty for k in value.keys],
+                   [w for value in nonempty for w in value.weights],
+                   first.base)
+
+
+def row_entries(rows, base):
+    """The (key, weight) entry of each row, in row order. A row is a tuple
+    of (key, weight) leaves, and every row holds as many: its entry is the
+    left fold of its leaves, keys added and weights combined with the
+    base's own (x), which raises CapExceeded on a product that overflows;
+    (0.0, base one) for a row of none. This is the one pair of
+    `ws_convolve` over the rows' one-entry leaves, taken in the same
+    order."""
+    if len(rows[0]) == 1:
+        return chain.from_iterable(rows)
+
+    def times(a, b):
+        return a[0] + b[0], base.times(a[1], b[1])
+    return (reduce(times, row) if row else (0.0, base.one) for row in rows)
+
+
+def ws_gather(rows, base):
+    """One join key's weighted set from its rows, each a tuple of (key,
+    weight) leaves: the rows' entries (`row_entries`) whose weight is not
+    the base zero, the empty products a union skips, accumulate under the
+    base (+) in row order, and the keys are sorted once (`_summed`). That
+    is `ws_plus` over each row's one-entry product of its leaves, the same
+    arithmetic in the same order, with no value built per row."""
+    zero = base.zero
+    entries = [e for e in row_entries(rows, base) if e[1] != zero]
+    if not entries:
+        return ws_empty(base)
+    keys, weights = zip(*entries)
+    return _summed(keys, weights, base)
 
 
 def ws_convolve(a, b):

@@ -641,3 +641,16 @@ def test_preset_features_must_be_a_list_of_strings(db1_dir, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("rejected: ") and err.count("\n") == 1
     assert "a nonempty list of strings" in err
+
+
+@pytest.mark.parametrize("command", ["count", "oracle"])
+def test_preset_repeated_feature_exit_2(db1_dir, capsys, command):
+    """A repeated feature is refused, not read as the halfspace of its
+    last term (5a <= 1 instead of 6a <= 1)."""
+    q = write_query(db1_dir, {"preset": {
+        "name": "halfspace_count", "features": ["a", "a"], "beta": [1.0, 5.0],
+        "L": 1,
+    }})
+    assert main([command, "--tables", str(db1_dir), "--query", q]) == 2
+    assert capsys.readouterr().err == (
+        "rejected: preset 'halfspace_count' lists feature 'a' twice\n")

@@ -21,6 +21,10 @@ the base's calls, when every weight is finite and, for the product, the
 sums of the operands' extreme weights are; the tropical draws add
 negative weights, -0.0, NaN, infinities and weights whose pair sums
 overflow, and the kernels must match the reference, CapExceeded included.
+
+The seeding gather builds a join key's value from its rows' leaves in one
+scan; it must equal, by `repr`, the union of each row's product of its
+one-entry leaves, the value seeding built before the gather.
 """
 
 import math
@@ -29,7 +33,7 @@ from functools import reduce
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relagg import multiset
@@ -48,7 +52,8 @@ from relagg import (
 )
 from relagg.algebra import SUMSUM_BASES
 from relagg.drivers import threshold_read
-from relagg.multiset import COUNTS, pair_convolve
+from relagg.multiset import COUNTS, ms_gather, pair_convolve
+from relagg.weightedset import ws_empty, ws_gather, ws_one
 
 BASES = {name: make_named(name) for name in ("counting", "min-plus", "max-plus")}
 KEYS = (-1e16, -0.1, 0.0, 0.1, 0.2, 0.3, 0.30000000000000004, 0.7, 1.0, 2.0,
@@ -460,10 +465,10 @@ def _view(keys, column):
 
 
 def takes_packed_pair_path(a, b):
-    """Neither operand empty nor both one-entry, every sum a nonnegative
-    integral float, and the count product and both sum products (c_a s_b,
-    s_a c_b) take the packed path."""
-    if len(a) * len(b) < 2:
+    """Neither operand empty, every sum a nonnegative integral float, and
+    the count product and both sum products (c_a s_b, s_a c_b) take the
+    packed path."""
+    if not a or not b:
         return False
     (ca, sa), (cb, sb) = zip(*a.weights), zip(*b.weights)
     if not all(type(s) is float and s >= 0 and s.is_integer() for s in sa + sb):
@@ -520,8 +525,8 @@ PAIR_PATH_CASES = {  # name -> (a, b, whether the packed path takes them)
                              pair_lattice(2, sums=lambda k: 2.0**34), False),
     "sum-bound-2**64-1": (pair_lattice(1, count=2**31, sums=lambda k: 0.0),
                           pair_lattice(2, sums=lambda k: 2.0**32), True),
-    # a row's seeding product: one pair, so the generic loop's one (x)
-    "one-by-one": (pair_lattice(1, start=3), pair_lattice(1, start=-2), False),
+    # one pair takes the packed path like any qualifying product
+    "one-by-one": (pair_lattice(1, start=3), pair_lattice(1, start=-2), True),
 }
 
 
@@ -532,3 +537,79 @@ def test_pair_product_path_follows_the_operands(monkeypatch, a, b, packed):
     got, generic = _pair_product(monkeypatch, a, b)
     assert generic is not packed
     assert got.entries == ws_convolve(a, b).entries
+
+
+# ---------------------------------------------------------------------------
+# The seeding gather against the union of one-entry leaf products
+
+INF = math.inf
+# keys collide, as a g term that maps two values to one key makes them;
+# a +inf g term takes its row out of every threshold
+GATHER_KEYS = (0.0, -0.0, 0.1, 0.2, 0.3, 1.0, INF)
+F_TERMS = (0.0, -0.0, 0.5, -1.5, 3.0)
+# base -> the weights its leaves carry: the base zero (the row drops),
+# signed zeros, and terms whose product overflows (CapExceeded)
+GATHER_BASES = {
+    "counts": (COUNTS, st.just(1)),
+    "sum pairs": (SUMSUM_BASES["sum"],
+                  st.tuples(st.just(1), st.sampled_from(F_TERMS))),
+    "max-max": (SUMSUM_BASES["max"],
+                st.sampled_from(F_TERMS + (SUMSUM_BASES["max"].one,))),
+    "min-min": (SUMSUM_BASES["min"],
+                st.sampled_from(F_TERMS + (SUMSUM_BASES["min"].one,))),
+    "counting": (BASES["counting"],
+                 st.sampled_from((0, 0.0, -0.0, 1, 2.5, 1e-200, 1e308))),
+    "max-plus": (BASES["max-plus"],
+                 st.sampled_from((-INF, 0.0, -0.0, 1.5, -2.0, 1e308))),
+    "min-plus": (BASES["min-plus"],
+                 st.sampled_from((INF, 0.0, -0.0, 1.5, -2.0, -1e308))),
+}
+
+
+def leaf_union(rows, base):
+    """`ws_plus` (`ms_union` over COUNTS) of each row's value: the product
+    of its leaves, each lifted to a one-entry value, empty at the base
+    zero. The product is `ws_convolve`'s generic one pair, which sums the
+    keys as they come (`ms_convolve`'s packed path returns +0.0 for
+    -0.0 + -0.0, a key that compares equal)."""
+    def lift(key, w):
+        if w == base.zero:
+            return ws_empty(base)
+        return WeightedSet.from_columns((key,), (w,), base)
+    values = [reduce(ws_convolve, [lift(k, w) for k, w in row])
+              if row else ws_one(base) for row in rows]
+    if base is COUNTS:
+        return ms_union(*(Multiset._trusted(v.keys, v.weights, COUNTS)
+                          for v in values))
+    return ws_plus(*values)
+
+
+@st.composite
+def gather_cases(draw):
+    """(base name, rows): each row a tuple of 0 to 2 (key, weight) leaves,
+    every row as many."""
+    name = draw(st.sampled_from(sorted(GATHER_BASES)))
+    leaf = st.tuples(st.sampled_from(GATHER_KEYS), GATHER_BASES[name][1])
+    width = draw(st.integers(0, 2))
+    return name, draw(st.lists(st.tuples(*[leaf] * width), min_size=1,
+                               max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(gather_cases())
+# a row of weight zero beside an int weight at its key: skipped, as the
+# union skips an empty value, not added (0.0 + 1 would turn 1 into 1.0)
+@example(("counting", (((0.5, 0.0),), ((0.5, 1),))))
+def test_gather_matches_union_of_leaf_products(case):
+    name, rows = case
+    base = GATHER_BASES[name][0]
+    gather = ms_gather if base is COUNTS else (lambda r: ws_gather(r, base))
+    try:
+        want = leaf_union(rows, base)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            gather(rows)
+        return
+    got = gather(rows)
+    assert repr(got) == repr(want)
+    type(got).from_columns(got.keys, got.weights, got.base)

@@ -30,7 +30,7 @@ from relagg import (
 from relagg import drivers
 from relagg.drivers import threshold_read
 from relagg.engine import EngineConfig, evaluate
-from relagg.multiset import MS_ONE, ms_singleton, ms_union
+from relagg.multiset import MS_ONE, ms_gather, ms_union
 from relagg.queryspec import identity, preset, scale
 from conftest import (
     CROSS_CASE,
@@ -367,9 +367,9 @@ def test_root_product_is_never_built():
 def test_one_table_rows_read_with_one():
     db = _cross_real(1, 40, seed=6)
     config = EngineConfig(
-        plus=ms_union, times=ms_convolve, one=MS_ONE
+        plus=ms_union, times=ms_convolve, one=MS_ONE, gather=ms_gather
     )
-    factors = {f: ms_singleton for f in db.feature_tables}
+    factors = {f: (lambda v: (v, 1)) for f in db.feature_tables}
     pairs = evaluate(db, factors, config)
     # the table's one join key () holds all its rows, read with the one
     assert [(len(a), b) for a, b in pairs] == [(40, MS_ONE)]
@@ -378,8 +378,9 @@ def test_one_table_rows_read_with_one():
     )
 
 
-# Each group folds in one union in both modes, and only leaf factors are
-# checked, one per distinct value.
+# Each join key's rows are gathered in one call and each group of
+# messages folds in one union, in both modes; no seeded value passes the
+# constructor's check.
 
 
 def _spy(monkeypatch, calls, owner, name, key=None):
@@ -393,22 +394,19 @@ def _spy(monkeypatch, calls, owner, name, key=None):
 
 
 def test_exact_count_folds_in_one_pass(monkeypatch):
-    """In either mode each table folds its rows by join key and each
-    elimination folds a group, every fold one `ms_union` call; only leaf
-    factors pass the constructor's check, one per distinct value of a
-    feature with a term, and a feature without one (y_i) seeds no product.
-    Approx mode sketches each group fold and each product once, and not
-    the join-key folds."""
+    """In either mode each table gathers its rows by join key, one
+    `ms_gather` call per key, and each elimination folds a group, one
+    `ms_union` call; no seeded value passes the constructor's check, and a
+    feature without a term (y_i) seeds no product. Approx mode sketches
+    each group fold and each product once, and not the join-key gathers."""
     calls = Counter()
-    for name in ("ms_union", "ms_convolve", "ms_sketch"):
+    for name in ("ms_gather", "ms_union", "ms_convolve", "ms_sketch"):
         _spy(monkeypatch, calls, drivers, name)
     _spy(monkeypatch, calls, Multiset, "__post_init__", "check")
     db = _cross_real(3, 12, seed=7)
     ineq = AdditiveInequality(
         g={f"x{i}": identity() for i in range(1, 4)}, threshold=1.5
     )
-    leaves = sum(len(set(t.column(f"x{i}")))
-                 for i, t in enumerate(db.tables, start=1))
     answers = {}
     for mode in ("exact", "approx"):
         calls.clear()
@@ -416,10 +414,11 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
         answers[mode] = count_rows(db, ineq, mode=mode, instr=instr)
         # a cross product: each table is one join key (), then the chain
         # 1 - 2 - 3 folds one group per elimination
-        assert calls["ms_union"] == instr.fold_count == 3 + 2
-        # rows seed their x_i leaf alone; t2 takes t1's group
+        assert calls["ms_gather"] == 3 and calls["ms_union"] == 2
+        assert instr.fold_count == 3 + 2
+        # t2 takes t1's group
         assert calls["ms_convolve"] == 1
-        assert calls["check"] == leaves
+        assert calls["check"] == 0
     # the counts of the approx run, the last one: two group folds, one product
     assert calls["ms_sketch"] == 2 + 1
     exact = answers["exact"]
@@ -429,13 +428,14 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
 
 def test_sumsum_on_a_chain_builds_one_product_per_message(monkeypatch):
     """On the chain 1 - 2 - 3, rooted at t3, sumsum is one upward pass over
-    (count, sum) pairs: each row seeds its x_i leaf times its y_i leaf, an
-    unsketched product; t1 folds its one key into its message, t2 builds
+    (count, sum) pairs: each row's entry is its x_i leaf times its y_i
+    leaf, one pair product inside its table's gather; t1 folds its one key
+    into its message, t2 builds
     one product (its value times t1's message) and folds it into its
     message, and t3's read fuses the last product. Approx mode sketches
     the two message folds and the product."""
     calls = Counter()
-    for name in ("ws_plus", "pair_convolve", "ws_sketch"):
+    for name in ("ws_gather", "ws_plus", "pair_convolve", "ws_sketch"):
         _spy(monkeypatch, calls, drivers, name)
     db = _cross_real(3, 12, seed=7)
     ineq = AdditiveInequality(
@@ -447,8 +447,8 @@ def test_sumsum_on_a_chain_builds_one_product_per_message(monkeypatch):
     for mode, sketches in (("exact", 0), ("approx", 2 + 1)):
         calls.clear()
         got = sumsum(db, "sum", F, ineq, mode=mode)
-        # three join-key folds and two message folds; 3 x 12 rows seeded
-        assert calls == Counter(ws_plus=3 + 2, pair_convolve=3 * 12 + 1,
+        # three join-key gathers, two message folds, one message product
+        assert calls == Counter(ws_gather=3, ws_plus=2, pair_convolve=1,
                                 ws_sketch=sketches)
         assert _within(got, exact, 0.1)
 
@@ -765,6 +765,20 @@ def test_signed_zeros_and_repeats_match_oracle():
             base = make_named(algebra) if kind == "sumprod" else None
             got = driver(db, algebra, F, ineq, epsilon=0.1, mode="approx")
             assert _within(got, exact, 0.1, base), (kind, algebra)
+
+
+@pytest.mark.parametrize("monoid", ["max", "min"])
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_max_min_sumsum_answers_zero_as_positive_zero(monoid, first, second):
+    """Equal terms of opposite zero sign: `max` and `min` keep the first
+    each call sees, and the engine (join-tree order) and the oracle (sorted
+    features) see them in different orders; both answer +0.0."""
+    db = Database(tables=(Table("t1", ("a",), ((first,),)),
+                          Table("t2", ("b",), ((second,),))))
+    F = {"a": identity(), "b": identity()}
+    spec = QuerySpec(kind="sumsum", algebra=monoid, F=F)
+    for got in (sumsum(db, monoid, F), oracle_eval(db, spec)):
+        assert math.copysign(1.0, got) == 1.0 and got == 0.0
 
 
 # A term of -inf or NaN: a sum holding NaN, or -inf beside a +inf term,

@@ -18,7 +18,7 @@ from relagg import (
 from relagg import drivers
 from relagg.bruteforce import materialize
 from relagg.engine import EngineConfig, assign_features, evaluate
-from relagg.multiset import ms_convolve, ms_singleton, ms_union
+from relagg.multiset import ms_convolve, ms_gather, ms_singleton, ms_union
 from relagg.queryspec import AdditiveInequality, identity
 from conftest import (
     CROSS_CASE,
@@ -37,6 +37,8 @@ def config_for(s):
     return EngineConfig(
         plus=lambda *items: reduce(s.plus, items, s.zero),
         times=s.times, one=s.one,
+        gather=lambda rows: reduce(
+            s.plus, (reduce(s.times, row, s.one) for row in rows), s.zero),
     )
 
 
@@ -131,7 +133,7 @@ def test_every_read_composes_2m_minus_3_sketches(case):
     db, _ = tree_db(*case)
     depth = EngineConfig(
         plus=lambda *items: max(items), times=operator.add, one=0,
-        sketch=lambda d: d + 1,
+        gather=lambda rows: max(map(sum, rows)), sketch=lambda d: d + 1,
     )
     factors = {f: (lambda v: 0) for f in db.feature_tables}
     pairs = evaluate(db, factors, depth)
@@ -190,9 +192,10 @@ def test_matches_materialized_join_random():
 def test_instrumentation_records_sizes(db1):
     instr = Instrumentation()
     config = EngineConfig(
-        plus=ms_union, times=ms_convolve, one=ms_singleton(0.0)
+        plus=ms_union, times=ms_convolve, one=ms_singleton(0.0),
+        gather=ms_gather,
     )
-    factors = {f: (lambda v: ms_singleton(v)) for f in db1.feature_tables}
+    factors = {f: (lambda v: (v, 1)) for f in db1.feature_tables}
     evaluate(db1, factors, config, instr=instr)
     assert instr.max_value_size >= 1
     assert instr.fold_count >= 1

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import weighted_sets
 from relagg import (
     WeightedSet,
-    lift,
     make_named,
     ws_convolve,
     ws_plus,
@@ -34,11 +33,6 @@ def test_construction_rules():
         WeightedSet(((1.0, math.inf),), MIN_PLUS)  # base zero weight
     with pytest.raises(ValueError):
         WeightedSet(((2.0, 1.0), (1.0, 1.0)), MIN_PLUS)
-
-
-def test_lift():
-    assert lift(3.0, 2.0, MIN_PLUS).entries == ((3.0, 2.0),)
-    assert lift(3.0, math.inf, MIN_PLUS) == ws_empty(MIN_PLUS)
 
 
 def test_weight_lookup():
