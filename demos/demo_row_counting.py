@@ -14,7 +14,6 @@ from relagg import (
     count_rows,
     oracle_eval,
     preset,
-    stats,
 )
 
 rng = random.Random(7)
@@ -33,8 +32,8 @@ db = Database(tables=(
     random_table("ratings", ("item", "stars"), 30),
 ))
 
-m, n, d = stats(db)
-print(f"database: {m} tables, largest table {n} rows, {d} features")
+print(f"database: {db.m} tables, largest table {max(map(len, db.tables))} "
+      f"rows, {len(db.feature_tables)} features")
 
 decomp = build_decomposition(db)
 print(f"join tree edges: {decomp.as_text()}")

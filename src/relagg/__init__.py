@@ -36,7 +36,7 @@ from .queryspec import (
     spec_from_json,
 )
 from .sketch import alpha_for, ms_sketch, ws_sketch
-from .tables import Database, Table, active_domain, load_table, stats
+from .tables import Database, Table, active_domain, load_table
 from .weightedset import WeightedSet, ws_convolve, ws_plus, ws_triangle
 
 __version__ = "0.1.0"

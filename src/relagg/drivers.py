@@ -74,6 +74,11 @@ def threshold_read(threshold, base):
     A pair qualifies iff `k_a + k_b <= L`, as its key in a (x) b would;
     `k_b <= L - k_a` disagrees with that under rounding either way, so the
     bisect on `L - k_a` is corrected at the boundary with the sum itself.
+    It bisects once per entry of a rather than walking both key columns in
+    one merge, because a root pair is often one short and one long value
+    (cross-real's is 80 x 6 400 entries), where |a| bisects cost less
+    than |a| + |b| steps: the merge walk ran cross-real's exact count
+    1.13x slower.
     """
     plus, times, zero = base.plus, base.times, base.zero
     prefixes = {}  # id(b) -> (b, prefix aggregates); holding b pins its id

@@ -101,22 +101,23 @@ def assign_features(db):
     return owner, partition
 
 
-def _key_getter(cols):
-    """row (or key) -> the tuple of its values at `cols`."""
-    if len(cols) > 1:
-        return operator.itemgetter(*cols)
-    if cols:
-        (c,) = cols
-        return lambda row: (row[c],)
-    return lambda row: ()
-
-
 def _getter(cols):
     """row -> its value at the one column of `cols`, else the tuple of its
     values at `cols`: a scalar hashes faster than its 1-tuple."""
     if cols:
         return operator.itemgetter(*cols)
     return operator.itemgetter(slice(0, 0))
+
+
+def _projection(features, shared):
+    """A join key over `features` (`_getter`'s shape) -> its values at
+    `shared`, a subset, in the same shape: the key itself when both are
+    the one feature, () when `shared` is empty."""
+    if not shared:
+        return lambda key: ()
+    if len(features) == 1:
+        return lambda key: key
+    return _getter([features.index(f) for f in shared])
 
 
 def _seed(db, factors, config, key_features, instr):
@@ -145,8 +146,6 @@ def _seed(db, factors, config, key_features, instr):
         groups = defaultdict(list)
         for row in src.rows:
             groups[key_of(row)].append(leaves[values_of(row)])
-        if len(features) == 1:  # a key of one feature is its 1-tuple
-            groups = {(key,): rows for key, rows in groups.items()}
         keyed[t] = _fold(groups, config.gather, None, instr)
     return keyed
 
@@ -202,8 +201,7 @@ def evaluate(db, factors, config, instr=None):
         for t in adj
     }
     edge = {  # (t, n) -> t's key -> its values at the features shared with n
-        (t, n): _key_getter([key_features[t].index(f)
-                             for f in sorted(schemas[t] & schemas[n])])
+        (t, n): _projection(key_features[t], sorted(schemas[t] & schemas[n]))
         for t in adj for n in adj[t]
     }
     keyed = _seed(db, factors, config, key_features, instr)

@@ -3,8 +3,8 @@
 These are the carrier of the exact row-counting dynamic program. A
 `Multiset` is a `WeightedSet` whose base is `COUNTS`, Python ints under
 integer addition and multiplication, so the generic weighted-set code
-(the key and count columns, `weight`, `len`, `dump`, `ws_triangle`,
-`ws_sketch`, the drivers' threshold read) serves it as it serves any base.
+(the key and count columns, `len`, `ws_triangle`, `ws_sketch`, the
+drivers' threshold read) serves it as it serves any base.
 Counts are exact Python integers, so frequencies as large as n^m are safe
 and no operation checks for overflow.
 
@@ -67,24 +67,9 @@ class Multiset(WeightedSet):
                 raise ValueError("keys must be strictly increasing")
             prev = key
 
-    @property
-    def total(self):
-        return sum(self.weights)
-
-    @classmethod
-    def from_values(cls, values):
-        counts = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        return cls(sorted(counts.items()))
-
 
 MS_EMPTY = Multiset()
 MS_ONE = Multiset(((0.0, 1),))
-
-
-def ms_singleton(key, count=1):
-    return Multiset(((key, count),))
 
 
 def _counted(entries):

@@ -315,12 +315,12 @@ def _vector(name, value, features):
 
 
 def _number(value, name):
-    if isinstance(value, bool):  # float(True) would read it as 1.0
+    """`value` as a float if it is a JSON number: an int or a float, not a
+    bool (float(True) is 1.0) and not a string (float(" nan ") parses)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise QueryRejected(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise QueryRejected(f"{name} must be a number, got {value!r}") from None
     except OverflowError:  # a JSON integer past the float range
         raise QueryRejected(f"{name} lies outside the float range") from None
 

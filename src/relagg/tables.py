@@ -1,4 +1,4 @@
-"""Relational tables and database-level statistics.
+"""Relational tables, databases of them and active domains.
 
 Tables hold fixed-width tuples of finite 64-bit floats. Duplicate rows are
 kept (bag semantics); the joined design matrix is a bag join. Tables and
@@ -100,22 +100,9 @@ class Database:
     def m(self):
         return len(self.tables)
 
-    @property
-    def n(self):
-        return max(len(t) for t in self.tables)
-
-    @property
-    def d(self):
-        return len(self.feature_tables)
-
     def table(self, i):
         """Table by 1-based index."""
         return self.tables[i - 1]
-
-
-def stats(db):
-    """(m, n, d): table count, max rows per table, distinct feature count."""
-    return (db.m, db.n, db.d)
 
 
 def active_domain(db, feature):

@@ -2,13 +2,12 @@
 
 Each real key carries a weight drawn from a base semiring (the weight
 plays the role of a possibly fractional multiplicity); `Multiset` is the
-subclass over integer counts, and the lookup, length, dump and Delta_L
-fold here serve it too. A value holds its keys, strictly increasing, in
-one tuple and their weights, aligned, in another: a threshold read
-bisects the key column and folds the weight column as they are, and a
-kernel sorts only keys. `entries` is a derived view of the (key, weight)
-pairs. The checked constructor takes them, and `from_columns` takes the
-two columns under the same check. Union combines weights with the base
+subclass over integer counts, and the length and Delta_L fold here serve
+it too. A value holds its keys, strictly increasing, in one tuple and
+their weights, aligned, in another: a threshold read bisects the key
+column and folds the weight column as they are, and a kernel sorts only
+keys. `entries` is a derived view of the (key, weight) pairs, which the
+checked constructor takes. Union combines weights with the base
 (+) and takes any number of operands; convolution sums keys and combines
 weights with the base (x); the seeding gather turns each row of a join
 key into one (key, weight) entry and combines the entries as union does,
@@ -34,7 +33,7 @@ input runs the generic loop, which raises CapExceeded on an overflowing
 pair.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -75,30 +74,13 @@ class WeightedSet:
         object.__setattr__(value, "base", base)
         return value
 
-    @classmethod
-    def from_columns(cls, keys, weights, base):
-        """The checked constructor over the two columns, aligned tuples:
-        no pairs to split, and the same check as `__init__`."""
-        value = cls._trusted(keys, weights, base)
-        value.__post_init__()
-        return value
-
     @property
     def entries(self):
         """The (key, weight) pairs, in key order."""
         return tuple(zip(self.keys, self.weights))
 
-    def weight(self, key):
-        i = bisect_left(self.keys, key)
-        if i < len(self.keys) and self.keys[i] == key:
-            return self.weights[i]
-        return self.base.zero
-
     def __len__(self):
         return len(self.keys)
-
-    def dump(self):
-        return " ".join(f"{k}:{w}" for k, w in self.entries)
 
 
 def ws_empty(base):

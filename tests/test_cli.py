@@ -114,7 +114,20 @@ def test_epsilon_and_exact_overrides(db1_dir, capsys):
     ({"name": "sphere_count", "y": [1, 1, 5], "r": 1, "label_feature": "c"},
      "preset 'sphere_count' takes no parameters ['label_feature']"),
     ({"name": ["sphere_count"]}, "unknown preset ['sphere_count']"),
-]])
+    ({"name": "halfspace_count", "beta": [1, 1, 1], "L": "9"},
+     "L must be a number, got '9'"),
+]] + [
+    # a string that float() would parse is still not a JSON number
+    ({"kind": "count", "inequality": {"L": "1.5"}},
+     "L must be a number, got '1.5'"),
+    (dict(COUNT_LEQ9, epsilon="0.1"), "epsilon must be a number, got '0.1'"),
+    ({"kind": "count", "inequality": {
+        "g": {"a": {"kind": "scale", "factor": " 2 "}}}},
+     "scale field 'factor' must be a number, got ' 2 '"),
+    ({"kind": "count", "inequality": {
+        "g": {"a": {"kind": "scale", "factor": "nan"}}}},
+     "scale field 'factor' must be a number, got 'nan'"),
+])
 def test_malformed_query_file_exit_2(db1_dir, capsys, query, reason):
     q = write_query(db1_dir, query)
     assert main(["count", "--tables", str(db1_dir), "--query", q]) == 2
@@ -336,7 +349,9 @@ def test_readme_command_lines_parse():
 
 
 def test_nan_threshold_exit_2(db1_dir, capsys):
-    q = write_query(db1_dir, dict(COUNT_LEQ9, inequality={"L": "nan"}))
+    """A NaN threshold, written as the `NaN` literal that Python's json
+    reads (the string "nan" is refused as not a number)."""
+    q = write_query(db1_dir, dict(COUNT_LEQ9, inequality={"L": math.nan}))
     assert main(["count", "--tables", str(db1_dir), "--query", q]) == 2
     err = capsys.readouterr().err
     assert "NaN" in err and err.count("\n") == 1
@@ -573,6 +588,8 @@ def test_preset_query_file(db1_dir, capsys):
      "beta[0] must be a number"),
     ({"name": "sphere_count", "y": [None, 1, 1], "r": 1.0},
      "y[0] must be a number"),
+    ({"name": "halfspace_count", "beta": [1, "1", 1], "L": 3.0},
+     "beta[1] must be a number, got '1'"),
 ])
 def test_non_numeric_preset_vector_exit_2(db1_dir, capsys, command, preset,
                                           reason):

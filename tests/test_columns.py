@@ -320,7 +320,7 @@ def test_draws_reach_float_collisions_and_huge_counts():
     product = ms_convolve(a, b)
     want = ref_convolve(a.entries, b.entries, COUNTS)
     assert product.entries == want and len(want) == 3
-    assert product.weight(1e16) == 2**1024 * 2**1030 + 3 * 2**1030
+    assert dict(product.entries)[1e16] == 2**1024 * 2**1030 + 3 * 2**1030
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +575,7 @@ def leaf_union(rows, base):
     def lift(key, w):
         if w == base.zero:
             return ws_empty(base)
-        return WeightedSet.from_columns((key,), (w,), base)
+        return WeightedSet(((key, w),), base)
     values = [reduce(ws_convolve, [lift(k, w) for k, w in row])
               if row else ws_one(base) for row in rows]
     if base is COUNTS:
@@ -612,4 +612,4 @@ def test_gather_matches_union_of_leaf_products(case):
         return
     got = gather(rows)
     assert repr(got) == repr(want)
-    type(got).from_columns(got.keys, got.weights, got.base)
+    got.__post_init__()

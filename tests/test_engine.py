@@ -18,7 +18,7 @@ from relagg import (
 from relagg import drivers
 from relagg.bruteforce import materialize
 from relagg.engine import EngineConfig, assign_features, evaluate
-from relagg.multiset import ms_convolve, ms_gather, ms_singleton, ms_union
+from relagg.multiset import MS_ONE, ms_convolve, ms_gather, ms_union
 from relagg.queryspec import AdditiveInequality, identity
 from conftest import (
     CROSS_CASE,
@@ -192,7 +192,7 @@ def test_matches_materialized_join_random():
 def test_instrumentation_records_sizes(db1):
     instr = Instrumentation()
     config = EngineConfig(
-        plus=ms_union, times=ms_convolve, one=ms_singleton(0.0),
+        plus=ms_union, times=ms_convolve, one=MS_ONE,
         gather=ms_gather,
     )
     factors = {f: (lambda v: (v, 1)) for f in db1.feature_tables}

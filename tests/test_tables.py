@@ -1,8 +1,6 @@
-import random
-
 import pytest
 
-from relagg import Database, Table, TableError, active_domain, load_table, stats
+from relagg import Database, Table, TableError, active_domain, load_table
 from relagg.tables import dump_table
 
 
@@ -44,33 +42,16 @@ def test_round_trip(db1):
         assert again == t
 
 
-def test_stats_db1(db1):
-    assert stats(db1) == (2, 3, 3)
-
-
-def test_stats_single_table():
-    db = Database(tables=(Table("t", ("a", "b"), tuple((float(i), 0.0) for i in range(5))),))
-    assert stats(db) == (1, 5, 2)
-
-
-def test_stats_shared_features():
+def test_feature_tables_index_shared_features_once():
+    """Each feature, shared or not, maps to the 1-based indices of the
+    tables that hold it, in table order."""
     db = Database(tables=(
         Table("t1", ("a", "b"), ()),
         Table("t2", ("b", "c"), ()),
         Table("t3", ("c", "d"), ()),
     ))
-    assert stats(db)[2] == 4
-
-
-def test_stats_row_permutation_invariant(db1):
-    rng = random.Random(0)
-    for _ in range(5):
-        tables = []
-        for t in db1.tables:
-            rows = list(t.rows)
-            rng.shuffle(rows)
-            tables.append(Table(t.name, t.schema, tuple(rows)))
-        assert stats(Database(tables=tuple(tables))) == stats(db1)
+    assert db.m == 3
+    assert db.feature_tables == {"a": (1,), "b": (1, 2), "c": (2, 3), "d": (3,)}
 
 
 def test_active_domain(db1):

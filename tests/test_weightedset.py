@@ -35,13 +35,6 @@ def test_construction_rules():
         WeightedSet(((2.0, 1.0), (1.0, 1.0)), MIN_PLUS)
 
 
-def test_weight_lookup():
-    a = WeightedSet(((1.0, 4.0), (2.0, 7.0)), MIN_PLUS)
-    assert a.weight(2.0) == 7.0
-    assert a.weight(9.0) == math.inf
-    assert a.dump() == "1.0:4.0 2.0:7.0"
-
-
 def test_plus_min_base():
     a = WeightedSet(((1.0, 4.0), (2.0, 7.0)), MIN_PLUS)
     b = WeightedSet(((2.0, 3.0), (5.0, 1.0)), MIN_PLUS)
@@ -128,7 +121,9 @@ def test_plus_equals_per_key_fold(xs):
     keys = sorted({key for x in xs for key, _ in x.entries})
     weights = [(key, base.zero) for key in keys]
     for x in xs:
-        weights = [(key, base.plus(w, x.weight(key))) for key, w in weights]
+        at = dict(x.entries)
+        weights = [(key, base.plus(w, at.get(key, base.zero)))
+                   for key, w in weights]
     expected = tuple((key, w) for key, w in weights if w != base.zero)
     assert ws_plus(*xs) == WeightedSet(expected, base)
 
