@@ -23,12 +23,13 @@ Delta_L(a (x) b) off a and b under the weights' base, and `_evaluate`
 folds these into the answer, so no root product or fold is built. Exact
 mode uses the exact carrier operations; approx mode has the engine sketch
 the result of every group fold and every product (`ms_sketch` for
-multisets, which skips a cheaply provable fit and then runs `ws_sketch`,
-the band pass every weighted set takes) with a per-sketch parameter
-alpha = alpha_for(epsilon, m), so the answer is within (1 +/- epsilon) of the
-exact one, and refuses (CapExceeded) a sketched value past
-`SKETCH_SIZE_CAP` entries. A group folds in one n-ary union, so it is
-sketched once, not once per pairwise union.
+multisets, `ws_sketch` for other weighted sets: one band pass, whose fit
+test first passes on a value that its length and a few of its weights
+prove fits the size bound, so that value costs no cumulative pass) with
+a per-sketch parameter alpha = alpha_for(epsilon, m), so the answer is
+within (1 +/- epsilon) of the exact one, and refuses (CapExceeded) a
+sketched value past `SKETCH_SIZE_CAP` entries. A group folds in one n-ary
+union, so it is sketched once, not once per pairwise union.
 
 The drivers are where a query is refused, so a direct call refuses exactly
 what `run_query` and the CLI refuse. Each precondition is checked once, at
@@ -189,8 +190,9 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     is the monoid identity, returned after the evaluation so that its
     refusals still fire. Approx `sum` refuses terms that mix signs over
     the active domains, sketches the pairs, and answers an all-negative F
-    as minus that of -F, whose pairs are nonnegative. A `max` or `min` sumsum is computed exactly in either
-    mode (`run_mode`), so it takes terms of either sign.
+    as minus that of -F, whose pairs are nonnegative. A `max` or `min`
+    sumsum is computed exactly in either mode (`run_mode`), so it takes
+    terms of either sign.
     """
     monoid = checked_algebra("sumsum", monoid)
     ineq = ineq or AdditiveInequality()

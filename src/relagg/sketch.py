@@ -17,8 +17,16 @@ multiset is the weighted set over integer counts (`COUNTS`), so the same
 pass sketches it: the sketch never overcounts and keeps tri_s >= tri /
 (1+eps) >= (1-eps) tri, exactly even for counts past the float range. A
 value within the band pass's size bound is returned unchanged: an exact
-value adds no error. Results are built with the input's own `_trusted`,
-skipping the entry check, so a multiset comes back as a multiset.
+value adds no error. One fit test (`_fits`) runs first: the size bound
+grows with the span [lo, hi] of a column's positive finite aggregates,
+so a bound taken at lo' >= lo and hi' <= hi is at most the band pass's
+own, and n within it proves the fit. Multisets, max-plus and `sum` pairs
+yield such lo' and hi' from a value's length, its last weight and its
+first positive one (`_fits` gives each rule and why it holds), so a
+value that fits skips the cumulative pass, and the test reads a whole
+column only to confirm a bound that already admits n. Results are built
+with the input's own `_trusted`, skipping the entry check, so a multiset
+comes back as a multiset.
 
 Approx mode applies a sketch after every group fold and every product the
 engine runs: the drivers hand the engine the sketch of their carrier with
@@ -30,6 +38,12 @@ import math
 from bisect import bisect_left, bisect_right
 from functools import reduce
 from itertools import accumulate
+from operator import add, itemgetter
+
+from .algebra import SUMSUM_BASES, make_named
+from .multiset import COUNTS
+
+_MAX_PLUS, _SUM_PAIRS = make_named("max-plus"), SUMSUM_BASES["sum"]
 
 
 def alpha_for(eps, m):
@@ -55,18 +69,9 @@ def alpha_for(eps, m):
 
 
 def ms_sketch(a, eps):
-    """Band sketch of a multiset: `ws_sketch` over its integer counts.
-
-    Every count is at least 1, so the aggregates span at least
-    log((c + n - 1) / c), c the first count and n the number of entries.
-    When that alone puts n within the size bound, `a` is returned before
-    its counts are summed; the band pass would return it too.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    n = len(a.keys)
-    if n <= 4 or n <= _bound(a.weights[0], a.weights[0] + n - 1, eps):
-        return a
+    """Band sketch of a multiset: `ws_sketch` over its integer counts,
+    whose fit test returns `a` in O(1), before its counts are summed, when
+    its first and last counts and its length prove that it fits."""
     return ws_sketch(a, eps)
 
 
@@ -76,7 +81,8 @@ def ws_sketch(a, eps):
     Requires the base (+) to be monotone: cumulative aggregates are then
     monotone along keys and geometric banding is well defined. The output
     keeps distinct keys of `a`, sorted, in `a`'s own class; `a` itself
-    comes back when it fits the size bound.
+    comes back when it fits the size bound, before the cumulative pass
+    when cheap facts of its weight column prove that it fits (`_fits`).
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -85,9 +91,73 @@ def ws_sketch(a, eps):
         raise ValueError(
             f"base {base.name!r} addition is not monotone; cannot sketch"
         )
+    if _fits(a.weights, base, eps):
+        return a
     out = _band(a.keys, a.weights, base.plus,
                 base.plus_monotone == "decreasing", eps)
     return a if out is None else type(a)._trusted(*out, base)
+
+
+def _fits(weights, base, eps):
+    """Whether cheap facts of a weight column prove that `_band` returns
+    None on it: at most 4 entries, or n within a lower bound on `_band`'s
+    size bound, read before any cumulative pass.
+
+    `_bound` grows with hi and shrinks with lo, so a bound taken at any
+    lo' >= a column's smallest positive finite aggregate and hi' <= its
+    largest is at most the column's own. The rules, per base:
+    - `COUNTS`, and the count column of `sum` pairs: every count is an int
+      >= 1, so the cumulative counts run exactly from c[0] to at least
+      c[0] + (n - 2) + c[-1].
+    - max-plus, and the sum column of `sum` pairs, whose sums are >= 0 on
+      the carrier the band pass takes: the running max (sum) first rises
+      above 0 at the first positive weight (sum), to exactly that value,
+      lo, and ends at least at max(lo, w[-1]) if it ends finite. That it
+      does is checked only once the bound admits n, by a scan for +inf
+      (a left-to-right fold of the sums, as the pass adds them), so a
+      value that does not fit pays for no O(n) pass here. A pair's sum
+      column is read only when its counts and the 4 that every column
+      bounds fall short.
+    Any other base fits only at n <= 4. Min-plus's lo, its smallest
+    positive prefix min, takes an O(n) scan. A `counting` weight may be
+    any positive float, so its first and last bound nothing, and the
+    cumulative pass refuses (CapExceeded) a fold that overflows the float
+    range, which a fit read off w[0] + w[-1] could pass on.
+    """
+    n = len(weights)
+    if n <= 4:
+        return True
+    if base is COUNTS:
+        return n <= _count_bound(weights[0], weights[-1], n, eps)
+    if base is _MAX_PLUS:
+        return (n <= _first_bound(weights, weights[-1], eps)
+                and math.inf not in weights)
+    if base is _SUM_PAIRS:
+        bound = _count_bound(weights[0][0], weights[-1][0], n, eps)
+        if n <= bound + 4:
+            return True
+        return (n <= bound + _first_bound(map(itemgetter(1), weights),
+                                          weights[-1][1], eps)
+                and reduce(add, map(itemgetter(1), weights)) < math.inf)
+    return False
+
+
+def _count_bound(first, last, n, eps):
+    """At most the size bound of n >= 2 int counts >= 1, the first
+    `first` and the last `last`: their cumulative counts span at least
+    [first, first + (n - 2) + last]."""
+    return _bound(first, first + (n - 2) + last, eps)
+
+
+def _first_bound(column, last, eps):
+    """`_bound(lo, max(lo, last))`, lo the first positive item of
+    `column`, whose last item is `last`: at most the size bound of its
+    running max or sum, if that ends finite. 4, which every column bounds,
+    when `last` is not positive and finite or lo is +inf."""
+    if not 0 < last < math.inf:
+        return 4
+    lo = next(w for w in column if w > 0)
+    return _bound(lo, max(lo, last), eps) if lo < math.inf else 4
 
 
 def _bound(lo, hi, eps):

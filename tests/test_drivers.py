@@ -28,7 +28,7 @@ from relagg import (
     ws_convolve,
     ws_triangle,
 )
-from relagg import drivers
+from relagg import drivers, sketch
 from relagg.drivers import threshold_read
 from relagg.engine import EngineConfig, evaluate
 from relagg.multiset import MS_ONE, ms_gather, ms_union
@@ -203,9 +203,11 @@ def test_count_approx_within_epsilon_random():
             assert (1 - eps) * exact - 1e-9 <= got <= (1 + eps) * exact + 1e-9
 
 
-def test_count_approx_exact_on_many_to_many_star():
+def test_count_approx_exact_on_many_to_many_star(monkeypatch):
     """Values on a many-to-many star stay within the sketch size bound, so
-    approx mode sketches nothing away and returns the exact count."""
+    approx mode sketches nothing away and returns the exact count, max-plus
+    SumProd and `sum` SumSum; each value's fit is proved from a few of its
+    weights, so the band pass never runs."""
     rng = random.Random(127)
     tables = []
     for i in range(1, 4):
@@ -214,12 +216,44 @@ def test_count_approx_exact_on_many_to_many_star():
         rows = tuple((float(k), float(rng.randint(0, 50))) for k in keys)
         tables.append(Table(f"t{i}", ("k", f"x{i}"), rows))
     db = Database(tables=tuple(tables))
-    ineq = AdditiveInequality(
-        g={f"x{i}": identity() for i in range(1, 4)}, threshold=60.0
+    xs = {f"x{i}": identity() for i in range(1, 4)}
+    ineq = AdditiveInequality(g=xs, threshold=60.0)
+
+    def band(*args):
+        raise AssertionError("the band pass ran")
+    monkeypatch.setattr(sketch, "_band", band)
+    for query in _sketched_queries(db, xs, ineq):
+        assert query(epsilon=0.1, mode="approx") == query()
+
+
+def _sketched_queries(db, F, ineq):
+    """Count, max-plus SumProd and `sum` SumSum over F, each a call that
+    takes the mode's keywords."""
+    return (
+        lambda **kw: count_rows(db, ineq, **kw),
+        lambda **kw: sumprod(db, "max-plus", F, ineq, **kw),
+        lambda **kw: sumsum(db, "sum", F, ineq, **kw),
     )
-    exact = count_rows(db, ineq)
-    got = count_rows(db, ineq, epsilon=0.1, mode="approx")
-    assert got == exact
+
+
+def test_approx_still_compresses_a_cross_product(monkeypatch):
+    """On a cross product of reals the values outgrow the size bound: each
+    query's band pass runs and compresses at least one of them."""
+    db = _cross_real(3, 40, seed=5)
+    ys = {f"y{i}": identity() for i in range(1, 4)}
+    ineq = AdditiveInequality(
+        g={f"x{i}": identity() for i in range(1, 4)}, threshold=1.5)
+    band, compressed = sketch._band, []
+
+    def spy(*args):
+        out = band(*args)
+        compressed.append(out is not None)
+        return out
+    monkeypatch.setattr(sketch, "_band", spy)
+    for query in _sketched_queries(db, ys, ineq):
+        compressed.clear()
+        exact, got = query(), query(epsilon=0.1, mode="approx")
+        assert any(compressed) and abs(got - exact) <= 0.1 * abs(exact)
 
 
 def test_knapsack_counts_match_dp():

@@ -4,11 +4,12 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import weighted_sets
 from relagg import (
+    CapExceeded,
     Multiset,
     WeightedSet,
     alpha_for,
@@ -17,8 +18,9 @@ from relagg import (
     ws_sketch,
     ws_triangle,
 )
+from relagg import sketch
 from relagg.algebra import SUMSUM_BASES
-from relagg.multiset import ms_union
+from relagg.multiset import COUNTS, ms_union
 
 MIN_PLUS = make_named("min-plus")
 MAX_PLUS = make_named("max-plus")
@@ -59,8 +61,8 @@ def test_ms_sketch_small_inputs_unchanged():
 
 def test_ms_sketch_returns_value_within_size_bound():
     # aggregates 8, 16, ..., 80 at eps 1: 2 ceil(log2 10) + 4 = 12 >= 10;
-    # the count-span check alone (log(17/8)) allows only 8, so the band
-    # pass's own check returns it
+    # the fit test's count span alone (log(24/8)) allows only 8, so the
+    # band pass's own check returns it
     a = Multiset(tuple((float(k), 8) for k in range(10)))
     assert len(a) <= _size_bound(a, 1.0)
     assert ms_sketch(a, 1.0) is a
@@ -68,14 +70,15 @@ def test_ms_sketch_returns_value_within_size_bound():
 
 def test_ms_sketch_skips_small_inputs_without_reading_total(monkeypatch):
     """Every count is at least 1, so the aggregates span at least
-    log((c + n - 1) / c), c the first count and n the number of entries.
-    When that puts n within the size bound, the sketch returns the multiset
-    without its total and before the band pass."""
+    log((c + n - 2 + c') / c), c the first count, c' the last and n the
+    number of entries. When that puts n within the size bound, the sketch
+    returns the multiset without its total and before the band pass."""
     import relagg.sketch
 
     class ColumnsOnly:  # no `total`: reading it raises AttributeError
         keys = tuple(float(k) for k in range(10))
         weights = (1,) * 10
+        base = COUNTS
 
     monkeypatch.setattr(relagg.sketch, "_band", None)  # a call would raise
     a = ColumnsOnly()
@@ -315,6 +318,103 @@ def test_pair_sketch_compresses_an_all_zero_sum_column():
     assert len(s) < len(a) and all(w == 0.0 for _, w in s.weights)
     counts = Multiset(tuple((float(k), 1) for k in range(40)))
     assert s.keys == ws_sketch(counts, 0.5).keys
+
+
+# The fit test: `ws_sketch` returns a value before the cumulative pass
+# only where `_band` would return it unchanged.
+
+
+def _column_set(base, weights):
+    """The weight column at keys 0, 1, ...: a multiset when `base` is the
+    multiset carrier."""
+    entries = tuple((float(k), w) for k, w in enumerate(weights))
+    return Multiset(entries) if base is Multiset else WeightedSet(entries, base)
+
+
+COUNT_COLUMNS = st.sampled_from([st.integers(1, 50),
+                                  st.integers(2**1024, 2**1030),
+                                  st.integers(1, 2**1030)])
+WEIGHTS = {
+    Multiset: COUNT_COLUMNS,
+    COUNTING: st.just(st.integers(1, 10**6).map(float)),
+    MAX_PLUS: st.just(st.integers(-5, 50).map(float)),
+    MIN_PLUS: st.just(st.integers(-5, 50).map(float)),
+}
+SUMS = st.sampled_from([st.just(0.0), st.integers(0, 10**6).map(float),
+                        st.sampled_from([0.0, 1e307, 1e308, 1.7e308])])
+
+
+@st.composite
+def fit_cases(draw):
+    """A weight column of 1 to 60 entries over one of the sketched bases,
+    sorted in most draws, as a product's weights often nearly are: counts
+    small, past the float range or mixed; max-plus weights that may be <= 0
+    or hold a +inf; `sum` pairs whose sums may be 0 or overflow when
+    summed."""
+    base = draw(st.sampled_from([*WEIGHTS, SUM_PAIRS]))
+    n = draw(st.integers(1, 60))
+    if base is SUM_PAIRS:
+        counts, sums = draw(COUNT_COLUMNS), draw(SUMS)
+        weights = [(draw(counts), draw(sums)) for _ in range(n)]
+    else:
+        weights = draw(st.lists(draw(WEIGHTS[base]), min_size=n, max_size=n))
+    if draw(st.integers(0, 3)):
+        weights.sort()
+    if base is MAX_PLUS and not draw(st.integers(0, 3)):
+        # +inf ends the running max's finite aggregates wherever it stands
+        weights[draw(st.integers(0, n - 1))] = math.inf
+    return _column_set(base, weights)
+
+
+@settings(max_examples=400)
+@given(fit_cases(), st.sampled_from([0.01, 0.05, 0.1, 0.5, 1.0, 3.0]))
+# a first weight of 0: lo is the first positive one, 1, and hi >= 10
+@example(_column_set(MAX_PLUS, [0.0, 0.0, *map(float, range(1, 11))]), 1.0)
+# a first sum of 0: the counts bound 14 + 4 < 20, the sums, 1 .. 1000, 24
+@example(_pair_set(range(20), [(1, 0.0), (1, 0.0), (1, 1.0),
+                               *[(1, 0.0)] * 16, (1, 1000.0)]), 1.0)
+@example(_pair_set(range(40), [(1, 0.0)] * 40), 0.5)  # an all-zero sum column
+# counts that end at exactly c[0] + (n - 2) + c[-1] = 16, bound 12 < 14
+@example(_column_set(Multiset, [1] * 13 + [3]), 1.0)
+# counts past the float range
+@example(_column_set(Multiset, [2**1030] * 40), 0.05)
+@example(_pair_set(range(40), [(2**1030, 1.0)] * 40), 0.05)
+# n exactly at the size bound, 12 (pairs: 14 + 4), and at the bound + 1
+@example(_unit_steps(MAX_PLUS, 12), 1.0)
+@example(_unit_steps(MAX_PLUS, 13), 1.0)
+@example(_unit_steps(Multiset, 12), 1.0)
+@example(_unit_steps(Multiset, 13), 1.0)
+@example(_pair_set(range(18), [(1, 0.0)] * 18), 1.0)
+@example(_pair_set(range(19), [(1, 0.0)] * 19), 1.0)
+# an early +inf: the finite aggregates span [1, 1], whatever w[-1] says
+@example(_column_set(MAX_PLUS, [1.0, math.inf, 2.0, 2.0, 1e10]), 1.0)
+# sums that overflow: the last finite one, 1.1e308, lies below s[-1]
+@example(_pair_set(range(28), [(1, 1e307), (1, 1e308), (1, 1e308),
+                               *[(1, 0.0)] * 24, (1, 1.7e308)]), 1.0)
+def test_fit_test_returns_only_what_the_band_pass_returns(a, eps):
+    """Whenever the fit test passes a value on, the band pass would return
+    it unchanged too; wherever the band pass compresses, the sketch is its
+    output."""
+    base = a.base
+    out = sketch._band(a.keys, a.weights, base.plus,
+                       base.plus_monotone == "decreasing", eps)
+    if sketch._fits(a.weights, base, eps):
+        assert out is None
+    s = _sketch(a, eps)
+    if out is None:
+        assert s is a
+    else:
+        assert (s.keys, s.weights) == out
+
+
+def test_counting_fold_past_the_float_range_is_refused():
+    """A `counting` weight, a float >= 0, gives the fit test nothing to go
+    on, so the cumulative pass runs and refuses a fold past the float
+    range. A bound from w[0] + w[-1] would admit these 6 entries (it is
+    94 730 at eps 0.03), yet 1e308 + 1e308 overflows."""
+    a = _column_set(COUNTING, [1e-300] + [1e308] * 5)
+    with pytest.raises(CapExceeded, match="overflows the float range"):
+        ws_sketch(a, 0.03)
 
 
 def test_ws_sketch_requires_monotone_base():
