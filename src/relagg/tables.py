@@ -3,12 +3,19 @@
 Tables hold fixed-width tuples of finite 64-bit floats. Duplicate rows are
 kept (bag semantics); the joined design matrix is a bag join. Tables and
 databases are immutable after construction and safe for concurrent reads.
+
+The loader and the `Table` constructor parse and check every cell in one
+whole-table pass: one width test over all rows, then one `float` (or
+`isfinite`) map over all cells. Only when a pass refuses do the per-cell
+loops run, and their one job is to name the first bad cell in row-major
+order.
 """
 
 import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import TableError
 
@@ -22,6 +29,14 @@ class Table:
     def __post_init__(self):
         if len(set(self.schema)) != len(self.schema):
             raise TableError(f"table {self.name!r}: duplicate feature name")
+        width = len(self.schema)
+        if not (set(map(len, self.rows)) <= {width}
+                and all(map(math.isfinite, chain.from_iterable(self.rows)))):
+            self._refuse()
+
+    def _refuse(self):
+        """Raise for the first row or cell, in row-major order, that the
+        whole-table check in `__post_init__` refused."""
         width = len(self.schema)
         for i, row in enumerate(self.rows):
             if len(row) != width:
@@ -49,26 +64,42 @@ def load_table(source, name):
     if isinstance(source, str):
         source = io.StringIO(source)
     reader = csv.reader(source)
-    records = [rec for rec in reader if rec]
+    try:
+        records = list(filter(None, reader))
+    except csv.Error as exc:
+        raise TableError(f"table {name!r}: line {reader.line_num}: {exc}") from None
     if not records:
         raise TableError(f"table {name!r}: missing header row")
     schema = tuple(cell.strip() for cell in records[0])
-    rows = []
-    for i, rec in enumerate(records[1:]):
+    body = records[1:]
+    width = len(schema)
+    # The width test comes first: zip would silently regroup a ragged
+    # row's cells into the wrong rows.
+    if set(map(len, body)) <= {width}:
+        try:
+            rows = tuple(zip(*[map(float, chain.from_iterable(body))] * width))
+        except ValueError:
+            pass
+        else:
+            return Table(name=name, schema=schema, rows=rows)
+    _refuse_records(name, schema, body)
+
+
+def _refuse_records(name, schema, body):
+    """Raise for the first record or cell, in row-major order, that the
+    whole-table pass in `load_table` refused."""
+    for i, rec in enumerate(body):
         if len(rec) != len(schema):
             raise TableError(
                 f"table {name!r}: ragged row {i} ({len(rec)} cells, expected {len(schema)})"
             )
-        parsed = []
         for col, cell in zip(schema, rec):
             try:
-                parsed.append(float(cell))
+                float(cell)
             except ValueError:
                 raise TableError(
                     f"table {name!r}: non-numeric cell at row {i} column {col!r}: {cell!r}"
                 ) from None
-        rows.append(tuple(parsed))
-    return Table(name=name, schema=schema, rows=tuple(rows))
 
 
 def dump_table(table):

@@ -424,6 +424,17 @@ def test_bad_csv_exit_2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_table_past_csv_field_limit_exit_2(tmp_path, capsys):
+    """A field past the csv module's size limit is an input error, not a
+    `_csv.Error` traceback."""
+    (tmp_path / "t1.csv").write_text("a,b\n1," + "0" * 140_000 + "\n")
+    q = write_query(tmp_path, COUNT_LEQ9)
+    assert main(["count", "--tables", str(tmp_path / "t1.csv"), "--query", q]) == 2
+    err = capsys.readouterr().err
+    assert err == ("input error: table 't1': line 2: "
+                   "field larger than field limit (131072)\n")
+
+
 def test_table_not_utf8_exit_2(tmp_path, capsys):
     (tmp_path / "t1.csv").write_bytes(b"\xff\xfe")
     assert main(["decompose", "--tables", str(tmp_path)]) == 2
