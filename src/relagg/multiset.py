@@ -22,20 +22,26 @@ both is an integral float, the output span (a.hi - a.lo) + (b.hi - b.lo) + 1
 is at most |a| |b|, both end sums lie strictly within +/-2**53 (so every
 key sum is exact), and the bound min(|a|, |b|) max(a's counts) max(b's
 counts) on an output count fits an unsigned `array` item of at most 64
-bits, as does every operand count (a column of `pair_convolve`'s that
-is all 0 bounds no output above 0). Each operand's counts are then laid
-out densely, one item per key of its span, read as one little-endian
-int, and the two ints multiplied once (Kronecker substitution: no output
-count carries into its neighbour's item); the product's items are the
-output counts. That costs
+bits (every count being >= 1, so does every operand count). Each
+operand's counts are then laid out densely, one item per key of its span,
+read as one little-endian int, and the two ints multiplied once
+(Kronecker substitution: no output count carries into its neighbour's
+item); the product's items are the output counts. That costs
 O(|a| + |b| + span) plus one big-int product, against |a| |b| dict
 updates in the pairwise loop, which every other input takes: real,
 sparse, infinite or int-typed keys, and counts past 64 bits. Deciding
 costs one O(1) span test and a scan that stops at the first key that is
 not an integral float.
 
-SumSum's `sum` pairs reuse the packed path: `pair_convolve` views their
-count and sum columns as multisets on the same keys.
+SumSum's `sum` pairs reuse the packed path with one more block:
+`pair_convolve` packs each operand as c + Y s, with Y the item past the
+output span, and multiplies once. The product c_a c_b + Y (c_a s_b +
+s_a c_b) + Y**2 s_a s_b holds the output counts and sums in its two low
+blocks. The item width then also bounds block 1, by min(|a|, |b|)
+(max c_a max s_b + max s_a max c_b), a sum of both cross terms, which
+also bounds every operand sum. The top block is masked off unbounded:
+carries in a multiplication only move up, so it cannot change the blocks
+below it.
 """
 
 import operator
@@ -109,8 +115,11 @@ def ms_convolve(a, b):
     -0.0 keys would give -0.0 in the loop (the two compare equal)."""
     if not a.keys or not b.keys:
         return MS_EMPTY
-    packed = _packed(a, b)
-    return _pairwise(a, b) if packed is None else packed
+    packed = _packed(a.keys, (a.weights,), b.keys, (b.weights,))
+    if packed is None:
+        return _pairwise(a, b)
+    keys, (counts,) = packed
+    return Multiset._trusted(keys, counts, COUNTS)
 
 
 # Unsigned array item codes, narrowest first: (code, bytes, largest item).
@@ -119,60 +128,77 @@ _ITEMS = tuple((code, array(code).itemsize, (1 << 8 * array(code).itemsize) - 1)
 _EXACT = 2**53  # every integer of smaller magnitude is a float
 
 
-def _packed(a, b):
-    """The product by one big-int multiplication, or None when the
-    operands do not qualify (see the module docstring). The keys are the
-    span's integers whose count is nonzero, exactly the pairwise sums;
-    the counts are those nonzero items, Python ints."""
-    ak, bk = a.keys, b.keys
-    na, nb = len(ak), len(bk)
-    if not (ak[-1] - ak[0]) + (bk[-1] - bk[0]) < na * nb:
+def _packed(a_keys, a_columns, b_keys, b_columns):
+    """The product of two operands' aligned int columns by one big-int
+    multiplication, or None when they do not qualify (see the module
+    docstring). Each operand has one column, its counts, or two, its
+    counts and sums; a count is >= 1. Each column packs as a block of the
+    output span n, column j at items j n onward, so product block 0 holds
+    c_a c_b and block 1 c_a s_b + s_a c_b; block 2, s_a s_b, is masked
+    off. Returns (keys, columns): the keys are the span's integers whose
+    block 0 is nonzero, exactly the pairwise sums, and column j is block j
+    read at those keys, as Python ints."""
+    na, nb = len(a_keys), len(b_keys)
+    if not (a_keys[-1] - a_keys[0]) + (b_keys[-1] - b_keys[0]) < na * nb:
         return None  # the span outgrows the pairs: sparse, or an inf key
     try:
-        if not (all(map(float.is_integer, ak)) and all(map(float.is_integer, bk))):
+        if not (all(map(float.is_integer, a_keys))
+                and all(map(float.is_integer, b_keys))):
             return None
     except TypeError:
         return None  # a key that is not a float, an int say
-    lo, hi = int(ak[0]) + int(bk[0]), int(ak[-1]) + int(bk[-1])
+    lo, hi = int(a_keys[0]) + int(b_keys[0]), int(a_keys[-1]) + int(b_keys[-1])
     if not -_EXACT < lo <= hi < _EXACT:
         return None
-    ma, mb = max(a.weights), max(b.weights)
-    bound = max(min(na, nb) * ma * mb, ma, mb)
+    ma, mb = tuple(map(max, a_columns)), tuple(map(max, b_columns))
+    k = min(na, nb)  # pairs per output key, at most
+    # block 0's items, k max c_a max c_b, and, given sums, block 1's,
+    # k (max c_a max s_b + max s_a max c_b); as every count is >= 1, they
+    # bound every operand item too
+    bound = k * max(ma[0] * mb[0], sum(map(operator.mul, ma, reversed(mb))))
     for code, size, top in _ITEMS:
         if bound <= top:
             break
     else:
         return None
     n = hi - lo + 1
-    coeffs = array(code)
-    product = _pack(a, code, size) * _pack(b, code, size)
-    coeffs.frombytes(product.to_bytes(n * size, "little"))
-    keys = tuple(map(float, compress(range(lo, lo + n), coeffs)))
-    return Multiset._trusted(keys, tuple(filter(None, coeffs)), COUNTS)
+    width = len(ma) * n * size
+    product = (_pack(a_keys, a_columns, code, size, n)
+               * _pack(b_keys, b_columns, code, size, n))
+    items = array(code)
+    items.frombytes((product & ((1 << 8 * width) - 1)).to_bytes(width, "little"))
+    keys = tuple(map(float, compress(range(lo, lo + n), items)))
+    columns = [tuple(filter(None, items[:n]))]
+    if len(ma) == 2:  # compress stops at its shorter argument: block 0 selects
+        columns.append(tuple(compress(items[n:], items)))
+    return keys, columns
 
 
 def pair_convolve(a, b):
-    """`ws_convolve` over `sum`'s (count, sum) pairs. When every sum is a
-    nonnegative integral float, it takes three packed products if each
-    qualifies: counts c_a c_b, and sums c_a s_b + s_a c_b, of columns
-    viewed as multisets. A sum is nonzero only where a count is, so the
-    sums are read at the counts' keys; they add as exact ints and round
-    to float once. Any other input takes `ws_convolve`."""
+    """`ws_convolve` over `sum`'s (count, sum) pairs. When every count is
+    an int >= 1 and every sum a nonnegative integral float, it takes one
+    packed product if the columns qualify: each operand packs as
+    c + Y s, Y past the output span, so the product's low blocks are the
+    counts c_a c_b and the sums c_a s_b + s_a c_b (its top block,
+    s_a s_b, is masked off). A sum is nonzero only where a count is, so
+    the sums are read at the counts' keys; they add as exact ints and
+    round to float once. Any other input takes `ws_convolve`."""
     if a.keys and b.keys:
         (ca, sa), (cb, sb) = zip(*a.weights), zip(*b.weights)
         sa, sb = _integral(sa), _integral(sb)
-        if sa is not None and sb is not None:
-            count, *sums = (_packed(Multiset._trusted(a.keys, x, COUNTS),
-                                    Multiset._trusted(b.keys, y, COUNTS))
-                            for x, y in ((ca, cb), (ca, sb), (sa, cb)))
-            if count is not None and None not in sums:
-                acc = dict.fromkeys(count.keys, 0)
-                for part in sums:
-                    for key, s in zip(part.keys, part.weights):
-                        acc[key] += s
-                weights = tuple(zip(count.weights, map(float, acc.values())))
-                return WeightedSet._trusted(count.keys, weights, a.base)
+        if (_positive_ints(ca) and _positive_ints(cb)
+                and sa is not None and sb is not None):
+            packed = _packed(a.keys, (ca, sa), b.keys, (cb, sb))
+            if packed is not None:
+                keys, (counts, sums) = packed
+                return WeightedSet._trusted(
+                    keys, tuple(zip(counts, map(float, sums))), a.base)
     return ws_convolve(a, b)
+
+
+def _positive_ints(column):
+    """Whether each item is an int >= 1."""
+    return all(map(int.__instancecheck__, column)) and min(column) >= 1
 
 
 def _integral(column):
@@ -186,15 +212,18 @@ def _integral(column):
     return None
 
 
-def _pack(value, code, size):
-    """Its counts as one int: item i holds the count at its first key
-    plus i, 0 where it has no key."""
-    keys = tuple(map(int, value.keys))
+def _pack(keys, columns, code, size, n):
+    """The columns as one int of n-item blocks: item j n + i holds
+    column j's value at key keys[0] + i, 0 where there is no key."""
+    keys = tuple(map(int, keys))
     lo = keys[0]
-    dense = array(code, bytes((keys[-1] - lo + 1) * size))
-    for i, c in zip(keys, value.weights):
-        dense[i - lo] = c
-    return int.from_bytes(dense.tobytes(), "little")
+    packed = 0
+    for column in reversed(columns):
+        dense = array(code, bytes((keys[-1] - lo + 1) * size))
+        for i, c in zip(keys, column):
+            dense[i - lo] = c
+        packed = (packed << 8 * size * n) | int.from_bytes(dense.tobytes(), "little")
+    return packed
 
 
 def _pairwise(a, b):

@@ -336,9 +336,10 @@ LATTICE_COUNTS = (st.integers(1, 3), st.integers(1, 2**40),
 
 
 @st.composite
-def lattices(draw):
+def lattices(draw, counts=LATTICE_COUNTS):
     """A multiset on integer keys: dense or sparse, float keys (a 0 may be
-    -0.0) or int keys, a last key of +inf, or empty."""
+    -0.0) or int keys, a last key of +inf, or empty; its counts are drawn
+    from one of `counts`."""
     start = draw(st.sampled_from(STARTS))
     gaps = draw(st.lists(st.sampled_from((1, 1, 2, 3)), max_size=12))
     if gaps and draw(st.sampled_from((False, False, True))):  # sparse
@@ -353,7 +354,7 @@ def lattices(draw):
         keys = [-0.0 if k == 0 else k for k in keys]
     if form == "inf":  # +inf only: -inf + inf is NaN, a key no order holds
         keys = keys + [math.inf]
-    counts = draw(st.lists(draw(st.sampled_from(LATTICE_COUNTS)),
+    counts = draw(st.lists(draw(st.sampled_from(counts)),
                            min_size=len(keys), max_size=len(keys)))
     return Multiset(tuple(zip(keys, counts)))
 
@@ -364,7 +365,7 @@ def lattice(n, start=0, count=1):
 
 
 def takes_packed_path(a, b):
-    return multiset._packed(a, b) is not None
+    return multiset._packed(a.keys, (a.weights,), b.keys, (b.weights,)) is not None
 
 
 @settings(max_examples=400, deadline=None)
@@ -440,21 +441,28 @@ def test_dense_lattice_products_skip_the_pairwise_loop(monkeypatch):
 # SumSum's (count, sum) pair product: packed columns against ws_convolve
 
 SUM_PAIRS = SUMSUM_BASES["sum"]
+# counts: small, up to 2**16, and past 2**64, which never packs
+PAIR_COUNTS = (st.integers(1, 3), st.integers(1, 2**16),
+               st.integers(2**64, 2**70))
 # sum columns: integral floats (twice as likely; a 0 may be -0.0), all 0,
-# and three forms the packed path refuses: a negative sum, a real sum and
-# int sums
+# sums from 2**e / 128 to 2**e, so that the sum block's bound
+# k (max c_a max s_b + max s_a max c_b) lands on either side of the 2**8,
+# 2**16 and 2**32 item limits, and three forms the packed path refuses:
+# a negative sum, a real sum and int sums
 PAIR_SUMS = (st.integers(0, 50).map(float), st.integers(0, 9).map(float),
              st.just(0.0),
+             *(st.integers(2**e >> 7, 2**e).map(float) for e in (8, 16, 32)),
              st.sampled_from((-0.0, 0.0, 3.0)), st.integers(-2, 50).map(float),
              st.sampled_from((0.0, 0.5, 2.0)), st.integers(0, 50))
 
 
 @st.composite
 def pair_lattices(draw):
-    """A lattice draw's keys and counts, each count paired with a sum. A
-    count past 2**64 never takes the packed path, so on that path every
-    c s and every sum of them is an exact float."""
-    ms = draw(lattices())
+    """A lattice draw's keys and counts, each count paired with a sum. On
+    the packed path a count is below 2**16 and a sum at most 2**32, so
+    every c s is below 2**48 and every output sum, of at most 2 x 13 such
+    terms, below 2**53: exact in `ws_convolve`'s float arithmetic too."""
+    ms = draw(lattices(PAIR_COUNTS))
     sums = draw(st.sampled_from(PAIR_SUMS))
     weights = tuple((c, draw(sums)) for c in ms.weights)
     return WeightedSet(tuple(zip(ms.keys, weights)), SUM_PAIRS)
@@ -465,17 +473,22 @@ def _view(keys, column):
 
 
 def takes_packed_pair_path(a, b):
-    """Neither operand empty, every sum a nonnegative integral float, and
-    the count product and both sum products (c_a s_b, s_a c_b) take the
-    packed path."""
+    """Neither operand empty, every count an int >= 1, every sum a
+    nonnegative integral float, the count product takes the packed path,
+    and the one product's sum block fits a 64-bit item: its bound
+    k (max c_a max s_b + max s_a max c_b), k = min(|a|, |b|), which
+    bounds every sum too. The top block, s_a s_b, is not bounded."""
     if not a or not b:
         return False
     (ca, sa), (cb, sb) = zip(*a.weights), zip(*b.weights)
+    if not all(isinstance(c, int) and c >= 1 for c in ca + cb):
+        return False
     if not all(type(s) is float and s >= 0 and s.is_integer() for s in sa + sb):
         return False
-    sa, sb = tuple(map(int, sa)), tuple(map(int, sb))
-    return all(takes_packed_path(_view(a.keys, x), _view(b.keys, y))
-               for x, y in ((ca, cb), (ca, sb), (sa, cb)))
+    k = min(len(a), len(b))
+    sum_bound = k * (max(ca) * max(sb) + max(sa) * max(cb))
+    return (sum_bound < 2**64
+            and takes_packed_path(_view(a.keys, ca), _view(b.keys, cb)))
 
 
 def _pair_product(monkeypatch, a, b):
@@ -525,8 +538,26 @@ PAIR_PATH_CASES = {  # name -> (a, b, whether the packed path takes them)
                              pair_lattice(2, sums=lambda k: 2.0**34), False),
     "sum-bound-2**64-1": (pair_lattice(1, count=2**31, sums=lambda k: 0.0),
                           pair_lattice(2, sums=lambda k: 2.0**32), True),
+    # each cross term c_a s_b = s_a c_b = 2**63 fits 64 bits, their sum
+    # 2**64 does not
+    "cross-terms-sum-past-2**64": (
+        pair_lattice(1, count=2**31, sums=lambda k: 2.0**32),
+        pair_lattice(2, count=2**31, sums=lambda k: 2.0**32), False),
+    # counts and sums (<= 3 x 600) fit 16-bit items, s_a s_b (up to
+    # 3 x 90 000) does not: the top block overflows and is masked off
+    "sum-squares-past-item": (pair_lattice(3, sums=lambda k: 300.0),
+                              pair_lattice(3, sums=lambda k: 300.0), True),
     # one pair takes the packed path like any qualifying product
     "one-by-one": (pair_lattice(1, start=3), pair_lattice(1, start=-2), True),
+    # counts `WeightedSet` takes and `ws_convolve` handles, but that are
+    # not ints >= 1: a zero count with a nonzero sum, a negative count
+    # and a real count
+    "zero-count": (WeightedSet(((0.0, (0, 2.0)), (1.0, (1, 1.0))), SUM_PAIRS),
+                   pair_lattice(4), False),
+    "negative-count": (WeightedSet(((0.0, (-1, 1.0)), (1.0, (1, 1.0))),
+                                   SUM_PAIRS), pair_lattice(4), False),
+    "real-count": (WeightedSet(((0.0, (1.5, 1.0)), (1.0, (1, 1.0))), SUM_PAIRS),
+                   pair_lattice(4), False),
 }
 
 
