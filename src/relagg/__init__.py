@@ -27,7 +27,7 @@ from .jointree import (
     build_decomposition,
     verify_decomposition,
 )
-from .multiset import Multiset, ms_convolve, ms_union
+from .multiset import ms_union
 from .queryspec import (
     AdditiveInequality,
     FunctionSpec,
@@ -37,6 +37,12 @@ from .queryspec import (
 )
 from .sketch import alpha_for, ms_sketch, ws_sketch
 from .tables import Database, Table, active_domain, load_table
-from .weightedset import WeightedSet, ws_convolve, ws_plus, ws_triangle
+from .weightedset import (
+    Multiset,
+    WeightedSet,
+    ws_convolve,
+    ws_plus,
+    ws_triangle,
+)
 
 __version__ = "0.1.0"

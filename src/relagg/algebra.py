@@ -8,7 +8,9 @@ its addition is monotone.
 takes (count, sum) pairs: a pair (c, s) stands for c join rows whose
 terms sum to s. (+) adds both components, and (x) joins every row of one
 side to every row of the other: (c1, s1) (x) (c2, s2) = (c1 c2, c1 s2 +
-c2 s1), the dual numbers c + s e, e^2 = 0. Zero is (0, 0) and one (1, 0).
+c2 s1), the dual numbers c + s e, e^2 = 0. Zero is (0, 0) and one
+(1, 0.0), whose sum is a float as every F term is, so that the leaf of a
+feature outside F packs with the others (`weightedset.ws_convolve`).
 On a nonnegative carrier both components grow under (+), so only these
 pairs are marked monotone, and only they are sketched.
 
@@ -113,6 +115,11 @@ _SEMIRINGS = {
     ),
 }
 
+# The counting algebra of row counts, exact Python ints; the values over
+# it are the multisets. Unlike the named "counting" semiring its
+# operations need no float-overflow check: ints cannot overflow.
+COUNTS = Semiring("counts", operator.add, operator.mul, 0, 1, "increasing")
+
 _MONOIDS = {
     "sum": Monoid(name="sum", plus=operator.add, identity=0),
     "min": Monoid(name="min", plus=min, identity=INF),
@@ -135,7 +142,7 @@ def make_named(name):
 SUMSUM_BASES = {
     "sum": Semiring("sum pairs", lambda x, y: (x[0] + y[0], x[1] + y[1]),
                     lambda x, y: (x[0] * y[0], x[0] * y[1] + y[0] * x[1]),
-                    (0, 0), (1, 0), "increasing"),
+                    (0, 0), (1, 0.0), "increasing"),
     "max": Semiring("max-max", max, max, -INF, -sys.float_info.max),
     "min": Semiring("min-min", min, min, INF, sys.float_info.max),
 }

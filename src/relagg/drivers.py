@@ -2,14 +2,15 @@
 
 Each driver reduces its query to a SumProd evaluation over a dynamic
 programming semiring, and every driver runs it through `_evaluate`, which
-chooses the carrier, the sketch and the approx size cap; the engine only
-folds, multiplies and sends. The base chooses the carrier: row counting
-counts over `COUNTS`, whose weighted sets are the multisets, SumProd takes
-the weighted sets over its semiring, and SumSum those over the monoid's
-base in `algebra.SUMSUM_BASES`: (count, sum) pairs for `sum`, plain
-floats for `max` and `min`. A leaf factor returns one (key, weight)
-entry: the inequality term of a feature and its F term (the base one
-when F has none). Only a feature with a term, in the inequality or in F,
+hands the engine the weighted-set kernels, the sketch and the approx size
+cap; the engine only folds, multiplies and sends. The carrier is the
+weighted sets over the base, for every base, and each kernel branches on
+the base itself (`relagg.weightedset`): row counting counts over
+`COUNTS`, whose weighted sets are the multisets, SumProd runs over its
+semiring, and SumSum over the monoid's base in `algebra.SUMSUM_BASES`:
+(count, sum) pairs for `sum`, plain floats for `max` and `min`. A leaf
+factor returns one (key, weight) entry: the inequality term of a feature
+and its F term (the base one when F has none). Only a feature with a term, in the inequality or in F,
 gets a factor; any other takes no part. The carrier's gather makes each
 row one entry, the product of its leaves, and accumulates a join key's
 entries in one scan, with one sort and no per-row value. A term that is
@@ -22,8 +23,8 @@ pairs, one per join key of the root; `threshold_read` reads each
 Delta_L(a (x) b) off a and b under the weights' base, and `_evaluate`
 folds these into the answer, so no root product or fold is built. Exact
 mode uses the exact carrier operations; approx mode has the engine sketch
-the result of every group fold and every product (`ms_sketch` for
-multisets, `ws_sketch` for other weighted sets: one band pass, whose fit
+the result of every group fold and every product (`ws_sketch`, under
+its multiset name `ms_sketch` over `COUNTS`: one band pass, whose fit
 test first passes on a value that its length and a few of its weights
 prove fits the size bound, so that value costs no cumulative pass) with
 a per-sketch parameter alpha = alpha_for(epsilon, m), so the answer is
@@ -48,11 +49,10 @@ import math
 from functools import reduce
 from itertools import accumulate
 
-from .algebra import SUMSUM_BASES, finite_sum
+from .algebra import COUNTS, SUMSUM_BASES, finite_sum
 from .engine import EngineConfig, evaluate
 from .errors import CapExceeded, QueryRejected
-from .multiset import (COUNTS, MS_ONE, ms_convolve, ms_gather, ms_union,
-                       pair_convolve)
+from .multiset import ms_union
 from .queryspec import (
     AdditiveInequality,
     check_features,
@@ -107,17 +107,18 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
     """One SumProd evaluation over weighted sets of `base`: the base
     (+)-fold, over the root's pairs (a, b), of the reads Delta_L(a (x) b).
 
-    The base chooses the carrier: `COUNTS` the multisets, any other base
-    its weighted sets, whose product is `pair_convolve` over `sum`'s
-    pairs. The leaf of a feature with a term, in the inequality or in F,
-    is the (key, weight) entry of the inequality term and the F term (the
-    base one when F has none), and the carrier's gather (`ms_gather`,
-    `ws_gather`) builds each join key's value from its rows' leaves.
-    Approx mode hands the engine the carrier's sketch with
+    Every base runs the weighted-set kernels, `ws_gather`, `ws_convolve`
+    and `ws_one(base)`, which branch on the base themselves; over
+    `COUNTS` the union and the sketch go by their multiset names,
+    `ms_union` and `ms_sketch`, the adapters the benchmark's trace probes.
+    The leaf of a feature with a term, in the inequality or in F, is the
+    (key, weight) entry of the inequality term and the F term (the base
+    one when F has none), and `ws_gather` builds each join key's value
+    from its rows' leaves. Approx mode hands the engine the sketch with
     alpha_for(epsilon, m), which also refuses (CapExceeded) a sketched
-    value past SKETCH_SIZE_CAP entries. The carrier functions are looked
-    up here, at call time, so wrappers set on this module's attributes
-    see every call.
+    value past SKETCH_SIZE_CAP entries. The kernels are looked up here,
+    at call time, so wrappers set on this module's attributes see every
+    call.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise QueryRejected(
@@ -125,21 +126,18 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
         )
     if mode not in ("exact", "approx"):
         raise QueryRejected(f"unknown mode {mode!r}")
-    if base is COUNTS:
-        plus, times, sketch, one = ms_union, ms_convolve, ms_sketch, MS_ONE
-        gather = ms_gather
-    else:
-        plus, sketch, one = ws_plus, ws_sketch, ws_one(base)
-        times = pair_convolve if base is SUMSUM_BASES["sum"] else ws_convolve
+    plus, sketch = ((ms_union, ms_sketch) if base is COUNTS
+                    else (ws_plus, ws_sketch))
 
-        def gather(rows):
-            return ws_gather(rows, base)
+    def gather(rows):
+        return ws_gather(rows, base)
     factors = {
         f: lambda v, f=f, fn=F.get(f): (
             ineq.term_value(f, v), base.one if fn is None else fn(v))
         for f in db.feature_tables if f in ineq.g or f in F
     }
-    config = EngineConfig(plus=plus, times=times, one=one, gather=gather)
+    config = EngineConfig(plus=plus, times=ws_convolve, one=ws_one(base),
+                          gather=gather)
     if mode == "approx":
         alpha = alpha_for(epsilon, db.m)
 
@@ -183,16 +181,16 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
 
     One SumProd over the monoid's base, `algebra.SUMSUM_BASES`. Under
     `sum` the leaf of a feature of F at v weighs the pair (1, F(v)), any
-    other the pair one (1, 0), and the answer is the sum component.
+    other the pair one (1, 0.0), and the answer is the sum component.
     Under `max` or `min` it weighs F(v) itself, any other the base one,
     -/+ float_info.max, neutral on every finite F term, and the answer
-    is the value read, a zero as +0.0 (as in the oracle); with F empty it
-    is the monoid identity, returned after the evaluation so that its
-    refusals still fire. Approx `sum` refuses terms that mix signs over
-    the active domains, sketches the pairs, and answers an all-negative F
-    as minus that of -F, whose pairs are nonnegative. A `max` or `min`
-    sumsum is computed exactly in either mode (`run_mode`), so it takes
-    terms of either sign.
+    is the value read, a zero as +0.0 (as in the oracle). With F empty
+    the answer is the monoid identity under every monoid, returned after
+    the evaluation so that its refusals still fire. Approx `sum` refuses
+    terms that mix signs over the active domains, sketches the pairs, and
+    answers an all-negative F as minus that of -F, whose pairs are
+    nonnegative. A `max` or `min` sumsum is computed exactly in either
+    mode (`run_mode`), so it takes terms of either sign.
     """
     monoid = checked_algebra("sumsum", monoid)
     ineq = ineq or AdditiveInequality()
@@ -216,7 +214,7 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     total = _evaluate(
         db, base, {f: lambda v, fn=fn: (1, sign * fn(v)) for f, fn in F.items()},
         ineq, epsilon, mode, instr)
-    return finite_sum(monoid, sign * total[1])
+    return finite_sum(monoid, sign * total[1]) if F else monoid.identity
 
 
 def sumprod(db, semiring, F, ineq=None, epsilon=0.1, mode="exact", instr=None):

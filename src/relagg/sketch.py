@@ -40,8 +40,7 @@ from functools import reduce
 from itertools import accumulate
 from operator import add, itemgetter
 
-from .algebra import SUMSUM_BASES, make_named
-from .multiset import COUNTS
+from .algebra import COUNTS, SUMSUM_BASES, make_named
 
 _MAX_PLUS, _SUM_PAIRS = make_named("max-plus"), SUMSUM_BASES["sum"]
 

@@ -36,23 +36,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relagg import multiset
+from relagg import weightedset
 from relagg import (
     CapExceeded,
     Multiset,
     Semiring,
     WeightedSet,
     make_named,
-    ms_convolve,
     ms_sketch,
     ms_union,
     ws_convolve,
     ws_plus,
     ws_sketch,
 )
-from relagg.algebra import SUMSUM_BASES
+from relagg.algebra import COUNTS, SUMSUM_BASES
 from relagg.drivers import threshold_read
-from relagg.multiset import COUNTS, ms_gather, pair_convolve
 from relagg.weightedset import ws_empty, ws_gather, ws_one
 
 BASES = {name: make_named(name) for name in ("counting", "min-plus", "max-plus")}
@@ -129,6 +127,18 @@ def ref_read(threshold, base, a, b):
     return total
 
 
+# The bases whose kernels branch, each under a twin: the same operations
+# in another object, whose values take the kernels' generic loops.
+TWINS = {base: Semiring(f"{base.name} twin", base.plus, base.times, base.zero,
+                        base.one, base.plus_monotone)
+         for base in (COUNTS, SUMSUM_BASES["sum"])}
+
+
+def twin_of(value):
+    """`value` over its base's twin."""
+    return WeightedSet._trusted(value.keys, value.weights, TWINS[value.base])
+
+
 # ---------------------------------------------------------------------------
 # Draws
 
@@ -162,7 +172,7 @@ def weighted_lists(max_len=5):
 def test_multiset_kernels_match_pair_reference(xs, eps, threshold):
     entries = [x.entries for x in xs]
     assert ms_union(*xs).entries == ref_plus(entries, COUNTS)
-    product = reduce(ms_convolve, xs)
+    product = reduce(ws_convolve, xs)
     want = reduce(lambda a, b: ref_convolve(a, b, COUNTS), entries)
     assert product.entries == want
     assert ms_sketch(product, eps).entries == ref_sketch(want, COUNTS, eps)
@@ -317,7 +327,7 @@ def test_draws_reach_float_collisions_and_huge_counts():
     assert 1e16 + 1.0 == 1e16 + 0.0 and 0.1 + 0.2 != 0.3 + 0.0
     a = Multiset(((0.0, 2**1024), (1.0, 3)))
     b = Multiset(((0.0, 1), (1e16, 2**1030)))
-    product = ms_convolve(a, b)
+    product = ws_convolve(a, b)
     want = ref_convolve(a.entries, b.entries, COUNTS)
     assert product.entries == want and len(want) == 3
     assert dict(product.entries)[1e16] == 2**1024 * 2**1030 + 3 * 2**1030
@@ -365,7 +375,21 @@ def lattice(n, start=0, count=1):
 
 
 def takes_packed_path(a, b):
-    return multiset._packed(a.keys, (a.weights,), b.keys, (b.weights,)) is not None
+    return weightedset._packed(a.keys, (a.weights,), b.keys,
+                               (b.weights,)) is not None
+
+
+def packed_products(mp):
+    """The results of `_packed` in `weightedset` while `mp` holds: None
+    for each call that did not qualify, a product that fell back."""
+    results = []
+    packed = weightedset._packed
+
+    def spy(*args):
+        results.append(packed(*args))
+        return results[-1]
+    mp.setattr(weightedset, "_packed", spy)
+    return results
 
 
 @settings(max_examples=400, deadline=None)
@@ -373,7 +397,7 @@ def takes_packed_path(a, b):
 def test_lattice_convolution_matches_pair_reference(a, b):
     """Equal keys, equal counts, and the same types: float keys, int
     counts, on whichever path the operands take."""
-    got = ms_convolve(a, b)
+    got = ws_convolve(a, b)
     want = ref_convolve(a.entries, b.entries, COUNTS)
     assert got.entries == want
     assert [type(k) for k in got.keys] == [type(k) for k, _ in want]
@@ -386,7 +410,8 @@ def test_packed_path_returns_positive_zero_for_negative_zero_keys():
     -0.0 + -0.0 is -0.0. The two compare equal, as dict keys too."""
     a = Multiset(((-0.0, 2), (1.0, 1)))
     assert takes_packed_path(a, a)
-    packed, pairwise = ms_convolve(a, a), multiset._pairwise(a, a)
+    twin = twin_of(a)
+    packed, pairwise = ws_convolve(a, a), ws_convolve(twin, twin)
     assert packed.keys == pairwise.keys == (0.0, 1.0, 2.0)
     assert packed.weights == pairwise.weights == (4, 4, 1)
     assert math.copysign(1, packed.keys[0]) == 1
@@ -419,7 +444,7 @@ PATH_CASES = {  # name -> (a, b, whether the packed path takes them)
 @pytest.mark.parametrize("a, b, packed", PATH_CASES.values(), ids=PATH_CASES)
 def test_convolution_path_follows_the_operands(a, b, packed):
     assert takes_packed_path(a, b) is packed
-    got = ms_convolve(a, b)
+    got = ws_convolve(a, b)
     assert got.entries == ref_convolve(a.entries, b.entries, COUNTS)
 
 
@@ -430,15 +455,40 @@ def test_dense_lattice_products_skip_the_pairwise_loop(monkeypatch):
     b = Multiset(tuple((float(k), 1 + k * k) for k in range(-20, 9)))
     assert (len(a), len(b)) == (28, 29)
 
-    def refuse(a, b):
-        raise AssertionError("the pairwise loop ran on a dense lattice")
-    monkeypatch.setattr(multiset, "_pairwise", refuse)
-    got = ms_convolve(a, b)
+    products = packed_products(monkeypatch)
+    got = ws_convolve(a, b)
+    assert len(products) == 1 and products[0] is not None
     assert got.entries == ref_convolve(a.entries, b.entries, COUNTS)
 
 
+# a value over COUNTS: a lattice draw (integral keys, dense or sparse, int
+# or inf keys), or real keys; counts small, past 2**64 or past the float
+# range
+COUNT_VALUES = st.one_of(lattices(), pairs(st.one_of(SMALL, HUGE)).map(Multiset))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(COUNT_VALUES, min_size=2, max_size=3))
+@example([lattice(28), lattice(29, start=-5)])  # the packed path
+@example([Multiset(((0.0, 1), (0.5, 2))), lattice(3)])  # a real key
+@example([lattice(2, count=2**64), lattice(2)])  # a count past 64 bits
+def test_counts_branches_match_the_generic_loops(xs):
+    """`ws_plus`, `ws_gather` and `ws_convolve` over COUNTS, on the packed
+    path or the int loops, give the entries of their generic loops, run
+    over COUNTS' twin."""
+    twins = [twin_of(x) for x in xs]
+    assert ws_plus(*xs).entries == ws_plus(*twins).entries
+    assert ws_convolve(*xs[:2]).entries == ws_convolve(*twins[:2]).entries
+    a, b = xs[:2]
+    for rows in ([(e,) for x in xs for e in x.entries],
+                 list(zip(a.entries, b.entries))):
+        if rows:
+            assert ws_gather(rows, COUNTS).entries == \
+                ws_gather(rows, TWINS[COUNTS]).entries
+
+
 # ---------------------------------------------------------------------------
-# SumSum's (count, sum) pair product: packed columns against ws_convolve
+# SumSum's (count, sum) pair product: packed columns against the generic loop
 
 SUM_PAIRS = SUMSUM_BASES["sum"]
 # counts: small, up to 2**16, and past 2**64, which never packs
@@ -492,26 +542,22 @@ def takes_packed_pair_path(a, b):
 
 
 def _pair_product(monkeypatch, a, b):
-    """pair_convolve(a, b) and whether it fell back to `ws_convolve`."""
-    fallbacks = []
-
-    def generic(a, b):
-        fallbacks.append(1)
-        return ws_convolve(a, b)
+    """ws_convolve(a, b) and whether it fell back to the generic loop: no
+    packed product came back."""
     with monkeypatch.context() as mp:
-        mp.setattr(multiset, "ws_convolve", generic)
-        return pair_convolve(a, b), bool(fallbacks)
+        products = packed_products(mp)
+        return ws_convolve(a, b), not any(p is not None for p in products)
 
 
 @settings(max_examples=400, deadline=None)
 @given(pair_lattices(), pair_lattices())
 def test_pair_product_matches_generic_convolution(a, b):
-    """Equal keys and equal (count, sum) weights of the same types as
-    `ws_convolve` over the pair base, and the packed path exactly when the
+    """Equal keys and equal (count, sum) weights of the same types as the
+    generic loop over the pair base, and the packed path exactly when the
     operands qualify."""
     with pytest.MonkeyPatch.context() as mp:
         got, generic = _pair_product(mp, a, b)
-    want = ws_convolve(a, b)
+    want = ws_convolve(twin_of(a), twin_of(b))
     assert got.entries == want.entries and got.base is SUM_PAIRS
     assert [tuple(map(type, w)) for w in got.weights] == \
         [tuple(map(type, w)) for w in want.weights]
@@ -567,7 +613,7 @@ def test_pair_product_path_follows_the_operands(monkeypatch, a, b, packed):
     assert takes_packed_pair_path(a, b) is packed
     got, generic = _pair_product(monkeypatch, a, b)
     assert generic is not packed
-    assert got.entries == ws_convolve(a, b).entries
+    assert got.entries == ws_convolve(twin_of(a), twin_of(b)).entries
 
 
 # ---------------------------------------------------------------------------
@@ -600,19 +646,19 @@ GATHER_BASES = {
 def leaf_union(rows, base):
     """`ws_plus` (`ms_union` over COUNTS) of each row's value: the product
     of its leaves, each lifted to a one-entry value, empty at the base
-    zero. The product is `ws_convolve`'s generic one pair, which sums the
-    keys as they come (`ms_convolve`'s packed path returns +0.0 for
-    -0.0 + -0.0, a key that compares equal)."""
+    zero. The product is the generic loop's one pair, over the base's twin
+    where it has one, which sums the keys as they come (a packed product
+    returns +0.0 for -0.0 + -0.0, a key that compares equal)."""
+    loop = TWINS.get(base, base)
+
     def lift(key, w):
-        if w == base.zero:
-            return ws_empty(base)
-        return WeightedSet(((key, w),), base)
+        if w == loop.zero:
+            return ws_empty(loop)
+        return WeightedSet(((key, w),), loop)
     values = [reduce(ws_convolve, [lift(k, w) for k, w in row])
-              if row else ws_one(base) for row in rows]
-    if base is COUNTS:
-        return ms_union(*(Multiset._trusted(v.keys, v.weights, COUNTS)
-                          for v in values))
-    return ws_plus(*values)
+              if row else ws_one(loop) for row in rows]
+    cls = Multiset if base is COUNTS else WeightedSet
+    return ws_plus(*(cls._trusted(v.keys, v.weights, base) for v in values))
 
 
 @st.composite
@@ -634,13 +680,12 @@ def gather_cases(draw):
 def test_gather_matches_union_of_leaf_products(case):
     name, rows = case
     base = GATHER_BASES[name][0]
-    gather = ms_gather if base is COUNTS else (lambda r: ws_gather(r, base))
     try:
         want = leaf_union(rows, base)
     except CapExceeded:
         with pytest.raises(CapExceeded):
-            gather(rows)
+            ws_gather(rows, base)
         return
-    got = gather(rows)
+    got = ws_gather(rows, base)
     assert repr(got) == repr(want)
     got.__post_init__()

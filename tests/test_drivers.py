@@ -20,7 +20,6 @@ from relagg import (
     WeightedSet,
     count_rows,
     make_named,
-    ms_convolve,
     oracle_eval,
     run_query,
     sumprod,
@@ -28,11 +27,13 @@ from relagg import (
     ws_convolve,
     ws_triangle,
 )
-from relagg import drivers, sketch
+from relagg import drivers, sketch, weightedset
+from relagg.algebra import COUNTS
 from relagg.drivers import threshold_read
 from relagg.engine import EngineConfig, evaluate
-from relagg.multiset import MS_ONE, ms_gather, ms_union
+from relagg.multiset import ms_union
 from relagg.queryspec import identity, preset, scale
+from relagg.weightedset import ws_gather, ws_one
 from conftest import (
     CROSS_CASE,
     STAR_CASE,
@@ -85,6 +86,16 @@ def test_sumsum_multi_feature(db1):
 def test_sumsum_rejects_non_monoid(db1):
     with pytest.raises(QueryRejected):
         sumsum(db1, "min-plus", {"c": identity()})
+
+
+def test_sumsum_with_empty_f_is_the_identity(db1):
+    """With no F term every monoid answers its identity, `sum` the int 0
+    (the pair one carries a float sum), as the oracle does."""
+    for name in ("sum", "min", "max"):
+        spec = QuerySpec(kind="sumsum", algebra=name, F={})
+        want = oracle_eval(db1, spec)
+        assert repr(sumsum(db1, name, {})) == repr(want)
+    assert repr(sumsum(db1, "sum", {})) == "0"
 
 
 def test_sumprod_tropical(db1):
@@ -344,7 +355,7 @@ def test_threshold_read_equals_threshold_of_product(case):
     a, b, threshold = case
     ma, mb = (Multiset(tuple((k, c) for k, c, _ in e)) for e in (a, b))
     assert _read(ma, mb, threshold, ma.base) == ws_triangle(
-        ms_convolve(ma, mb), threshold
+        ws_convolve(ma, mb), threshold
     )
     # counting weighs a key by its count, the tropical bases by its weight
     for name, col in (("counting", 1), ("min-plus", 2), ("max-plus", 2)):
@@ -401,13 +412,13 @@ def test_root_product_is_never_built():
 
 def test_one_table_rows_read_with_one():
     db = _cross_real(1, 40, seed=6)
-    config = EngineConfig(
-        plus=ms_union, times=ms_convolve, one=MS_ONE, gather=ms_gather
-    )
+    one = ws_one(COUNTS)
+    config = EngineConfig(plus=ms_union, times=ws_convolve, one=one,
+                          gather=lambda rows: ws_gather(rows, COUNTS))
     factors = {f: (lambda v: (v, 1)) for f in db.feature_tables}
     pairs = evaluate(db, factors, config)
     # the table's one join key () holds all its rows, read with the one
-    assert [(len(a), b) for a, b in pairs] == [(40, MS_ONE)]
+    assert [(len(a), b) for a, b in pairs] == [(40, one)]
     _check_against_oracle(
         db, AdditiveInequality(g={"x1": identity()}, threshold=0.5)
     )
@@ -430,12 +441,12 @@ def _spy(monkeypatch, calls, owner, name, key=None):
 
 def test_exact_count_folds_in_one_pass(monkeypatch):
     """In either mode each table gathers its rows by join key, one
-    `ms_gather` call per key, and each elimination folds a group, one
+    `ws_gather` call per key, and each elimination folds a group, one
     `ms_union` call; no seeded value passes the constructor's check, and a
     feature without a term (y_i) seeds no product. Approx mode sketches
     each group fold and each product once, and not the join-key gathers."""
     calls = Counter()
-    for name in ("ms_gather", "ms_union", "ms_convolve", "ms_sketch"):
+    for name in ("ws_gather", "ms_union", "ws_convolve", "ms_sketch"):
         _spy(monkeypatch, calls, drivers, name)
     _spy(monkeypatch, calls, Multiset, "__post_init__", "check")
     db = _cross_real(3, 12, seed=7)
@@ -449,10 +460,10 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
         answers[mode] = count_rows(db, ineq, mode=mode, instr=instr)
         # a cross product: each table is one join key (), then the chain
         # 1 - 2 - 3 folds one group per elimination
-        assert calls["ms_gather"] == 3 and calls["ms_union"] == 2
+        assert calls["ws_gather"] == 3 and calls["ms_union"] == 2
         assert instr.fold_count == 3 + 2
         # t2 takes t1's group
-        assert calls["ms_convolve"] == 1
+        assert calls["ws_convolve"] == 1
         assert calls["check"] == 0
     # the counts of the approx run, the last one: two group folds, one product
     assert calls["ms_sketch"] == 2 + 1
@@ -470,7 +481,7 @@ def test_sumsum_on_a_chain_builds_one_product_per_message(monkeypatch):
     message, and t3's read fuses the last product. Approx mode sketches
     the two message folds and the product."""
     calls = Counter()
-    for name in ("ws_gather", "ws_plus", "pair_convolve", "ws_sketch"):
+    for name in ("ws_gather", "ws_plus", "ws_convolve", "ws_sketch"):
         _spy(monkeypatch, calls, drivers, name)
     db = _cross_real(3, 12, seed=7)
     ineq = AdditiveInequality(
@@ -483,9 +494,41 @@ def test_sumsum_on_a_chain_builds_one_product_per_message(monkeypatch):
         calls.clear()
         got = sumsum(db, "sum", F, ineq, mode=mode)
         # three join-key gathers, two message folds, one message product
-        assert calls == Counter(ws_gather=3, ws_plus=2, pair_convolve=1,
+        assert calls == Counter(ws_gather=3, ws_plus=2, ws_convolve=1,
                                 ws_sketch=sketches)
         assert _within(got, exact, 0.1)
+
+
+def test_sum_pairs_outside_f_still_pack(monkeypatch):
+    """A `sum` SumSum whose F holds only x1 of the inequality's x1..x3, on
+    an integer star like the benchmark's: the x2 and x3 leaves carry the
+    pair one, (1, 0.0), a float sum like every F term, so every pair
+    product still takes the packed path."""
+    rng = random.Random(11)
+    db = Database(tables=tuple(
+        Table(f"t{i}", ("k", f"x{i}"), tuple(
+            (float(rng.randint(0, 3)), float(rng.randint(0, 50)))
+            for _ in range(80)))
+        for i in range(1, 4)
+    ))
+    ineq = AdditiveInequality(
+        g={f"x{i}": identity() for i in range(1, 4)}, threshold=60
+    )
+    F = {"x1": identity()}
+    calls = Counter()
+    _spy(monkeypatch, calls, drivers, "ws_convolve")
+    packed = weightedset._packed
+
+    def spy(*args):
+        out = packed(*args)
+        calls["packed"] += out is not None
+        return out
+    monkeypatch.setattr(weightedset, "_packed", spy)
+    got = sumsum(db, "sum", F, ineq)
+    assert calls["ws_convolve"] > 0
+    assert calls["packed"] == calls["ws_convolve"]
+    assert got == oracle_eval(db, QuerySpec(kind="sumsum", algebra="sum", F=F,
+                                            inequalities=(ineq,)))
 
 
 # The epsilon guarantee at the worst depth a 5-table plan reaches,
@@ -782,12 +825,7 @@ def test_feature_without_a_term_seeds_no_product(monkeypatch, kind, algebra,
     db = Database(tables=_star_with_repeats(4).tables[:2])
     ineq = AdditiveInequality(g={"a": identity(), "b": identity()}, threshold=5)
     calls = Counter()
-    for name in ("ms_convolve", "ws_convolve", "pair_convolve"):
-        fn = getattr(drivers, name)
-        monkeypatch.setattr(
-            drivers, name,
-            lambda *args, name=name, fn=fn: calls.update([name]) or fn(*args),
-        )
+    _spy(monkeypatch, calls, drivers, "ws_convolve")
     for mode in ("exact", "approx"):
         driver(db, {"a": identity()}, ineq, mode=mode)
     assert calls == Counter()

@@ -17,9 +17,11 @@ from relagg import (
 )
 from relagg import drivers
 from relagg.bruteforce import materialize
+from relagg.algebra import COUNTS
 from relagg.engine import EngineConfig, assign_features, evaluate
-from relagg.multiset import MS_ONE, ms_convolve, ms_gather, ms_union
+from relagg.multiset import ms_union
 from relagg.queryspec import AdditiveInequality, identity
+from relagg.weightedset import ws_convolve, ws_gather, ws_one
 from conftest import (
     CROSS_CASE,
     STAR_CASE,
@@ -192,8 +194,8 @@ def test_matches_materialized_join_random():
 def test_instrumentation_records_sizes(db1):
     instr = Instrumentation()
     config = EngineConfig(
-        plus=ms_union, times=ms_convolve, one=MS_ONE,
-        gather=ms_gather,
+        plus=ms_union, times=ws_convolve, one=ws_one(COUNTS),
+        gather=lambda rows: ws_gather(rows, COUNTS),
     )
     factors = {f: (lambda v: (v, 1)) for f in db1.feature_tables}
     evaluate(db1, factors, config, instr=instr)

@@ -20,7 +20,8 @@ from relagg import (
 )
 from relagg import sketch
 from relagg.algebra import SUMSUM_BASES
-from relagg.multiset import COUNTS, ms_union
+from relagg.algebra import COUNTS
+from relagg.multiset import ms_union
 
 MIN_PLUS = make_named("min-plus")
 MAX_PLUS = make_named("max-plus")
