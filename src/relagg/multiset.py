@@ -7,9 +7,11 @@ calls to it by this name; `drivers._evaluate` hands it to the engine as
 the union of counts.
 """
 
-from .weightedset import ws_plus
+from .algebra import COUNTS
+from .weightedset import ws_empty, ws_plus
 
 
 def ms_union(*values):
-    """`ws_plus` over multisets: frequencies add."""
-    return ws_plus(*values)
+    """`ws_plus` over multisets: frequencies add. With no operand, the
+    empty multiset."""
+    return ws_plus(*values) if values else ws_empty(COUNTS)

@@ -10,7 +10,11 @@ The kernels build each value over `COUNTS`, Python ints under integer
 addition and multiplication, as a `Multiset`, the carrier of exact row
 counting: counts are exact ints, so frequencies as large as n^m are safe
 and no operation checks for overflow. It shares every operation here
-with the other bases.
+with the other bases. Every weight over `COUNTS` is a count, an int >=
+1: the checked constructor refuses any other, whether it builds a
+`Multiset` or a `WeightedSet`, and the leaves `ws_gather` takes over
+`COUNTS` must keep the same rule (the drivers' are the base one, 1).
+The `COUNTS` branches below rely on it.
 
 There is one kernel per operation. Union (`ws_plus`) combines weights
 with the base (+) and takes any number of operands, so the engine folds
@@ -99,6 +103,8 @@ class WeightedSet:
         self.__post_init__()
 
     def __post_init__(self):
+        if self.base is COUNTS:  # each weight a count, as in a Multiset
+            return Multiset.__post_init__(self)
         zero, prev = self.base.zero, None
         for key, weight in zip(self.keys, self.weights):
             if weight == zero:
@@ -302,8 +308,9 @@ def ws_gather(rows, base):
     base (+) in row order, and the keys are sorted once (`_summed`). That
     is `ws_plus` over each row's one-entry product of its leaves, the same
     arithmetic in the same order, with no value built per row. Over
-    COUNTS the entries go to `ws_plus`'s int loop (`_counted`): a count
-    is a product of positive ints, never zero."""
+    COUNTS, whose leaf counts must be ints >= 1 (unchecked here), the
+    entries go to `ws_plus`'s int loop (`_counted`): a count is a product
+    of positive ints, never zero."""
     if base is COUNTS:
         return _counted(row_entries(rows, COUNTS))
     zero = base.zero

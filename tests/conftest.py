@@ -13,6 +13,7 @@ from relagg import (
     Table,
     WeightedSet,
 )
+from relagg import weightedset
 from relagg.bruteforce import materialize
 
 # Tier-1 runs are reproducible: the same examples every run, none stored.
@@ -27,6 +28,19 @@ def db1():
         Table("t1", ("a", "b"), ((1.0, 1.0), (1.0, 2.0))),
         Table("t2", ("b", "c"), ((1.0, 5.0), (2.0, 6.0), (2.0, 7.0))),
     ))
+
+
+def packed_products(mp):
+    """The results of `weightedset._packed` while `mp` holds: None for
+    each call that did not qualify, a product that fell back."""
+    results = []
+    packed = weightedset._packed
+
+    def spy(*args):
+        results.append(packed(*args))
+        return results[-1]
+    mp.setattr(weightedset, "_packed", spy)
+    return results
 
 
 def identity_fns(db):

@@ -52,6 +52,7 @@ from relagg import (
 from relagg.algebra import COUNTS, SUMSUM_BASES
 from relagg.drivers import threshold_read
 from relagg.weightedset import ws_empty, ws_gather, ws_one
+from conftest import packed_products
 
 BASES = {name: make_named(name) for name in ("counting", "min-plus", "max-plus")}
 KEYS = (-1e16, -0.1, 0.0, 0.1, 0.2, 0.3, 0.30000000000000004, 0.7, 1.0, 2.0,
@@ -377,19 +378,6 @@ def lattice(n, start=0, count=1):
 def takes_packed_path(a, b):
     return weightedset._packed(a.keys, (a.weights,), b.keys,
                                (b.weights,)) is not None
-
-
-def packed_products(mp):
-    """The results of `_packed` in `weightedset` while `mp` holds: None
-    for each call that did not qualify, a product that fell back."""
-    results = []
-    packed = weightedset._packed
-
-    def spy(*args):
-        results.append(packed(*args))
-        return results[-1]
-    mp.setattr(weightedset, "_packed", spy)
-    return results
 
 
 @settings(max_examples=400, deadline=None)

@@ -27,7 +27,7 @@ from relagg import (
     ws_convolve,
     ws_triangle,
 )
-from relagg import drivers, sketch, weightedset
+from relagg import drivers, sketch
 from relagg.algebra import COUNTS
 from relagg.drivers import threshold_read
 from relagg.engine import EngineConfig, evaluate
@@ -39,6 +39,7 @@ from conftest import (
     STAR_CASE,
     identity_fns,
     knapsack_count_dp,
+    packed_products,
     random_acyclic_db,
     random_affine_inequality,
     sum_leq,
@@ -517,16 +518,10 @@ def test_sum_pairs_outside_f_still_pack(monkeypatch):
     F = {"x1": identity()}
     calls = Counter()
     _spy(monkeypatch, calls, drivers, "ws_convolve")
-    packed = weightedset._packed
-
-    def spy(*args):
-        out = packed(*args)
-        calls["packed"] += out is not None
-        return out
-    monkeypatch.setattr(weightedset, "_packed", spy)
+    products = packed_products(monkeypatch)
     got = sumsum(db, "sum", F, ineq)
     assert calls["ws_convolve"] > 0
-    assert calls["packed"] == calls["ws_convolve"]
+    assert sum(p is not None for p in products) == calls["ws_convolve"]
     assert got == oracle_eval(db, QuerySpec(kind="sumsum", algebra="sum", F=F,
                                             inequalities=(ineq,)))
 

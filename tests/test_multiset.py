@@ -27,6 +27,11 @@ def test_construction_rules():
         Multiset(((2.0, 1), (1.0, 1)))
     with pytest.raises(ValueError):
         Multiset(((1.0, 1), (1.0, 2)))
+    # a weighted set over COUNTS holds counts too
+    for entries in (((0.0, -1), (1.0, 2)), ((0.0, 1.5),), ((0.0, 0.0),)):
+        with pytest.raises(ValueError, match="positive int"):
+            WeightedSet(entries, COUNTS)
+    assert WeightedSet(((0.0, 2),), COUNTS).entries == ((0.0, 2),)
 
 
 def test_from_values():
@@ -63,7 +68,7 @@ def test_union_identity():
     assert ms_union(a, EMPTY) is a
     assert ms_union(EMPTY, a) is a
     assert ms_union(EMPTY, a, EMPTY) is a
-    assert ms_union(EMPTY, EMPTY) == EMPTY
+    assert ms_union() == ms_union(EMPTY, EMPTY) == EMPTY
 
 
 def test_convolve_example():
@@ -113,7 +118,7 @@ def test_triangle_distributes_over_union(a, b, t):
     assert ws_triangle(ms_union(a, b), t) == ws_triangle(a, t) + ws_triangle(b, t)
 
 
-@given(st.lists(multisets(), min_size=1, max_size=6))
+@given(st.lists(multisets(), max_size=6))
 def test_union_equals_from_values(xs):
     """The union holds every operand's elements, each repeated by its count."""
     elements = [key for x in xs for key, count in x.entries for _ in range(count)]
