@@ -22,11 +22,7 @@ from .errors import (
     RelaggError,
     TableError,
 )
-from .jointree import (
-    HypertreeDecomposition,
-    build_decomposition,
-    verify_decomposition,
-)
+from .jointree import Plan, build_decomposition, verify_decomposition
 from .multiset import ms_union
 from .queryspec import (
     AdditiveInequality,

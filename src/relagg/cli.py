@@ -106,7 +106,8 @@ def _run_engine(args, kind):
         "result": result,
         "mode": mode,
         "epsilon": spec.epsilon if approx else None,
-        "alpha": alpha_for(spec.epsilon, db.m) if approx else None,
+        "alpha": (alpha_for(spec.epsilon, build_decomposition(db).depth)
+                  if approx else None),
         "sketch": {
             "max_value_size": instr.max_value_size,
             "max_fold_depth": instr.max_fold_depth,
@@ -119,10 +120,10 @@ def _run_engine(args, kind):
 
 def _cmd_decompose(args):
     db = _load_database(args.tables)
-    decomp = build_decomposition(db)
-    text = decomp.as_text()
+    plan = build_decomposition(db)
+    text = plan.as_text()
     if args.output == "json":
-        print(json.dumps({"edges": list(decomp.edges), "status": "ok"},
+        print(json.dumps({"edges": list(plan.edges), "status": "ok"},
                          sort_keys=True))
     elif text:
         print(text)

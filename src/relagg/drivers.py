@@ -27,15 +27,17 @@ the result of every group fold and every product (`ws_sketch`, under
 its multiset name `ms_sketch` over `COUNTS`: one band pass, whose fit
 test first passes on a value that its length and a few of its weights
 prove fits the size bound, so that value costs no cumulative pass) with
-a per-sketch parameter alpha = alpha_for(epsilon, m), so the answer is
-within (1 +/- epsilon) of the exact one, and refuses (CapExceeded) a
-sketched value past `SKETCH_SIZE_CAP` entries. A group folds in one n-ary
+a per-sketch parameter alpha = alpha_for(epsilon, D), D the depth of
+the query's plan (`jointree.Plan`), so the answer is within
+(1 +/- epsilon) of the exact one, and refuses (CapExceeded) a sketched
+value past `SKETCH_SIZE_CAP` entries. A group folds in one n-ary
 union, so it is sketched once, not once per pairwise union.
 
 The drivers are where a query is refused, so a direct call refuses exactly
 what `run_query` and the CLI refuse. Each precondition is checked once, at
-the one spot every path passes through: a bad epsilon (in either mode) and
-the mode by `_evaluate`, a NaN threshold by `AdditiveInequality`, the algebra
+the one spot every path passes through: a bad epsilon (in either mode),
+the mode and, in approx mode, an epsilon whose alpha rounds to 0 by
+`_evaluate`, a cyclic join by the plan `_evaluate` builds, a NaN threshold by `AdditiveInequality`, the algebra
 by `checked_algebra`, a term on a feature no table has by
 `check_features` and an overflowing F term of a SumProd or of a `max` or
 `min` SumSum by `checked_factors` (both of which the oracle calls too),
@@ -52,6 +54,7 @@ from itertools import accumulate
 from .algebra import COUNTS, SUMSUM_BASES, finite_sum
 from .engine import EngineConfig, evaluate
 from .errors import CapExceeded, QueryRejected
+from .jointree import build_decomposition
 from .multiset import ms_union
 from .queryspec import (
     AdditiveInequality,
@@ -114,9 +117,12 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
     The leaf of a feature with a term, in the inequality or in F, is the
     (key, weight) entry of the inequality term and the F term (the base
     one when F has none), and `ws_gather` builds each join key's value
-    from its rows' leaves. Approx mode hands the engine the sketch with
-    alpha_for(epsilon, m), which also refuses (CapExceeded) a sketched
-    value past SKETCH_SIZE_CAP entries. The kernels are looked up here,
+    from its rows' leaves. The join tree's plan (`jointree.Plan`) is built
+    here, once, after the epsilon and mode checks, and the engine reads
+    every tree fact off it. Approx mode hands the engine the sketch with
+    alpha_for(epsilon, plan.depth), which also refuses (CapExceeded) a
+    sketched value past SKETCH_SIZE_CAP entries; an epsilon whose alpha
+    rounds to 0 is refused (QueryRejected). The kernels are looked up here,
     at call time, so wrappers set on this module's attributes see every
     call.
     """
@@ -126,6 +132,7 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
         )
     if mode not in ("exact", "approx"):
         raise QueryRejected(f"unknown mode {mode!r}")
+    plan = build_decomposition(db)
     plus, sketch = ((ms_union, ms_sketch) if base is COUNTS
                     else (ws_plus, ws_sketch))
 
@@ -139,7 +146,10 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
     config = EngineConfig(plus=plus, times=ws_convolve, one=ws_one(base),
                           gather=gather)
     if mode == "approx":
-        alpha = alpha_for(epsilon, db.m)
+        alpha = alpha_for(epsilon, plan.depth)
+        if not alpha > 0:
+            raise QueryRejected(f"epsilon {epsilon} is too small: spent over "
+                                f"{plan.depth} sketches, alpha rounds to 0")
 
         def capped(value):
             value = sketch(value, alpha)
@@ -148,7 +158,7 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
                                   f"entries (cap {SKETCH_SIZE_CAP})")
             return value
         config.sketch = capped
-    pairs = evaluate(db, factors, config, instr=instr)
+    pairs = evaluate(db, plan, factors, config, instr=instr)
     read = threshold_read(ineq.threshold, base)
     return reduce(base.plus, (read(a, b) for a, b in pairs), base.zero)
 

@@ -5,11 +5,11 @@ Evaluates a SumProd-style aggregate over the bag join of a database without
 materializing the join. Each table is seeded once, by one scan: a row's
 leaves are those of the features the table owns that have a factor, in
 schema order, and each row goes straight into the group of its join key
-(every feature the table shares with a neighbour in the join tree). A
-feature with no factor contributes nothing, and a row with no such
-feature holds no leaves. Each factor runs once per distinct value of its
-feature, whose leaf a memo keeps: n rows over d distinct values build d
-leaves, not n. `config.gather` then builds each group's value from its
+(the plan's `keys[t]`: every feature the table shares with a neighbour
+in the join tree). A feature with no factor contributes nothing, and a
+row with no such feature holds no leaves. Each factor runs once per
+distinct value of its feature, whose leaf a memo keeps: n rows over d
+distinct values build d leaves, not n. `config.gather` then builds each group's value from its
 rows in one call; the drivers' gathers turn each row into one (key,
 weight) entry and accumulate the entries, with one sort per group and no
 per-row value or union. The gather is exact and is not sketched, so it
@@ -19,14 +19,15 @@ One upward pass sends every message: the message from x to its parent y
 is the fold, grouped by the key x shares with y (one group if none), of
 x's value times the message from each of x's children, multiplied in
 elimination order (Yannakakis 1981; FAQ, Abo Khamis, Ngo and Rudra 2016).
-The join tree is `jointree.build_decomposition`'s, whose edges (child,
-parent) are listed in elimination order: each table sends to its parent
-in that order, after all its children, and the root is the one table with
-no parent. The root's last product is not built: `evaluate` pairs the
-root's value times every message but its last child's with that message,
-key by key, and the drivers read each pair at a threshold. Every query
-kind is this one pass; `sum` SumSum runs it over (count, sum) pairs, and
-`max` and `min` SumSum over plain floats (`algebra.SUMSUM_BASES`).
+The join tree and every fact about it come from the caller's plan,
+`jointree.Plan`, built once per query; the engine derives none of its
+own. Each table sends to its parent in the plan's edge order, after all
+its children, and the root is the plan's. The root's last product is not
+built: `evaluate` pairs the root's value times every message but its last
+child's (the plan's fused child) with that message, key by key, and the
+drivers read each pair at a threshold. Every query kind is this one
+pass; `sum` SumSum runs it over (count, sum) pairs, and `max` and `min`
+SumSum over plain floats (`algebra.SUMSUM_BASES`).
 
 The engine only folds, multiplies and sends. The carrier, its sketch and
 approx mode's size cap are the caller's choice, passed in `EngineConfig`
@@ -44,24 +45,21 @@ n more products however the n + 1 factors are associated, and the group
 fold adds one fold. The read at the root multiplies its value by its d
 children's messages, which cover the other m - 1 tables: m - 1 folds and
 (m - 1 - d) + d products, the last of which is the fused read and never
-built. So every read composes D = 2m - 3 sketches, the depth
-`sketch.alpha_for` spends epsilon on: a union's error is its worse
-operand's and a product's error factors multiply, so no read carries more
-than D factors of (1 +/- alpha).
+built. So every read composes D = max(2m - 3, 0) sketches, the plan's
+`depth`, over which `sketch.alpha_for` spends epsilon: a union's error
+is its worse operand's and a product's error factors multiply, so no
+read carries more than D factors of (1 +/- alpha).
 
 With sketched operations the result is order dependent, so elimination
-order and grouping are fixed and deterministic: the order is
-`build_decomposition`'s edge order (the rule that picks it, lowest-index
-leaf first, lives in `jointree`), and keys and groups keep the order of
-their first row.
+order and grouping are fixed and deterministic: the order is the plan's
+edge order (the rule that picks it, lowest-index leaf first, lives in
+`jointree`), and keys and groups keep the order of their first row.
 """
 
 import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-
-from .jointree import build_decomposition
 
 
 @dataclass
@@ -88,19 +86,6 @@ class Instrumentation:
         self.max_value_size = max(self.max_value_size, len(value))
 
 
-def assign_features(db):
-    """Each feature goes to the lowest-index table containing it.
-
-    Returns a dict feature -> table index and the per-table partition as a
-    list of feature sets indexed 1..m (index 0 unused).
-    """
-    owner = {f: min(ts) for f, ts in db.feature_tables.items()}
-    partition = [set() for _ in range(db.m + 1)]
-    for f, i in owner.items():
-        partition[i].add(f)
-    return owner, partition
-
-
 def _getter(cols):
     """row -> its value at the one column of `cols`, else the tuple of its
     values at `cols`: a scalar hashes faster than its 1-tuple."""
@@ -120,20 +105,20 @@ def _projection(features, shared):
     return _getter([features.index(f) for f in shared])
 
 
-def _seed(db, factors, config, key_features, instr):
-    """Each table's {join key: the gather of its rows}.
+def _seed(db, plan, factors, config, instr):
+    """Each table's {join key: the gather of its rows}, keyed by the
+    plan's `keys[t]`.
 
-    A row's leaves are those of the features the table owns and `factors`
-    lists, in schema order, so every row of a table holds as many. Each
-    factor runs once per distinct value, in first-row order: a memo per
-    feature keeps its leaves, and a memo per table keeps the leaves of
-    each distinct value (or tuple of values) a row holds at those
-    features."""
-    _, partition = assign_features(db)
+    A row's leaves are those of the features the table owns (the plan's
+    `owned[t]`) and `factors` lists, in schema order, so every row of a
+    table holds as many. Each factor runs once per distinct value, in
+    first-row order: a memo per feature keeps its leaves, and a memo per
+    table keeps the leaves of each distinct value (or tuple of values) a
+    row holds at those features."""
     keyed = {}
-    for t, features in key_features.items():
+    for t, features in plan.keys.items():
         src = db.table(t)
-        owned = [f for f in src.schema if f in partition[t] and f in factors]
+        owned = [f for f in plan.owned[t] if f in factors]
         memos = [(factors[f], {}) for f in owned]
         values_of = _getter([src.schema.index(f) for f in owned])
         leaves = dict.fromkeys(map(values_of, src.rows))
@@ -178,8 +163,9 @@ def _grouped(pairs, project):
     return groups
 
 
-def evaluate(db, factors, config, instr=None):
-    """The root's (a, b) pairs.
+def evaluate(db, plan, factors, config, instr=None):
+    """The root's (a, b) pairs, sending messages along `plan`, the
+    `jointree.Plan` of `db`.
 
     `factors` maps a feature name to a function value -> its leaf, and
     `config.gather(rows)` builds a join key's value from the rows that
@@ -188,49 +174,34 @@ def evaluate(db, factors, config, instr=None):
     every row of one call holds as many (none for a table that owns no
     such feature). A feature missing from `factors` takes no part. The
     aggregate over the bag join is the (+)-fold of a (x) b over the root's
-    pairs: one per join key of the table eliminated last, with b =
-    `config.one` when there is a single table. The product is not built.
-    With sketched operations a and b are approximations. A cyclic join
-    raises CyclicJoinError.
+    pairs: one per join key of the plan's root, with b = `config.one` when
+    there is a single table. The product is not built. With sketched
+    operations a and b are approximations, and a (x) b composes at most
+    the plan's `depth` sketches.
     """
-    tree = build_decomposition(db)
-    adj = tree.adjacency()
-    schemas = {t: set(db.table(t).schema) for t in adj}
-    key_features = {
-        t: sorted(set().union(*(schemas[t] & schemas[n] for n in adj[t])))
-        for t in adj
-    }
-    edge = {  # (t, n) -> t's key -> its values at the features shared with n
-        (t, n): _projection(key_features[t], sorted(schemas[t] & schemas[n]))
-        for t in adj for n in adj[t]
-    }
-    keyed = _seed(db, factors, config, key_features, instr)
-
-    parent = dict(tree.edges)  # child -> parent, in elimination order
-    children = {t: [] for t in adj}
-    for c, p in parent.items():
-        children[p].append(c)
-    (root,) = adj.keys() - parent.keys()
-    message = {}
+    keyed = _seed(db, plan, factors, config, instr)
+    keys, shared, message = plan.keys, plan.shared, {}
 
     def times_messages(x, senders):
         """x's value times the message from each of `senders`, x's
         children, in order, over the keys every message covers."""
         value = keyed[x]
         for n in senders:
-            sent, project = message[n], edge[x, n]
+            sent, project = message[n], _projection(keys[x], shared[n])
             value = {key: _built(config.times(v, other), config.sketch, instr)
                      for key, v in value.items()
                      if (other := sent.get(project(key))) is not None}
         return value
 
-    for c, p in parent.items():
-        groups = _grouped(times_messages(c, children[c]).items(), edge[c, p])
+    for c, _ in plan.edges:
+        groups = _grouped(times_messages(c, plan.children[c]).items(),
+                          _projection(keys[c], shared[c]))
         message[c] = _fold(groups, lambda items: config.plus(*items),
                            config.sketch, instr)
-    if not children[root]:
+    root = plan.root
+    if not plan.children[root]:
         return [(value, config.one) for value in keyed[root].values()]
-    *rest, last = children[root]
-    b, project = message[last], edge[root, last]
+    *rest, last = plan.children[root]
+    b, project = message[last], _projection(keys[root], shared[last])
     return [(value, b[s]) for key, value in times_messages(root, rest).items()
             if (s := project(key)) in b]

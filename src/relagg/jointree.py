@@ -5,6 +5,13 @@ indices such that, for every feature, the tables containing it induce a
 connected subtree. Construction repeatedly eliminates a table whose features
 are either private to it or all contained in one other remaining table;
 failure to find such a pair means the join is cyclic.
+
+`build_decomposition` returns the whole evaluation plan, built once per
+query: the tree, the order its messages are sent in, each table's join key
+and owned features, and the number of sketches any read composes. The
+engine, the drivers and the CLI read these facts off the `Plan` and derive
+none of their own (Yannakakis 1981; FAQ, Abo Khamis, Ngo and Rudra 2016,
+keeps the variable order apart from evaluation in the same way).
 """
 
 from dataclasses import dataclass
@@ -13,23 +20,39 @@ from .errors import CyclicJoinError
 
 
 @dataclass(frozen=True)
-class HypertreeDecomposition:
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
+class Plan:
+    """The join tree and everything evaluation reads off it.
 
-    def adjacency(self):
-        adj = {i: set() for i in range(1, self.num_vertices + 1)}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+    Tables are the indices 1..m, and each map is keyed by them.
+    - `edges`: (child, parent) pairs in send order, each child after all
+      of its own children;
+    - `root`: the one table with no parent;
+    - `children[t]`: t's children in send order; the root's last child
+      is the fused one, whose message the drivers read without a product;
+    - `keys[t]`: t's join-key features, those it shares with a neighbour,
+      sorted;
+    - `shared[c]`: the features child c shares with its parent, sorted;
+    - `owned[t]`: the features t owns, each owned by the lowest-index
+      table that has it, in t's schema order;
+    - `depth`: D, the number of sketches any read composes in approx mode,
+      max(2m - 3, 0) (`relagg.engine` gives the count).
+    """
+
+    edges: tuple[tuple[int, int], ...]
+    root: int
+    children: dict[int, tuple[int, ...]]
+    keys: dict[int, tuple[str, ...]]
+    shared: dict[int, tuple[str, ...]]
+    owned: dict[int, tuple[str, ...]]
+    depth: int
 
     def as_text(self):
         return "\n".join(f"{a} {b}" for a, b in self.edges)
 
 
 def build_decomposition(db):
-    """Deterministic join tree: scan (i, j) pairs in lowest-index order.
+    """The plan of a deterministic join tree: scan (i, j) pairs in
+    lowest-index order.
 
     Tables sharing no feature with the rest attach to the lowest-index
     remaining table (a cross product is acyclic).
@@ -43,36 +66,51 @@ def build_decomposition(db):
     m = db.m
     remaining = set(range(1, m + 1))
     schemas = {i: set(db.table(i).schema) for i in remaining}
-    edges = []
+    edges, shared = [], {}
     while len(remaining) > 1:
         found = None
         for i in sorted(remaining):
             others = remaining - {i}
-            shared = {
+            common = {
                 c for c in schemas[i] if any(c in schemas[o] for o in others)
             }
             for j in sorted(others):
-                if shared <= schemas[j]:
+                if common <= schemas[j]:
                     found = (i, j)
                     break
             if found:
                 break
         if found is None:
             raise CyclicJoinError("the query is cyclic: no eliminable table remains")
-        i, j = found
-        edges.append((i, j))
+        i, _ = found
+        edges.append(found)
+        shared[i] = tuple(sorted(common))
         remaining.remove(i)
-    return HypertreeDecomposition(num_vertices=m, edges=tuple(edges))
+    return Plan(
+        edges=tuple(edges),
+        root=remaining.pop(),
+        children={t: tuple(c for c, p in edges if p == t) for t in schemas},
+        keys={t: tuple(sorted(set().union(
+            *(shared[c] for c, p in edges if t in (c, p))))) for t in schemas},
+        shared=shared,
+        owned={t: tuple(f for f in db.table(t).schema
+                        if db.feature_tables[f][0] == t) for t in schemas},
+        depth=max(2 * m - 3, 0),
+    )
 
 
-def verify_decomposition(db, decomp):
-    """True iff decomp is a tree and every feature's vertex set is connected."""
+def verify_decomposition(db, edges):
+    """True iff `edges` form a tree on the tables 1..m and every feature's
+    tables are connected in it."""
     m = db.m
-    if decomp.num_vertices != m or len(decomp.edges) != m - 1:
+    if len(edges) != m - 1:
         return False
-    if any(not (1 <= a <= m and 1 <= b <= m) or a == b for a, b in decomp.edges):
+    if any(not (1 <= a <= m and 1 <= b <= m) or a == b for a, b in edges):
         return False
-    adj = decomp.adjacency()
+    adj = {i: set() for i in range(1, m + 1)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
     return (_connected(adj, set(range(1, m + 1)))
             and all(_connected(adj, set(tables))
                     for tables in db.feature_tables.values()))

@@ -45,26 +45,24 @@ from .algebra import COUNTS, SUMSUM_BASES, make_named
 _MAX_PLUS, _SUM_PAIRS = make_named("max-plus"), SUMSUM_BASES["sum"]
 
 
-def alpha_for(eps, m):
-    """Per-sketch parameter alpha with which an m-table plan stays within eps.
+def alpha_for(eps, depth):
+    """Per-sketch parameter alpha with which a plan whose reads compose
+    `depth` sketches stays within eps.
 
-    alpha = (1+eps)^(1/D) - 1, D = max(2m - 3, 1). Each sketch on the plan
-    keeps cumulative aggregates within one (1 +/- alpha) factor, and the
-    factors compose: a union's error is its worse operand's and a
-    product's error factors multiply, in each component of SumSum's pairs
-    too (`_band`). Every read the engine hands the drivers, at the root,
-    composes m - 1 sketched group folds and m - 2 sketched products; the
-    last product is the fused read, never built, and the join-key folds
-    and seeding products are exact (`relagg.engine` gives the count). So
-    a read carries at most D = 2m - 3 factors:
-    (1+alpha)^D = 1+eps, and (1-alpha)^D >= 1 - D alpha >= 1 - eps since
-    alpha <= eps / D.
+    alpha = (1+eps)^(1/D) - 1, D = max(depth, 1), so alpha = eps (up to
+    rounding) when depth <= 1. `depth` is the plan's (`jointree.Plan`;
+    `relagg.engine` gives the count). Each sketch on the plan keeps cumulative aggregates
+    within one (1 +/- alpha) factor, and the factors compose: a union's
+    error is its worse operand's and a product's error factors multiply, in
+    each component of SumSum's pairs too (`_band`). So a read carries at
+    most D factors: (1+alpha)^D = 1+eps, and
+    (1-alpha)^D >= 1 - D alpha >= 1 - eps since alpha <= eps / D.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return math.expm1(math.log1p(eps) / max(2 * m - 3, 1))
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    return math.expm1(math.log1p(eps) / max(depth, 1))
 
 
 def ms_sketch(a, eps):
@@ -161,8 +159,11 @@ def _first_bound(column, last, eps):
 
 def _bound(lo, hi, eps):
     """2 ceil(log(hi/lo) / log1p(eps)) + 4: the band pass's size bound for
-    a column whose positive finite aggregates span [lo, hi]."""
-    return 2 * math.ceil((math.log(hi) - math.log(lo)) / math.log1p(eps)) + 4
+    a column whose positive finite aggregates span [lo, hi]. An eps so
+    small that the quotient overflows bounds nothing: the bound is inf,
+    every value fits and comes back exact, which is within eps."""
+    bands = (math.log(hi) - math.log(lo)) / math.log1p(eps)
+    return 2 * math.ceil(bands) + 4 if bands < math.inf else math.inf
 
 
 def _cut(t, eps):
@@ -201,8 +202,8 @@ def _band(keys, weights, plus, decreasing, eps):
     cumulatives (and symmetrically), and a union adds them. So if each
     component of an operand's cumulative is within [x / (1+a), x], the
     product's are within the product of the operands' factors and the
-    union's within the worse one, as for counts: the depth D = 2m - 3 of
-    `alpha_for` bounds the sum component of every read.
+    union's within the worse one, as for counts: the plan's depth D, over
+    which `alpha_for` spends eps, bounds the sum component of every read.
 
     Size bound: a column fits at most `_bound(lo, hi)` entries, lo and hi
     its smallest and largest positive finite aggregates (4 when it has

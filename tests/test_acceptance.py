@@ -393,6 +393,6 @@ def test_criterion_10_acyclicity_detection():
             accepted = False
         if accepted != gyo_acyclic(schemas):
             ok = False
-        if accepted and not verify_decomposition(db, decomp):
+        if accepted and not verify_decomposition(db, decomp.edges):
             ok = False
     report(10, "acyclicity detection agrees with independent oracle", ok)

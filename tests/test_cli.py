@@ -5,7 +5,7 @@ import shlex
 
 import pytest
 
-from relagg import alpha_for
+from relagg import alpha_for, drivers
 from relagg.cli import build_parser, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -71,7 +71,7 @@ def test_count_json_report_is_deterministic(db1_dir, capsys):
     report = json.loads(outs[0])
     assert report["status"] == "ok"
     assert report["mode"] == "approx"
-    assert report["alpha"] == alpha_for(0.1, 2)
+    assert report["alpha"] == alpha_for(0.1, 1)
     assert 0.9 * 2 <= report["result"] <= 1.1 * 2
 
 
@@ -192,6 +192,56 @@ def test_bad_epsilon_exit_2(db1_dir, capsys, eps):
     ]) == 2
     err = capsys.readouterr().err
     assert err.startswith("rejected: epsilon") and err.count("\n") == 1
+
+
+@pytest.fixture
+def knapsack8(tmp_path):
+    """The knapsack over weights 1..8 at capacity 18: 8 tables, 135 subsets."""
+    out = tmp_path / "k8"
+    assert main(["gen", "knapsack", "--weights", "1,2,3,4,5,6,7,8",
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("eps, code", [("1e-310", 0), ("5e-324", 2)])
+def test_tiny_epsilon_is_exact_or_exit_2(knapsack8, capsys, eps, code):
+    """1e-310 bounds no sketch's size, so the count comes back exact;
+    5e-324 leaves a per-sketch alpha of 0 and is refused in one line."""
+    capsys.readouterr()
+    assert main(["count", "--tables", str(knapsack8), "--query",
+                 str(knapsack8 / "query.json"), "--epsilon", eps,
+                 "--output", "json"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["result"] == 135 and err == ""
+    else:
+        assert err.startswith(f"rejected: epsilon {eps} is too small")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, algebra", [
+    ("count", None), ("sumsum", "sum"), ("sumprod", "max-plus")])
+def test_reported_alpha_is_the_sketches_alpha(knapsack8, monkeypatch, capsys,
+                                              kind, algebra):
+    """Every sketch an approx query runs gets the alpha its report shows."""
+    alphas = []
+
+    def spying(sketch):
+        def spy(value, alpha):
+            alphas.append(alpha)
+            return sketch(value, alpha)
+        return spy
+    for name in ("ms_sketch", "ws_sketch"):
+        monkeypatch.setattr(drivers, name, spying(getattr(drivers, name)))
+    spec = json.loads((knapsack8 / "query.json").read_text())
+    if algebra:
+        spec.update(kind=kind, algebra=algebra, F=spec["inequality"]["g"])
+    q = write_query(knapsack8, spec, name=f"{kind}.json")
+    capsys.readouterr()
+    assert main([kind, "--tables", str(knapsack8), "--query", q,
+                 "--epsilon", "0.1", "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert alphas and set(alphas) == {report["alpha"]}
 
 
 def test_exact_query_with_bad_epsilon_exit_2(db1_dir, capsys):
@@ -473,7 +523,7 @@ def test_text_mode_prints_mode_epsilon_and_alpha(db1_dir, capsys):
     assert main(["count", "--tables", str(db1_dir), "--query", q,
                  "--epsilon", "0.1"]) == 0
     err = capsys.readouterr().err
-    assert f"# mode=approx epsilon=0.1 alpha={alpha_for(0.1, 2)} time=" in err
+    assert f"# mode=approx epsilon=0.1 alpha={alpha_for(0.1, 1)} time=" in err
 
 
 def test_text_mode_prints_sketch_sizes(db1_dir, capsys):

@@ -18,7 +18,9 @@ from relagg import (
     QuerySpec,
     Table,
     WeightedSet,
+    build_decomposition,
     count_rows,
+    gen_knapsack,
     make_named,
     oracle_eval,
     run_query,
@@ -269,8 +271,6 @@ def test_approx_still_compresses_a_cross_product(monkeypatch):
 
 
 def test_knapsack_counts_match_dp():
-    from relagg import gen_knapsack
-
     rng = random.Random(113)
     for _ in range(10):
         weights = [rng.randint(0, 8) for _ in range(rng.randint(1, 8))]
@@ -299,6 +299,26 @@ def test_count_rejects_nan_threshold():
 def test_count_approx_rejects_bad_epsilon(eps):
     with pytest.raises(QueryRejected, match="epsilon"):
         count_rows(_cross_2x2(), epsilon=eps, mode="approx")
+
+
+TINY_EPSILON_QUERIES = {
+    "count": lambda db, ineq, **kw: count_rows(db, ineq, **kw),
+    "sumprod": lambda db, ineq, **kw: sumprod(db, "max-plus", ineq.g, ineq, **kw),
+    "sumsum": lambda db, ineq, **kw: sumsum(db, "sum", ineq.g, ineq, **kw),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TINY_EPSILON_QUERIES))
+def test_tiny_epsilon_is_exact_or_refused(kind):
+    """On the knapsack over 1..8 (13 sketches per read), epsilon = 1e-310
+    bounds no sketch's size, so every value fits and the answer is the
+    exact one; at 5e-324 the per-sketch alpha rounds to 0, which is
+    refused."""
+    db, ineq = gen_knapsack(list(range(1, 9)), 18)
+    query = TINY_EPSILON_QUERIES[kind]
+    assert query(db, ineq, epsilon=1e-310, mode="approx") == query(db, ineq)
+    with pytest.raises(QueryRejected, match="alpha rounds to 0"):
+        query(db, ineq, epsilon=5e-324, mode="approx")
 
 
 def test_sumsum_approx_rejects_mixed_signs():
@@ -417,7 +437,7 @@ def test_one_table_rows_read_with_one():
     config = EngineConfig(plus=ms_union, times=ws_convolve, one=one,
                           gather=lambda rows: ws_gather(rows, COUNTS))
     factors = {f: (lambda v: (v, 1)) for f in db.feature_tables}
-    pairs = evaluate(db, factors, config)
+    pairs = evaluate(db, build_decomposition(db), factors, config)
     # the table's one join key () holds all its rows, read with the one
     assert [(len(a), b) for a, b in pairs] == [(40, one)]
     _check_against_oracle(
@@ -785,14 +805,14 @@ def test_each_factor_runs_once_per_distinct_value(monkeypatch, kind, algebra,
     F = {"c": identity()}
     calls = Counter()
 
-    def spying(db, factors, config, **kwargs):
+    def spying(db, plan, factors, config, **kwargs):
         def counted(f, fn):
             def factor(v):
                 calls[f, v] += 1
                 return fn(v)
             return factor
         factors = {f: counted(f, fn) for f, fn in factors.items()}
-        return evaluate(db, factors, config, **kwargs)
+        return evaluate(db, plan, factors, config, **kwargs)
 
     monkeypatch.setattr(drivers, "evaluate", spying)
     got = driver(db, F, ineq, mode=mode)

@@ -11,6 +11,7 @@ from relagg import (
     Instrumentation,
     Table,
     Database,
+    build_decomposition,
     count_rows,
     make_named,
     sumsum,
@@ -18,7 +19,7 @@ from relagg import (
 from relagg import drivers
 from relagg.bruteforce import materialize
 from relagg.algebra import COUNTS
-from relagg.engine import EngineConfig, assign_features, evaluate
+from relagg.engine import EngineConfig, evaluate
 from relagg.multiset import ms_union
 from relagg.queryspec import AdditiveInequality, identity
 from relagg.weightedset import ws_convolve, ws_gather, ws_one
@@ -47,7 +48,7 @@ def config_for(s):
 def join_value(db, factors, config, instr=None):
     """The aggregate over the whole join: the fold of a (x) b over the
     root's pairs that `evaluate` returns."""
-    pairs = evaluate(db, factors, config, instr=instr)
+    pairs = evaluate(db, build_decomposition(db), factors, config, instr=instr)
     return config.plus(*[config.times(a, b) for a, b in pairs])
 
 
@@ -75,13 +76,6 @@ def test_fold_records_group_size():
         assert instr.fold_count == 3
 
 
-def test_assign_features(db1):
-    owner, partition = assign_features(db1)
-    assert owner == {"a": 1, "b": 1, "c": 2}
-    assert partition[1] == {"a", "b"}
-    assert partition[2] == {"c"}
-
-
 def test_count_join_rows(db1):
     assert join_value(db1, ones(db1), config_for(COUNTING)) == 3
 
@@ -106,9 +100,9 @@ def test_sumsum_evaluates_once(monkeypatch):
     tables owning a feature, with a factor for each feature of F."""
     calls = []
 
-    def counted(db, factors, config, **kwargs):
+    def counted(db, plan, factors, config, **kwargs):
         calls.append(sorted(factors))
-        return evaluate(db, factors, config, **kwargs)
+        return evaluate(db, plan, factors, config, **kwargs)
 
     monkeypatch.setattr(drivers, "evaluate", counted)
     for m in range(1, 7):
@@ -130,16 +124,17 @@ def test_every_read_composes_2m_minus_3_sketches(case):
     """Carry each value's sketch count instead of a value: a fold keeps its
     largest item's count and a product adds its operands' counts, as their
     errors compose, and each sketch adds one. Every pair the root reads
-    then composes D = 2m - 3 sketches, the depth `alpha_for` spends
-    epsilon on."""
+    then composes the plan's depth D (2m - 3 for m >= 2) sketches, the
+    depth `alpha_for` spends epsilon over."""
     db, _ = tree_db(*case)
     depth = EngineConfig(
         plus=lambda *items: max(items), times=operator.add, one=0,
         gather=lambda rows: max(map(sum, rows)), sketch=lambda d: d + 1,
     )
     factors = {f: (lambda v: 0) for f in db.feature_tables}
-    pairs = evaluate(db, factors, depth)
-    assert {a + b for a, b in pairs} <= {max(2 * db.m - 3, 0)}
+    plan = build_decomposition(db)
+    pairs = evaluate(db, plan, factors, depth)
+    assert {a + b for a, b in pairs} <= {plan.depth}
 
 
 def test_dangling_rows_pruned():
@@ -198,6 +193,6 @@ def test_instrumentation_records_sizes(db1):
         gather=lambda rows: ws_gather(rows, COUNTS),
     )
     factors = {f: (lambda v: (v, 1)) for f in db1.feature_tables}
-    evaluate(db1, factors, config, instr=instr)
+    evaluate(db1, build_decomposition(db1), factors, config, instr=instr)
     assert instr.max_value_size >= 1
     assert instr.fold_count >= 1

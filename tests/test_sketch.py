@@ -29,19 +29,20 @@ COUNTING = make_named("counting")
 
 
 def test_alpha_for():
-    """At the worst depth an m-table plan reaches, D = 2m - 3 sketches, the
-    composed factors stay within (1 +/- eps)."""
-    for m in range(1, 9):
-        depth = max(2 * m - 3, 1)
+    """Over a plan whose reads compose D sketches, the composed factors
+    stay within (1 +/- eps); at D <= 1, alpha is eps up to rounding."""
+    for depth in range(14):
         for eps in (1e-3, 0.1, 0.5, 2.0):
-            a = alpha_for(eps, m)
+            a = alpha_for(eps, depth)
             assert (1 + a) ** depth <= (1 + eps) * (1 + 1e-12)
             assert (1 - a) ** depth >= 1 - eps
+            if depth <= 1:
+                assert math.isclose(a, eps, rel_tol=1e-15)
     for bad_eps in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             alpha_for(bad_eps, 3)
     with pytest.raises(ValueError):
-        alpha_for(0.1, 0)
+        alpha_for(0.1, -1)
 
 
 def test_sketches_reject_bad_eps():
