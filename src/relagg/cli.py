@@ -18,7 +18,6 @@ from .engine import Instrumentation
 from .errors import CapExceeded, CyclicJoinError, QueryRejected, TableError
 from .jointree import build_decomposition
 from .queryspec import inequality_to_json, spec_from_json
-from .sketch import alpha_for
 from .tables import Database, dump_table, load_table
 
 EXIT_OK = 0
@@ -89,31 +88,27 @@ def _emit(report, args, elapsed):
             print(f"# sketch sizes: {report['sketch']}", file=sys.stderr)
 
 
-def _run_engine(args, kind):
+def _cmd_query(args):
+    """count, sumsum, sumprod and oracle: the answer and what the run was,
+    its mode and, for the engine, the alpha its sketches got."""
     db = _load_database(args.tables)
     spec = _load_spec(args)
-    if spec.kind != kind:
-        raise QueryRejected(
-            f"query file declares kind {spec.kind!r}, subcommand is {kind!r}"
-        )
+    engine = args.command != "oracle"
+    if engine and spec.kind != args.command:
+        raise QueryRejected(f"query file declares kind {spec.kind!r}, "
+                            f"subcommand is {args.command!r}")
     instr = Instrumentation()
     start = time.perf_counter()
-    result = drivers.run_query(db, spec, instr=instr)
+    result = (drivers.run_query(db, spec, instr=instr) if engine
+              else bruteforce.oracle_eval(db, spec, cap=args.max_materialize))
     elapsed = time.perf_counter() - start
-    mode = drivers.run_mode(spec.kind, spec.algebra, spec.mode)
-    approx = mode == "approx"
-    report = {
-        "result": result,
-        "mode": mode,
-        "epsilon": spec.epsilon if approx else None,
-        "alpha": (alpha_for(spec.epsilon, build_decomposition(db).depth)
-                  if approx else None),
-        "sketch": {
-            "max_value_size": instr.max_value_size,
-            "max_fold_depth": instr.max_fold_depth,
-        },
-        "status": "ok",
-    }
+    report = {"result": result, "mode": "oracle", "status": "ok"}
+    if engine:
+        report.update(
+            mode=instr.mode, alpha=instr.alpha,
+            epsilon=None if instr.alpha is None else spec.epsilon,
+            sketch={"max_value_size": instr.max_value_size,
+                    "max_fold_depth": instr.max_fold_depth})
     _emit(report, args, elapsed)
     return EXIT_OK
 
@@ -130,23 +125,14 @@ def _cmd_decompose(args):
     return EXIT_OK
 
 
-def _cmd_oracle(args):
-    db = _load_database(args.tables)
-    spec = _load_spec(args)
-    start = time.perf_counter()
-    result = bruteforce.oracle_eval(db, spec, cap=args.max_materialize)
-    elapsed = time.perf_counter() - start
-    report = {"result": result, "mode": "oracle", "status": "ok"}
-    _emit(report, args, elapsed)
-    return EXIT_OK
-
-
 def _cmd_gen(args):
     try:
         weights = [int(w) for w in args.weights.split(",") if w]
     except ValueError:
         raise QueryRejected(f"--weights must be comma-separated integers, "
                             f"got {args.weights!r}") from None
+    if args.instance == "partition" and args.capacity is not None:
+        raise QueryRejected("--capacity applies to knapsack only")
     if args.instance == "knapsack":
         capacity = args.capacity if args.capacity is not None else sum(weights) // 2
         db, ineq = bruteforce.gen_knapsack(weights, capacity)
@@ -167,6 +153,18 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
+def _row_cap(text):
+    """--max-materialize: a number of rows, so an int >= 0."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {cap}")
+    return cap
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error exits 2 with one stderr line, as every rejection does."""
 
@@ -182,7 +180,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, query=True):
+    def add_common(p, run, query=True):
+        p.set_defaults(run=run)
         p.add_argument("--tables", nargs="+", required=True,
                        help="CSV files or directories of .csv tables")
         p.add_argument("--output", choices=("text", "json"), default="text")
@@ -190,24 +189,26 @@ def build_parser():
             p.add_argument("--query", required=True, help="query spec JSON file")
 
     p = sub.add_parser("decompose", help="print the join tree edge list")
-    add_common(p, query=False)
+    add_common(p, _cmd_decompose, query=False)
 
     for kind in ("count", "sumsum", "sumprod"):
         p = sub.add_parser(kind, help=f"run a {kind} query")
-        add_common(p)
+        add_common(p, _cmd_query)
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--epsilon", type=float, default=None)
         mode.add_argument("--exact", action="store_true")
 
     p = sub.add_parser("oracle", help="brute-force evaluation by materialization")
-    add_common(p)
-    p.add_argument("--max-materialize", type=int, default=bruteforce.DEFAULT_CAP)
+    add_common(p, _cmd_query)
+    p.add_argument("--max-materialize", type=_row_cap,
+                   default=bruteforce.DEFAULT_CAP)
 
     p = sub.add_parser("gen", help="write a generated fixture instance")
     p.add_argument("instance", choices=("knapsack", "partition"))
     p.add_argument("--weights", required=True, help="comma-separated integers")
-    p.add_argument("--capacity", type=int, default=None)
+    p.add_argument("--capacity", type=int, default=None, help="knapsack only")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_gen)
     return parser
 
 
@@ -215,13 +216,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command in ("count", "sumsum", "sumprod"):
-            return _run_engine(args, args.command)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        return _cmd_gen(args)
+        return args.run(args)
     except QueryRejected as exc:
         print(f"rejected: {exc.reason}", file=sys.stderr)
         return EXIT_REJECTED

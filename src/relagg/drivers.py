@@ -31,7 +31,12 @@ a per-sketch parameter alpha = alpha_for(epsilon, D), D the depth of
 the query's plan (`jointree.Plan`), so the answer is within
 (1 +/- epsilon) of the exact one, and refuses (CapExceeded) a sketched
 value past `SKETCH_SIZE_CAP` entries. A group folds in one n-ary
-union, so it is sketched once, not once per pairwise union.
+union, so it is sketched once, not once per pairwise union. `_evaluate`
+decides the mode a query runs in: a base whose (+) is not monotone, a
+`max` or `min` SumSum's, cannot be sketched, so it runs exactly in
+either mode. It writes the mode it ran and its sketches' alpha (None in
+exact mode) to the caller's `Instrumentation`, the run's record that the
+CLI reports.
 
 The drivers are where a query is refused, so a direct call refuses exactly
 what `run_query` and the CLI refuse. Each precondition is checked once, at
@@ -117,14 +122,16 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
     The leaf of a feature with a term, in the inequality or in F, is the
     (key, weight) entry of the inequality term and the F term (the base
     one when F has none), and `ws_gather` builds each join key's value
-    from its rows' leaves. The join tree's plan (`jointree.Plan`) is built
-    here, once, after the epsilon and mode checks, and the engine reads
-    every tree fact off it. Approx mode hands the engine the sketch with
+    from its rows' leaves. After the epsilon and mode checks, a base
+    whose (+) is not monotone switches to exact mode, and the join tree's
+    plan (`jointree.Plan`) is built, once; the engine reads every tree
+    fact off it. Approx mode hands the engine the sketch with
     alpha_for(epsilon, plan.depth), which also refuses (CapExceeded) a
     sketched value past SKETCH_SIZE_CAP entries; an epsilon whose alpha
-    rounds to 0 is refused (QueryRejected). The kernels are looked up here,
-    at call time, so wrappers set on this module's attributes see every
-    call.
+    rounds to 0 is refused (QueryRejected). Given `instr`, it records
+    there the mode it ran and that alpha (None in exact mode). The
+    kernels are looked up here, at call time, so wrappers set on this
+    module's attributes see every call.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise QueryRejected(
@@ -132,6 +139,8 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
         )
     if mode not in ("exact", "approx"):
         raise QueryRejected(f"unknown mode {mode!r}")
+    if base.plus_monotone not in ("increasing", "decreasing"):
+        mode = "exact"  # no sketch without a monotone (+): `max`, `min` SumSum
     plan = build_decomposition(db)
     plus, sketch = ((ms_union, ms_sketch) if base is COUNTS
                     else (ws_plus, ws_sketch))
@@ -145,6 +154,7 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
     }
     config = EngineConfig(plus=plus, times=ws_convolve, one=ws_one(base),
                           gather=gather)
+    alpha = None
     if mode == "approx":
         alpha = alpha_for(epsilon, plan.depth)
         if not alpha > 0:
@@ -158,21 +168,11 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
                                   f"entries (cap {SKETCH_SIZE_CAP})")
             return value
         config.sketch = capped
+    if instr is not None:
+        instr.mode, instr.alpha = mode, alpha
     pairs = evaluate(db, plan, factors, config, instr=instr)
     read = threshold_read(ineq.threshold, base)
     return reduce(base.plus, (read(a, b) for a, b in pairs), base.zero)
-
-
-def run_mode(kind, algebra, mode):
-    """The mode a `kind` query over `algebra` runs in when asked for
-    `mode`. Approx mode sketches only a base whose (+) is monotone, so a
-    `max` or `min` SumSum, whose base is not, runs exactly in either mode.
-    """
-    if mode == "approx" and kind == "sumsum":
-        base = SUMSUM_BASES[checked_algebra(kind, algebra).name]
-        if base.plus_monotone == "none":
-            return "exact"
-    return mode
 
 
 def count_rows(db, ineq=None, epsilon=0.1, mode="exact", instr=None):
@@ -200,7 +200,7 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     terms that mix signs over the active domains, sketches the pairs, and
     answers an all-negative F as minus that of -F, whose pairs are
     nonnegative. A `max` or `min` sumsum is computed exactly in either
-    mode (`run_mode`), so it takes terms of either sign.
+    mode (`_evaluate` decides), so it takes terms of either sign.
     """
     monoid = checked_algebra("sumsum", monoid)
     ineq = ineq or AdditiveInequality()
@@ -208,8 +208,7 @@ def sumsum(db, monoid, F, ineq=None, epsilon=0.1, mode="exact", instr=None):
     terms = checked_factors(db, monoid, F)
     base = SUMSUM_BASES[monoid.name]
     if monoid.name != "sum":
-        total = _evaluate(db, base, F, ineq, epsilon,
-                          run_mode("sumsum", monoid, mode), instr)
+        total = _evaluate(db, base, F, ineq, epsilon, mode, instr)
         # + 0.0: a zero answer is +0.0 whichever signed zero the fold kept
         return total + 0.0 if F else monoid.identity
     values = [fv for _, _, fv in terms]

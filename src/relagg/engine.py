@@ -73,9 +73,15 @@ class EngineConfig:
 
 @dataclass
 class Instrumentation:
+    """What a run did. The engine records its folds and values;
+    `drivers._evaluate` writes `mode` and `alpha`, the mode it ran in and
+    its sketches' alpha (None in exact mode), which the CLI reports."""
+
     max_fold_depth: int = 0  # ceil(log2 k) of the largest fold, k its items
     fold_count: int = 0
     max_value_size: int = 0
+    mode: str = None
+    alpha: float = None
 
     def record_fold(self, k):
         self.fold_count += 1

@@ -5,7 +5,7 @@ import shlex
 
 import pytest
 
-from relagg import alpha_for, drivers
+from relagg import alpha_for, cli, drivers
 from relagg.cli import build_parser, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -219,8 +219,18 @@ def test_tiny_epsilon_is_exact_or_exit_2(knapsack8, capsys, eps, code):
         assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("kind, algebra", [
-    ("count", None), ("sumsum", "sum"), ("sumprod", "max-plus")])
+SKETCHED = [("count", None), ("sumsum", "sum"), ("sumprod", "max-plus")]
+
+
+def knapsack8_query(knapsack8, kind, algebra):
+    """The knapsack's query file as a `kind` query over `algebra`, F = g."""
+    spec = json.loads((knapsack8 / "query.json").read_text())
+    if algebra:
+        spec.update(kind=kind, algebra=algebra, F=spec["inequality"]["g"])
+    return write_query(knapsack8, spec, name=f"{kind}.json")
+
+
+@pytest.mark.parametrize("kind, algebra", SKETCHED)
 def test_reported_alpha_is_the_sketches_alpha(knapsack8, monkeypatch, capsys,
                                               kind, algebra):
     """Every sketch an approx query runs gets the alpha its report shows."""
@@ -233,15 +243,32 @@ def test_reported_alpha_is_the_sketches_alpha(knapsack8, monkeypatch, capsys,
         return spy
     for name in ("ms_sketch", "ws_sketch"):
         monkeypatch.setattr(drivers, name, spying(getattr(drivers, name)))
-    spec = json.loads((knapsack8 / "query.json").read_text())
-    if algebra:
-        spec.update(kind=kind, algebra=algebra, F=spec["inequality"]["g"])
-    q = write_query(knapsack8, spec, name=f"{kind}.json")
+    q = knapsack8_query(knapsack8, kind, algebra)
     capsys.readouterr()
     assert main([kind, "--tables", str(knapsack8), "--query", q,
                  "--epsilon", "0.1", "--output", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert alphas and set(alphas) == {report["alpha"]}
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("exact", ["--exact"]), ("approx", ["--epsilon", "0.1"])])
+@pytest.mark.parametrize("kind, algebra", SKETCHED)
+def test_one_plan_per_query(knapsack8, monkeypatch, capsys, kind, algebra,
+                            mode, flags):
+    """A query builds its join tree's plan once, in the run; the report
+    reads the run's mode and alpha rather than building the plan again."""
+    builds = []
+    for owner in (drivers, cli):
+        build = owner.build_decomposition
+        monkeypatch.setattr(owner, "build_decomposition",
+                            lambda db, build=build: builds.append(db) or build(db))
+    q = knapsack8_query(knapsack8, kind, algebra)
+    capsys.readouterr()
+    assert main([kind, "--tables", str(knapsack8), "--query", q, *flags,
+                 "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == mode
+    assert len(builds) == 1
 
 
 def test_exact_query_with_bad_epsilon_exit_2(db1_dir, capsys):
@@ -456,6 +483,24 @@ def test_oracle_cap_exit_4(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_oracle_negative_cap_is_a_usage_error(db1_dir, capsys):
+    """A cap below 0 rows is a bad argument, not a cap the join exceeds."""
+    q = write_query(db1_dir, COUNT_LEQ9)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--tables", str(db1_dir), "--query", q,
+              "--max-materialize", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == ("relagg oracle: error: argument "
+                                       "--max-materialize: must be >= 0, got -1\n")
+
+
+def test_oracle_zero_cap_refuses_any_row(db1_dir, capsys):
+    q = write_query(db1_dir, COUNT_LEQ9)
+    assert main(["oracle", "--tables", str(db1_dir), "--query", q,
+                 "--max-materialize", "0"]) == 4
+    assert "cap of 0 rows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("files, reason", [
     ({}, "input error: no .csv tables found under "),
     ({"empty.csv": ""}, "input error: table 'empty': missing header row"),
@@ -541,6 +586,17 @@ def test_gen_non_integer_weight_exit_2(tmp_path, capsys, instance, weights):
     err = capsys.readouterr().err
     assert err.startswith("rejected: --weights must be comma-separated integers")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gen_partition_refuses_capacity(tmp_path, capsys):
+    """A partition instance has no capacity: the flag is refused, not
+    ignored, and nothing is written."""
+    out = tmp_path / "inst"
+    assert main(["gen", "partition", "--weights", "1,2", "--capacity", "5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "rejected: --capacity applies to knapsack only\n")
     assert not out.exists()
 
 

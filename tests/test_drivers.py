@@ -321,6 +321,36 @@ def test_tiny_epsilon_is_exact_or_refused(kind):
         query(db, ineq, epsilon=5e-324, mode="approx")
 
 
+@pytest.mark.parametrize("kind, algebra, sketched", [
+    ("count", "counting", True), ("sumsum", "sum", True),
+    ("sumprod", "max-plus", True), ("sumsum", "max", False),
+    ("sumsum", "min", False)])
+@pytest.mark.parametrize("mode, epsilon", [
+    ("exact", 0.1), ("approx", 0.1), ("approx", 0.37), ("approx", 5e-324)])
+def test_run_records_its_mode_and_alpha(kind, algebra, sketched, mode,
+                                        epsilon):
+    """`run_query` records in `instr` the mode it ran and its sketches'
+    alpha. A `max` or `min` sumsum cannot be sketched, so it runs and
+    records exact in either mode, at an epsilon whose alpha rounds to 0
+    too; a sketched query refuses that epsilon."""
+    db, ineq = gen_knapsack(list(range(1, 9)), 18)
+    F = {} if kind == "count" else dict(ineq.g)
+    spec = QuerySpec(kind=kind, algebra=algebra, F=F, inequalities=(ineq,),
+                     mode=mode, epsilon=epsilon)
+    instr = Instrumentation()
+    if sketched and epsilon == 5e-324:
+        with pytest.raises(QueryRejected, match="alpha rounds to 0"):
+            run_query(db, spec, instr=instr)
+        return
+    answer = run_query(db, spec, instr=instr)
+    if sketched and mode == "approx":
+        alpha = sketch.alpha_for(epsilon, build_decomposition(db).depth)
+        assert (instr.mode, instr.alpha) == ("approx", alpha)
+    else:
+        assert (instr.mode, instr.alpha) == ("exact", None)
+        assert answer == run_query(db, replace(spec, mode="exact"))
+
+
 def test_sumsum_approx_rejects_mixed_signs():
     db = _cross_2x2()
     F = {"a": identity(), "b": scale(-1.0)}
