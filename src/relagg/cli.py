@@ -9,6 +9,7 @@ JSON reports are deterministic for fixed inputs (timing is text-mode only).
 import argparse
 import json
 import pathlib
+import re
 import sys
 import time
 from dataclasses import replace
@@ -204,6 +205,9 @@ def build_parser():
                    default=bruteforce.DEFAULT_CAP)
 
     p = sub.add_parser("gen", help="write a generated fixture instance")
+    # a weight list that begins with a negative weight, -1,2, is a value,
+    # so the weights' own check names the fault
+    p._negative_number_matcher = re.compile(r"-\d[\d,-]*$")
     p.add_argument("instance", choices=("knapsack", "partition"))
     p.add_argument("--weights", required=True, help="comma-separated integers")
     p.add_argument("--capacity", type=int, default=None, help="knapsack only")

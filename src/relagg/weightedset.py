@@ -44,9 +44,19 @@ little-endian int, and the two ints multiplied once (Kronecker
 substitution: no output count carries into its neighbour's item); the
 product's items are the output counts. That costs O(|a| + |b| + span)
 plus one big-int product, against |a| |b| dict updates in the pairwise
-loop, which every other input takes: real, sparse, infinite or int-typed
-keys, and counts past 64 bits. Deciding costs one O(1) span test and a
-scan that stops at the first key that is not an integral float.
+loop. Deciding costs one O(1) span test and a scan that stops at the
+first key that is not an integral float. A product the packed path
+declines (real, sparse, infinite or int-typed keys, or counts past 64
+bits) whose every count is 1, the seeded value of a column of distinct
+reals, then takes the sorted path (`_sorted_sums`, Horowitz and Sahni's
+list of pair sums): the |a| |b| key sums are made in C, in the loop's
+order, and sorted once, and if they are strictly increasing each is an
+output key of count 1. Those are the loop's own float additions, and
+both paths sort the same sequence, so keys, counts and order are the
+loop's. Sums that collide, after rounding too (1e16 + 1.0 ==
+1e16 + 0.0), -0.0 beside 0.0, two infinite sums or a NaN send it to the
+pairwise loop, as does any count above 1, which costs one scan of each
+count column.
 
 `sum` pairs, SumSum's (count, sum) weights. When every count is an int
 >= 1 and every sum a nonnegative integral float, convolution tries the
@@ -82,7 +92,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, compress
+from itertools import chain, compress, islice, repeat
 from math import isfinite
 
 from .algebra import COUNTS, SUMSUM_BASES, Semiring, make_named
@@ -326,10 +336,11 @@ def ws_convolve(a, b):
     keys aggregate with the base (+); sorted unique keys, base zeros dropped.
 
     Over COUNTS the packed path, when the operands qualify, else the
-    pairwise int loop (module docstring); keys are floats on either path,
-    and the packed path returns +0.0 where a sum of -0.0 keys would give
-    -0.0 in the loop (the two compare equal). Over `sum` pairs the packed
-    path with two blocks, when the operands qualify. Under max-plus or
+    sorted path, when every count is 1 and the key sums are all distinct,
+    else the pairwise int loop (module docstring); keys are floats on each
+    path, and the packed path returns +0.0 where a sum of -0.0 keys would
+    give -0.0 in the loop (the two compare equal). Over `sum` pairs the
+    packed path with two blocks, when the operands qualify. Under max-plus or
     min-plus, when every weight is finite and so are max(a) + max(b) and
     min(a) + min(b), each pair costs one float add and one comparison,
     with no (x) call and no overflow test: rounding is monotone, so every
@@ -345,6 +356,8 @@ def ws_convolve(a, b):
         if packed is not None:
             keys, (counts,) = packed
             return Multiset._trusted(keys, counts, COUNTS)
+        if (product := _sorted_sums(a, b)) is not None:
+            return product
         acc = {}
         get = acc.get
         b_pairs = tuple(zip(b.keys, b.weights))
@@ -375,6 +388,24 @@ def ws_convolve(a, b):
             w = times(wa, wb)
             acc[key] = plus(acc[key], w) if key in acc else w
     return _from_dict(acc, base)
+
+
+def _sorted_sums(a, b):
+    """The product of two count sets whose every count is 1, as sorted
+    key sums of count 1, or None. Each row of sums, a key of a plus every
+    key of b, is made in C in the pairwise loop's order and appended to
+    one list, which is sorted once. None also when the sorted sums do not
+    strictly increase (two equal, -0.0 beside 0.0 among them, or a NaN):
+    there the loop must add the counts of equal keys."""
+    if a.weights.count(1) < len(a) or b.weights.count(1) < len(b):
+        return None
+    nb, sums = len(b), []
+    for ka in a.keys:
+        sums.extend(map(operator.add, repeat(ka, nb), b.keys))
+    sums.sort()
+    if all(map(operator.lt, sums, islice(sums, 1, None))):
+        return Multiset._trusted(tuple(sums), (1,) * len(sums), COUNTS)
+    return None
 
 
 def ws_triangle(a, ell):

@@ -30,16 +30,17 @@ def db1():
     ))
 
 
-def packed_products(mp):
-    """The results of `weightedset._packed` while `mp` holds: None for
-    each call that did not qualify, a product that fell back."""
+def path_results(mp, name):
+    """The results of the path `weightedset.<name>` (`_packed` or
+    `_sorted_sums`) while `mp` holds, one per call: None for each call
+    whose operands did not qualify, a product that fell back."""
     results = []
-    packed = weightedset._packed
+    path = getattr(weightedset, name)
 
     def spy(*args):
-        results.append(packed(*args))
+        results.append(path(*args))
         return results[-1]
-    mp.setattr(weightedset, "_packed", spy)
+    mp.setattr(weightedset, name, spy)
     return results
 
 

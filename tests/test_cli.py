@@ -589,6 +589,22 @@ def test_gen_non_integer_weight_exit_2(tmp_path, capsys, instance, weights):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("instance, rule", [("knapsack", "nonnegative"),
+                                            ("partition", "positive")])
+@pytest.mark.parametrize("spelling", [["--weights", "-1,2"],
+                                      ["--weights=-1,2"]])
+def test_gen_negative_first_weight_exit_2(tmp_path, capsys, instance, rule,
+                                          spelling):
+    """A list that begins with a negative weight is the value of --weights
+    in either spelling, so the refusal names the weights, not the
+    option's argument."""
+    out = tmp_path / "inst"
+    assert main(["gen", instance, *spelling, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"rejected: weights must be {rule} integers\n")
+    assert not out.exists()
+
+
 def test_gen_partition_refuses_capacity(tmp_path, capsys):
     """A partition instance has no capacity: the flag is refused, not
     ignored, and nothing is written."""

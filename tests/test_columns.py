@@ -9,12 +9,14 @@ rounding (1e16 + 1.0 == 1e16 + 0.0) or stay apart though equal over the
 reals (0.1 + 0.2 != 0.3 + 0.0), and counts reach past 2**1024, beyond the
 float range, where the band cut is taken in exact integers.
 
-Multiset convolution has two paths, the pairwise loop and the packed
-big-int product for integral float keys on a dense span; the lattice
-draws below reach both, and the product must match the reference on
-either. SumSum's product of (count, sum) pairs packs its count and sum
-columns the same way when every sum is a nonnegative integral float, and
-must match `ws_convolve` over the pair base on either path.
+Multiset convolution has three paths: the packed big-int product for
+integral float keys on a dense span, the sorted pair sums for operands
+whose every count is 1 and whose sums are all distinct, and the pairwise
+loop; the lattice and unit-count draws below reach each, and the product
+must match the reference on every one. SumSum's product of (count, sum)
+pairs packs its count and sum columns the same way when every sum is a
+nonnegative integral float, and must match `ws_convolve` over the pair
+base on either path.
 
 Over max-plus and min-plus the union and the product fold inline, without
 the base's calls, when every weight is finite and, for the product, the
@@ -52,7 +54,7 @@ from relagg import (
 from relagg.algebra import COUNTS, SUMSUM_BASES
 from relagg.drivers import threshold_read
 from relagg.weightedset import ws_empty, ws_gather, ws_one
-from conftest import packed_products
+from conftest import path_results
 
 BASES = {name: make_named(name) for name in ("counting", "min-plus", "max-plus")}
 KEYS = (-1e16, -0.1, 0.0, 0.1, 0.2, 0.3, 0.30000000000000004, 0.7, 1.0, 2.0,
@@ -443,10 +445,67 @@ def test_dense_lattice_products_skip_the_pairwise_loop(monkeypatch):
     b = Multiset(tuple((float(k), 1 + k * k) for k in range(-20, 9)))
     assert (len(a), len(b)) == (28, 29)
 
-    products = packed_products(monkeypatch)
+    products = path_results(monkeypatch, "_packed")
     got = ws_convolve(a, b)
     assert len(products) == 1 and products[0] is not None
     assert got.entries == ref_convolve(a.entries, b.entries, COUNTS)
+
+
+# ---------------------------------------------------------------------------
+# Convolution of unit counts: the sorted pair sums against the reference
+
+# -0.0 and +inf besides KEYS: -0.0 + x == 0.0 + x and inf + inf == inf
+# collide, 1e16 + 1.0 == 1e16 + 0.0 only after rounding, and
+# 0.1 + 0.2 != 0.3 + 0.0 stay apart
+UNIT_KEYS = KEYS + (-0.0, math.inf)
+
+
+def units(*keys):
+    return Multiset(tuple((k, 1) for k in keys))
+
+
+def takes_sorted_path(a, b):
+    return weightedset._sorted_sums(a, b) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(*[st.sets(st.sampled_from(UNIT_KEYS), min_size=1, max_size=6)
+         .map(lambda keys: units(*sorted(keys)))] * 2)
+@example(units(0.1, 0.3), units(0.0, 0.2))  # 0.1 + 0.2 beside 0.3 + 0.0
+@example(units(1e16), units(0.0, 1.0))  # 1e16 + 1.0 == 1e16 + 0.0
+@example(units(-0.0, 0.5), units(-0.5, -0.0))  # -0.0 beside 0.0
+@example(units(0.0, math.inf), units(0.0, 1.0))  # two inf sums
+def test_unit_count_convolution_matches_pair_reference(a, b):
+    """Every count 1: the same keys, counts and types as the reference on
+    whichever path runs, and off the packed path, which gives +0.0 for a
+    sum of -0.0 keys, the same `repr`, so -0.0 against 0.0 too."""
+    got, want = ws_convolve(a, b), ref_convolve(a.entries, b.entries, COUNTS)
+    assert got.entries == want
+    assert [tuple(map(type, e)) for e in got.entries] == \
+        [tuple(map(type, e)) for e in want]
+    if not takes_packed_path(a, b):
+        assert repr(got.entries) == repr(want)
+
+
+UNIT_PATH_CASES = {  # name -> (a, b, whether the sorted path takes them)
+    "distinct-real-sums": (units(0.1, 0.3), units(0.0, 0.2, 0.7), True),
+    "one-inf-sum": (units(0.5), units(0.25, math.inf), True),
+    "collide-after-rounding": (units(1e16), units(0.0, 1.0), False),
+    "count-2": (Multiset(((0.1, 2), (0.3, 1))), units(0.0, 0.2), False),
+    "two-inf-sums": (units(0.5, math.inf), units(0.0, 0.25), False),
+    "negative-zero-beside-zero": (units(-0.0, 0.5), units(-0.5, -0.0),
+                                  False),
+}
+
+
+@pytest.mark.parametrize("a, b, sort", UNIT_PATH_CASES.values(),
+                         ids=UNIT_PATH_CASES)
+def test_unit_count_path_follows_the_operands(a, b, sort):
+    """None of these packs; the sorted path takes unit counts whose sums
+    are all distinct, and the loop every other product."""
+    assert not takes_packed_path(a, b) and takes_sorted_path(a, b) is sort
+    got = ws_convolve(a, b)
+    assert repr(got.entries) == repr(ref_convolve(a.entries, b.entries, COUNTS))
 
 
 # a value over COUNTS: a lattice draw (integral keys, dense or sparse, int
@@ -533,7 +592,7 @@ def _pair_product(monkeypatch, a, b):
     """ws_convolve(a, b) and whether it fell back to the generic loop: no
     packed product came back."""
     with monkeypatch.context() as mp:
-        products = packed_products(mp)
+        products = path_results(mp, "_packed")
         return ws_convolve(a, b), not any(p is not None for p in products)
 
 

@@ -41,7 +41,7 @@ from conftest import (
     STAR_CASE,
     identity_fns,
     knapsack_count_dp,
-    packed_products,
+    path_results,
     random_acyclic_db,
     random_affine_inequality,
     sum_leq,
@@ -568,12 +568,36 @@ def test_sum_pairs_outside_f_still_pack(monkeypatch):
     F = {"x1": identity()}
     calls = Counter()
     _spy(monkeypatch, calls, drivers, "ws_convolve")
-    products = packed_products(monkeypatch)
+    products = path_results(monkeypatch, "_packed")
     got = sumsum(db, "sum", F, ineq)
     assert calls["ws_convolve"] > 0
     assert sum(p is not None for p in products) == calls["ws_convolve"]
     assert got == oracle_eval(db, QuerySpec(kind="sumsum", algebra="sum", F=F,
                                             inequalities=(ineq,)))
+
+
+def test_real_cross_product_counts_by_sorted_sums(monkeypatch):
+    """The benchmark's cross-real shape at n = 15: three one-column tables
+    of uniform reals. Every count is 1 and every pair sum distinct, so
+    each exact product is the sorted list of its pair sums; the count
+    equals the oracle's, and approx lies within epsilon of it."""
+    rng = random.Random(3)
+    db = Database(tables=tuple(
+        Table(f"t{i}", (f"x{i}",), tuple((rng.random(),) for _ in range(15)))
+        for i in range(1, 4)
+    ))
+    ineq = AdditiveInequality(
+        g={f"x{i}": identity() for i in range(1, 4)}, threshold=1.5
+    )
+    exact = oracle_eval(db, QuerySpec(kind="count", inequalities=(ineq,)))
+    calls = Counter()
+    _spy(monkeypatch, calls, drivers, "ws_convolve")
+    products = path_results(monkeypatch, "_sorted_sums")
+    assert count_rows(db, ineq) == exact
+    assert calls["ws_convolve"] > 0
+    assert sum(p is not None for p in products) == calls["ws_convolve"]
+    approx = count_rows(db, ineq, epsilon=0.1, mode="approx")
+    assert _within(approx, exact, 0.1)
 
 
 # The epsilon guarantee at the worst depth a 5-table plan reaches,
