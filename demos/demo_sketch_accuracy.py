@@ -6,8 +6,9 @@ mode keeps every intermediate within the band sketch's logarithmic size
 bound, 2 ceil(log(hi/lo) / log1p(alpha)) + 4 entries, with lo and hi the
 smallest and largest cumulative counts, while keeping the answer within
 the requested relative error eps: alpha = (1+eps)^(1/D) - 1, where D is
-the plan's depth, the number of sketches any read composes (2m - 3 for
-m >= 2 tables; alpha = eps when D <= 1). It
+the plan's depth, the number of sketches any read composes (2m - 5 on
+this chain of m >= 3 tables, whose root's fused child has a child;
+alpha = eps when D <= 1). It
 compresses only values past that bound, so here, where a few hundred
 distinct sums stay far below it, approx mode returns the exact count.
 """

@@ -119,7 +119,8 @@ def _cmd_decompose(args):
     plan = build_decomposition(db)
     text = plan.as_text()
     if args.output == "json":
-        print(json.dumps({"edges": list(plan.edges), "status": "ok"},
+        print(json.dumps({"edges": list(plan.edges), "root": plan.root,
+                          "depth": plan.depth, "status": "ok"},
                          sort_keys=True))
     elif text:
         print(text)
@@ -189,7 +190,8 @@ def build_parser():
         if query:
             p.add_argument("--query", required=True, help="query spec JSON file")
 
-    p = sub.add_parser("decompose", help="print the join tree edge list")
+    p = sub.add_parser("decompose", help="print the join tree edge list "
+                       "(JSON: also its root and depth)")
     add_common(p, _cmd_decompose, query=False)
 
     for kind in ("count", "sumsum", "sumprod"):

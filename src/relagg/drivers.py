@@ -23,20 +23,25 @@ pairs, one per join key of the root; `threshold_read` reads each
 Delta_L(a (x) b) off a and b under the weights' base, and `_evaluate`
 folds these into the answer, so no root product or fold is built. Exact
 mode uses the exact carrier operations; approx mode has the engine sketch
-the result of every group fold and every product (`ws_sketch`, under
-its multiset name `ms_sketch` over `COUNTS`: one band pass, whose fit
-test first passes on a value that its length and a few of its weights
-prove fits the size bound, so that value costs no cumulative pass) with
-a per-sketch parameter alpha = alpha_for(epsilon, D), D the depth of
-the query's plan (`jointree.Plan`), so the answer is within
-(1 +/- epsilon) of the exact one, and refuses (CapExceeded) a sketched
-value past `SKETCH_SIZE_CAP` entries. A group folds in one n-ary
-union, so it is sketched once, not once per pairwise union. `_evaluate`
-decides the mode a query runs in: a base whose (+) is not monotone, a
-`max` or `min` SumSum's, cannot be sketched, so it runs exactly in
-either mode. It writes the mode it ran and its sketches' alpha (None in
-exact mode) to the caller's `Instrumentation`, the run's record that the
-CLI reports.
+the result of every group fold and every product that a later product
+reads (`ws_sketch`, under its multiset name `ms_sketch` over `COUNTS`:
+one band pass, whose fit test first passes on a value that its length
+and a few of its weights prove fits the size bound, so that value costs
+no cumulative pass). The message of the root's fused child, which only
+`threshold_read` consumes, is built exactly: its fold and its last
+product are not sketched, since the read costs the same prefix pass a
+sketch opens with. Each sketch takes alpha = alpha_for(epsilon, D), D
+the depth of the query's plan (`jointree.Plan`: 2m - 4, or 2m - 5 when
+the fused child has children, 0 for one table), so the answer is within
+(1 +/- epsilon) of the exact one. Approx mode refuses (CapExceeded) a
+sketched value past `SKETCH_SIZE_CAP` entries; the cap bounds only
+sketched values, not the fused child's exact message. A group folds in
+one n-ary union, so it is sketched once, not once per pairwise union.
+`_evaluate` decides the mode a query runs in: a base whose (+) is not
+monotone, a `max` or `min` SumSum's, cannot be sketched, so it runs
+exactly in either mode. It writes the mode it ran and its sketches'
+alpha (None in exact mode) to the caller's `Instrumentation`, the run's
+record that the CLI reports.
 
 The drivers are where a query is refused, so a direct call refuses exactly
 what `run_query` and the CLI refuse. Each precondition is checked once, at
@@ -70,7 +75,7 @@ from .queryspec import (
 from .sketch import alpha_for, ms_sketch, ws_sketch
 from .weightedset import ws_convolve, ws_gather, ws_one, ws_plus
 
-SKETCH_SIZE_CAP = 10**6  # approx mode aborts when a value outgrows this
+SKETCH_SIZE_CAP = 10**6  # approx mode aborts past a sketched value this large
 
 
 def threshold_read(threshold, base):
@@ -126,12 +131,15 @@ def _evaluate(db, base, F, ineq, epsilon, mode, instr):
     whose (+) is not monotone switches to exact mode, and the join tree's
     plan (`jointree.Plan`) is built, once; the engine reads every tree
     fact off it. Approx mode hands the engine the sketch with
-    alpha_for(epsilon, plan.depth), which also refuses (CapExceeded) a
-    sketched value past SKETCH_SIZE_CAP entries; an epsilon whose alpha
-    rounds to 0 is refused (QueryRejected). Given `instr`, it records
-    there the mode it ran and that alpha (None in exact mode). The
-    kernels are looked up here, at call time, so wrappers set on this
-    module's attributes see every call.
+    alpha_for(epsilon, plan.depth), plan.depth being the number of
+    sketches a read composes; the engine applies it to every value a
+    later product reads, not to the fused child's fold or last product.
+    The sketch also refuses (CapExceeded) a sketched value past
+    SKETCH_SIZE_CAP entries, so the cap bounds only sketched values; an
+    epsilon whose alpha rounds to 0 is refused (QueryRejected). Given
+    `instr`, it records there the mode it ran and that alpha (None in
+    exact mode). The kernels are looked up here, at call time, so
+    wrappers set on this module's attributes see every call.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise QueryRejected(

@@ -32,23 +32,33 @@ SumSum over plain floats (`algebra.SUMSUM_BASES`).
 The engine only folds, multiplies and sends. The carrier, its sketch and
 approx mode's size cap are the caller's choice, passed in `EngineConfig`
 (`drivers._evaluate` makes it for every query): the engine applies
-`config.sketch`, when set, to each group fold and product it builds, and
-knows nothing of the cap, which the sketch itself enforces.
+`config.sketch`, when set, to each group fold and product that a later
+product reads, and knows nothing of the cap, which the sketch itself
+enforces.
 
-Approximation depth: approx mode sketches every group fold and every
-product (not the seeding gathers). By induction over the tree, a message
-from x to its parent, which summarizes the s tables of x's subtree,
-composes s sketched folds and s - 1 sketched products: the n messages
-from x's children cover the other s - 1 tables, so they compose s - 1
-folds and s - 1 - n products; multiplying x's exact value by them takes
-n more products however the n + 1 factors are associated, and the group
-fold adds one fold. The read at the root multiplies its value by its d
-children's messages, which cover the other m - 1 tables: m - 1 folds and
-(m - 1 - d) + d products, the last of which is the fused read and never
-built. So every read composes D = max(2m - 3, 0) sketches, the plan's
-`depth`, over which `sketch.alpha_for` spends epsilon: a union's error
-is its worse operand's and a product's error factors multiply, so no
-read carries more than D factors of (1 +/- alpha).
+Approximation depth: a sketch keeps later operations small, so approx
+mode sketches every group fold and every product that another product
+reads, and not the seeding gathers. The fused child's message is read
+once, by the drivers, and multiplied by nothing, so its group fold and
+its last product (its value times its last child's message) are built
+exactly: a sketch there would cost a pass over the value and save no
+later work. Its earlier products each feed a later one and stay
+sketched. By induction over the tree, a message from x to its parent,
+which summarizes the s tables of x's subtree, composes s sketched folds
+and s - 1 sketched products: the n messages from x's children cover the
+other s - 1 tables, so they compose s - 1 folds and s - 1 - n products;
+multiplying x's exact value by them takes n more products however the
+n + 1 factors are associated, and the group fold adds one fold. The
+read at the root multiplies its value by its d children's messages,
+which cover the other m - 1 tables: m - 1 folds and (m - 1 - d) + d
+products, the last of which is the fused read and never built. The
+fused child's exact fold takes one sketch off that, and when it has
+children, its exact last product one more. So every read composes
+D = 2m - 4 sketches when the fused child is a leaf, 2m - 5 when it has
+children, and 0 for one table: the plan's `depth`, over which
+`sketch.alpha_for` spends epsilon. A union's error is its worse
+operand's and a product's error factors multiply, so no read carries
+more than D factors of (1 +/- alpha).
 
 With sketched operations the result is order dependent, so elimination
 order and grouping are fixed and deterministic: the order is the plan's
@@ -68,7 +78,7 @@ class EngineConfig:
     times: callable
     one: object
     gather: callable  # gather(rows) -> one join key's value, see `evaluate`
-    sketch: callable = None  # approx mode: applied to each group fold and product
+    sketch: callable = None  # approx mode: applied to what a later product reads
 
 
 @dataclass
@@ -182,32 +192,37 @@ def evaluate(db, plan, factors, config, instr=None):
     aggregate over the bag join is the (+)-fold of a (x) b over the root's
     pairs: one per join key of the plan's root, with b = `config.one` when
     there is a single table. The product is not built. With sketched
-    operations a and b are approximations, and a (x) b composes at most
+    operations a and b are approximations, and a (x) b composes exactly
     the plan's `depth` sketches.
     """
     keyed = _seed(db, plan, factors, config, instr)
     keys, shared, message = plan.keys, plan.shared, {}
 
-    def times_messages(x, senders):
+    def times_messages(x, senders, last_sketch=config.sketch):
         """x's value times the message from each of `senders`, x's
-        children, in order, over the keys every message covers."""
+        children, in order, over the keys every message covers; the last
+        product is sketched by `last_sketch`, every other by the config's."""
         value = keyed[x]
         for n in senders:
             sent, project = message[n], _projection(keys[x], shared[n])
-            value = {key: _built(config.times(v, other), config.sketch, instr)
+            sketch = last_sketch if n == senders[-1] else config.sketch
+            value = {key: _built(config.times(v, other), sketch, instr)
                      for key, v in value.items()
                      if (other := sent.get(project(key))) is not None}
         return value
 
+    root = plan.root
+    *rest, fused = plan.children[root] or (None,)
     for c, _ in plan.edges:
-        groups = _grouped(times_messages(c, plan.children[c]).items(),
+        # the fused child's message is only read, by the drivers, so its
+        # last product and its fold are built exactly
+        sketch = None if c == fused else config.sketch
+        groups = _grouped(times_messages(c, plan.children[c], sketch).items(),
                           _projection(keys[c], shared[c]))
         message[c] = _fold(groups, lambda items: config.plus(*items),
-                           config.sketch, instr)
-    root = plan.root
-    if not plan.children[root]:
+                           sketch, instr)
+    if fused is None:
         return [(value, config.one) for value in keyed[root].values()]
-    *rest, last = plan.children[root]
-    b, project = message[last], _projection(keys[root], shared[last])
+    b, project = message[fused], _projection(keys[root], shared[fused])
     return [(value, b[s]) for key, value in times_messages(root, rest).items()
             if (s := project(key)) in b]

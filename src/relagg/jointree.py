@@ -34,8 +34,12 @@ class Plan:
     - `shared[c]`: the features child c shares with its parent, sorted;
     - `owned[t]`: the features t owns, each owned by the lowest-index
       table that has it, in t's schema order;
-    - `depth`: D, the number of sketches any read composes in approx mode,
-      max(2m - 3, 0) (`relagg.engine` gives the count).
+    - `depth`: D, the number of sketches any read composes in approx
+      mode: 2m - 4 when the fused child is a leaf, 2m - 5 when it has
+      children, 0 for one table. Approx mode sketches only what a later
+      product reads, so not the fused child's fold or last product
+      (`relagg.engine` gives the count); `drivers.SKETCH_SIZE_CAP` bounds
+      only the sketched values.
     """
 
     edges: tuple[tuple[int, int], ...]
@@ -86,16 +90,19 @@ def build_decomposition(db):
         edges.append(found)
         shared[i] = tuple(sorted(common))
         remaining.remove(i)
+    root = remaining.pop()
+    children = {t: tuple(c for c, p in edges if p == t) for t in schemas}
+    fused = children[root][-1] if children[root] else None
     return Plan(
         edges=tuple(edges),
-        root=remaining.pop(),
-        children={t: tuple(c for c, p in edges if p == t) for t in schemas},
+        root=root,
+        children=children,
         keys={t: tuple(sorted(set().union(
             *(shared[c] for c, p in edges if t in (c, p))))) for t in schemas},
         shared=shared,
         owned={t: tuple(f for f in db.table(t).schema
                         if db.feature_tables[f][0] == t) for t in schemas},
-        depth=max(2 * m - 3, 0),
+        depth=0 if fused is None else 2 * m - (5 if children[fused] else 4),
     )
 
 

@@ -28,10 +28,10 @@ column only to confirm a bound that already admits n. Results are built
 with the input's own `_trusted`, skipping the entry check, so a multiset
 comes back as a multiset.
 
-Approx mode applies a sketch after every group fold and every product the
-engine runs: the drivers hand the engine the sketch of their carrier with
-alpha bound in, and `alpha_for` derives alpha from the requested total
-error eps.
+Approx mode applies a sketch after every group fold and every product
+that a later product reads (`relagg.engine` says which): the drivers hand
+the engine the sketch of their carrier with alpha bound in, and
+`alpha_for` derives alpha from the requested total error eps.
 """
 
 import math
@@ -50,11 +50,15 @@ def alpha_for(eps, depth):
     `depth` sketches stays within eps.
 
     alpha = (1+eps)^(1/D) - 1, D = max(depth, 1), so alpha = eps (up to
-    rounding) when depth <= 1. `depth` is the plan's (`jointree.Plan`;
-    `relagg.engine` gives the count). Each sketch on the plan keeps cumulative aggregates
-    within one (1 +/- alpha) factor, and the factors compose: a union's
-    error is its worse operand's and a product's error factors multiply, in
-    each component of SumSum's pairs too (`_band`). So a read carries at
+    rounding) when depth <= 1. `depth` is the plan's (`jointree.Plan`):
+    2m - 4 sketches, or 2m - 5 when the root's fused child has children,
+    since the fused child's fold and last product are not sketched
+    (`relagg.engine` gives the count); a value left unsketched is exact,
+    carries no factor, and `drivers.SKETCH_SIZE_CAP` does not bound it.
+    Each sketch on the plan keeps cumulative aggregates within one
+    (1 +/- alpha) factor, and the factors compose: a union's error is its
+    worse operand's and a product's error factors multiply, in each
+    component of SumSum's pairs too (`_band`). So a read carries at
     most D factors: (1+alpha)^D = 1+eps, and
     (1-alpha)^D >= 1 - D alpha >= 1 - eps since alpha <= eps / D.
     """

@@ -41,7 +41,7 @@ def test_decompose(db1_dir, capsys):
 def test_decompose_json(db1_dir, capsys):
     assert main(["decompose", "--tables", str(db1_dir), "--output", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report == {"edges": [[1, 2]], "status": "ok"}
+    assert report == {"edges": [[1, 2]], "root": 2, "depth": 0, "status": "ok"}
 
 
 def test_decompose_cyclic_exit_3(tmp_path, capsys):

@@ -252,11 +252,14 @@ def _sketched_queries(db, F, ineq):
 
 def test_approx_still_compresses_a_cross_product(monkeypatch):
     """On a cross product of reals the values outgrow the size bound: each
-    query's band pass runs and compresses at least one of them."""
-    db = _cross_real(3, 40, seed=5)
-    ys = {f"y{i}": identity() for i in range(1, 4)}
+    query's band pass runs and compresses at least one of them. It takes
+    four tables: the chain 1 - 2 - 3 - 4 sketches t2's product, which t3,
+    the root's fused child, multiplies again, whereas a 3-table chain
+    sketches only t1's message, which fits."""
+    db = _cross_real(4, 40, seed=5)
+    ys = {f"y{i}": identity() for i in range(1, 5)}
     ineq = AdditiveInequality(
-        g={f"x{i}": identity() for i in range(1, 4)}, threshold=1.5)
+        g={f"x{i}": identity() for i in range(1, 5)}, threshold=2.0)
     band, compressed = sketch._band, []
 
     def spy(*args):
@@ -268,6 +271,28 @@ def test_approx_still_compresses_a_cross_product(monkeypatch):
         compressed.clear()
         exact, got = query(), query(epsilon=0.1, mode="approx")
         assert any(compressed) and abs(got - exact) <= 0.1 * abs(exact)
+
+
+def test_two_tables_sketch_nothing(monkeypatch):
+    """A 2-table plan's one message is the fold of the root's fused child,
+    which only the read consumes: approx mode runs no band pass and
+    answers exactly, on a cross product and on a keyed join."""
+    keyed = Database(tables=tuple(
+        Table(f"t{t}", ("k", f"x{t}", f"y{t}"), tuple(
+            (float(i % 3), i / (4 + 3 * t), float(i % (3 + t)))
+            for i in range(40)))
+        for t in (1, 2)
+    ))
+    ys = {"y1": identity(), "y2": identity()}
+    bands, band = [], sketch._band
+    monkeypatch.setattr(sketch, "_band",
+                        lambda *args: bands.append(args) or band(*args))
+    for db, threshold in ((_cross_real(2, 40, seed=5), 1.0), (keyed, 4.0)):
+        ineq = AdditiveInequality(g={"x1": identity(), "x2": identity()},
+                                  threshold=threshold)
+        for query in _sketched_queries(db, ys, ineq):
+            assert query(epsilon=0.1, mode="approx") == query()
+    assert not bands
 
 
 def test_knapsack_counts_match_dp():
@@ -310,7 +335,7 @@ TINY_EPSILON_QUERIES = {
 
 @pytest.mark.parametrize("kind", sorted(TINY_EPSILON_QUERIES))
 def test_tiny_epsilon_is_exact_or_refused(kind):
-    """On the knapsack over 1..8 (13 sketches per read), epsilon = 1e-310
+    """On the knapsack over 1..8 (11 sketches per read), epsilon = 1e-310
     bounds no sketch's size, so every value fits and the answer is the
     exact one; at 5e-324 the per-sketch alpha rounds to 0, which is
     refused."""
@@ -495,7 +520,9 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
     `ws_gather` call per key, and each elimination folds a group, one
     `ms_union` call; no seeded value passes the constructor's check, and a
     feature without a term (y_i) seeds no product. Approx mode sketches
-    each group fold and each product once, and not the join-key gathers."""
+    t1's group fold, the only value a later product reads: t2, the root's
+    fused child, builds its product and fold exactly for the read, and no
+    join-key gather is sketched."""
     calls = Counter()
     for name in ("ws_gather", "ms_union", "ws_convolve", "ms_sketch"):
         _spy(monkeypatch, calls, drivers, name)
@@ -516,8 +543,8 @@ def test_exact_count_folds_in_one_pass(monkeypatch):
         # t2 takes t1's group
         assert calls["ws_convolve"] == 1
         assert calls["check"] == 0
-    # the counts of the approx run, the last one: two group folds, one product
-    assert calls["ms_sketch"] == 2 + 1
+    # the counts of the approx run, the last one: t1's group fold
+    assert calls["ms_sketch"] == 1
     exact = answers["exact"]
     assert abs(answers["approx"] - exact) <= 0.1 * exact
     assert exact == oracle_eval(db, QuerySpec(kind="count", inequalities=(ineq,)))
@@ -527,10 +554,10 @@ def test_sumsum_on_a_chain_builds_one_product_per_message(monkeypatch):
     """On the chain 1 - 2 - 3, rooted at t3, sumsum is one upward pass over
     (count, sum) pairs: each row's entry is its x_i leaf times its y_i
     leaf, one pair product inside its table's gather; t1 folds its one key
-    into its message, t2 builds
-    one product (its value times t1's message) and folds it into its
-    message, and t3's read fuses the last product. Approx mode sketches
-    the two message folds and the product."""
+    into its message, t2 builds one product (its value times t1's
+    message) and folds it into its message, and t3's read fuses the last
+    product. Approx mode sketches t1's message fold only: t2 is the root's
+    fused child, whose product and fold only the read consumes."""
     calls = Counter()
     for name in ("ws_gather", "ws_plus", "ws_convolve", "ws_sketch"):
         _spy(monkeypatch, calls, drivers, name)
@@ -541,7 +568,7 @@ def test_sumsum_on_a_chain_builds_one_product_per_message(monkeypatch):
     F = {f"y{i}": identity() for i in range(1, 4)}
     exact = oracle_eval(db, QuerySpec(kind="sumsum", algebra="sum", F=F,
                                       inequalities=(ineq,)))
-    for mode, sketches in (("exact", 0), ("approx", 2 + 1)):
+    for mode, sketches in (("exact", 0), ("approx", 1)):
         calls.clear()
         got = sumsum(db, "sum", F, ineq, mode=mode)
         # three join-key gathers, two message folds, one message product
@@ -600,17 +627,19 @@ def test_real_cross_product_counts_by_sorted_sums(monkeypatch):
     assert _within(approx, exact, 0.1)
 
 
-# The epsilon guarantee at the worst depth a 5-table plan reaches,
-# 2m - 3 = 7 sketches, with values large enough that sketches compress.
+# The epsilon guarantee at the depths 5-table plans reach, with values
+# large enough that sketches compress: 2m - 5 = 5 sketches on the chain
+# and the star, whose root's fused child has children, and the worst,
+# 2m - 4 = 6, on the star rooted at its hub, whose fused child is a leaf.
 
 
-def _binary_keyed(schemas, seed):
-    """20 rows per table: join keys in {0, 1} and one uniform real x_i."""
+def _binary_keyed(schemas, seed, rows):
+    """`rows` rows per table: join keys in {0, 1} and one uniform real x_i."""
     rng = random.Random(seed)
     return Database(tables=tuple(
         Table(f"t{i}", (*keys, f"x{i}"), tuple(
             (*(float(rng.randint(0, 1)) for _ in keys), rng.random())
-            for _ in range(20)
+            for _ in range(rows)
         ))
         for i, keys in enumerate(schemas, 1)
     ))
@@ -625,16 +654,19 @@ def _counting_shrinks(compressed, name, sketch):
     return wrapper
 
 
-@pytest.mark.parametrize("schemas", [
-    [("k1",), ("k1", "k2"), ("k2", "k3"), ("k3", "k4"), ("k4",)],
-    [("k1", "k2", "k3", "k4"), ("k1",), ("k2",), ("k3",), ("k4",)],
-], ids=["chain", "star"])
-def test_approx_within_epsilon_at_worst_depth(monkeypatch, schemas):
+@pytest.mark.parametrize("schemas, rows", [
+    ([("k1",), ("k1", "k2"), ("k2", "k3"), ("k3", "k4"), ("k4",)], 20),
+    ([("k1", "k2", "k3", "k4"), ("k1",), ("k2",), ("k3",), ("k4",)], 30),
+    ([("k1",), ("k2",), ("k3",), ("k4",), ("k1", "k2", "k3", "k4")], 20),
+], ids=["chain", "star", "hub-root"])
+def test_approx_within_epsilon_at_worst_depth(monkeypatch, schemas, rows):
     """Each query stays within epsilon of its exact answer on 5-table
     plans where sketches compress: the counts' `ms_sketch`, the tropical
     weighted sets' `ws_sketch`, and that of sumsum's (count, sum) pairs,
-    for F >= 0 and for an all-negative F, answered by negation."""
-    db = _binary_keyed(schemas, seed=1)
+    for F >= 0 and for an all-negative F, answered by negation. The star
+    takes 30 rows per table: at 20, no sketch of its (count, sum) pairs
+    compresses, since it sketches only products t1 multiplies again."""
+    db = _binary_keyed(schemas, seed=1, rows=rows)
     xs = {f"x{i}": identity() for i in range(1, 6)}
     negated = {f"x{i}": scale(-1.0) for i in range(1, 6)}
     ineq = AdditiveInequality(g=xs, threshold=1.5)

@@ -120,12 +120,13 @@ def test_sumsum_evaluates_once(monkeypatch):
 @given(tree_cases())
 @example(STAR_CASE)
 @example(CROSS_CASE)
-def test_every_read_composes_2m_minus_3_sketches(case):
+def test_every_read_composes_plan_depth_sketches(case):
     """Carry each value's sketch count instead of a value: a fold keeps its
     largest item's count and a product adds its operands' counts, as their
     errors compose, and each sketch adds one. Every pair the root reads
-    then composes the plan's depth D (2m - 3 for m >= 2) sketches, the
-    depth `alpha_for` spends epsilon over."""
+    then composes exactly the plan's depth D sketches (2m - 4, or 2m - 5
+    when the root's fused child has children, for m >= 2), the depth
+    `alpha_for` spends epsilon over."""
     db, _ = tree_db(*case)
     depth = EngineConfig(
         plus=lambda *items: max(items), times=operator.add, one=0,
@@ -134,7 +135,36 @@ def test_every_read_composes_2m_minus_3_sketches(case):
     factors = {f: (lambda v: 0) for f in db.feature_tables}
     plan = build_decomposition(db)
     pairs = evaluate(db, plan, factors, depth)
-    assert {a + b for a, b in pairs} <= {plan.depth}
+    assert all(a + b == plan.depth for a, b in pairs)
+
+
+def test_fused_child_sketches_only_what_a_later_product_reads():
+    """Carry each value's set of tables instead of a value, and record
+    what the sketch sees. The star's hub t1 is the root t5's fused child,
+    with children t2, t3 and t4: their folds and t1's first two products
+    are sketched, since a later product reads each; t1's last product and
+    its fold, which only the root's read consumes, are not."""
+    db = Database(tables=tuple(
+        Table(f"t{i}", (*keys, f"x{i}"), ((*[0.0] * len(keys), 0.0),
+                                          (*[1.0] * len(keys), 1.0)))
+        for i, keys in enumerate(
+            [("k1", "k2", "k3", "k4"), ("k1",), ("k2",), ("k3",), ("k4",)], 1)
+    ))
+    plan = build_decomposition(db)
+    assert (plan.root, plan.children[plan.root], plan.children[1]) == (
+        5, (1,), (2, 3, 4))
+    sketched = []
+    tables = EngineConfig(
+        plus=lambda *items: frozenset().union(*items), times=operator.or_,
+        one=frozenset(), gather=lambda rows: frozenset().union(*rows),
+        sketch=lambda v: sketched.append(v) or v,
+    )
+    factors = {f"x{i}": (lambda v, i=i: i) for i in range(1, 6)}
+    pairs = evaluate(db, plan, factors, tables)
+    assert set(sketched) == {frozenset(s) for s in (
+        {2}, {3}, {4}, {1, 2}, {1, 2, 3})}
+    assert pairs and all(
+        (a, b) == ({5}, {1, 2, 3, 4}) for a, b in pairs)
 
 
 def test_dangling_rows_pruned():
@@ -160,14 +190,16 @@ def test_cross_product():
 
 def test_multiset_carrier_size_cap(monkeypatch):
     # approx mode's cap lives in the sketch the drivers hand the engine;
-    # exact mode has none
+    # exact mode has none. It bounds only sketched values: on the chain
+    # 1 - 2 - 3, t1's 10-entry message, which t2 multiplies again (a
+    # 2-table plan sketches nothing)
     monkeypatch.setattr(drivers, "SKETCH_SIZE_CAP", 5)
-    db = Database(tables=(
-        Table("t1", ("a",), tuple((float(i),) for i in range(10))),
-        Table("t2", ("b",), tuple((float(i),) for i in range(10))),
+    db = Database(tables=tuple(
+        Table(f"t{t}", (f,), tuple((float(i),) for i in range(10)))
+        for t, f in enumerate("abc", 1)
     ))
-    ineq = AdditiveInequality(g={"a": identity(), "b": identity()})
-    assert count_rows(db, ineq) == 100
+    ineq = AdditiveInequality(g={f: identity() for f in "abc"})
+    assert count_rows(db, ineq) == 1000
     with pytest.raises(CapExceeded):
         count_rows(db, ineq, mode="approx")
 

@@ -159,7 +159,22 @@ def test_plan_owned_partitions_the_features(plans):
                 f for f in schema if min(db.feature_tables[f]) == t]
 
 
-def test_plan_depth_is_2m_minus_3(plans):
+def test_plan_depth_is_2m_minus_4_or_5(plans):
+    """D = 2m - 4 when the root's fused child is a leaf and 2m - 5 when it
+    has children, whose last product and fold go unsketched; 0 for one
+    table. Both shapes occur among the plans."""
+    shapes = Counter()
     for db, plan in plans:
-        assert plan.depth == max(2 * db.m - 3, 0)
+        if db.m == 1:
+            assert plan.depth == 0
+            continue
+        fused = plan.children[plan.root][-1]
+        shapes[bool(plan.children[fused])] += 1
+        assert plan.depth == 2 * db.m - (5 if plan.children[fused] else 4)
+    assert shapes[True] and shapes[False]
     assert build_decomposition(make_db(("a",))).depth == 0
+    assert build_decomposition(make_db(("a",), ("a",))).depth == 0
+    # the chain 1 - 2 - 3 fuses t2, which has t1 below it; the star whose
+    # hub t3 is the root fuses the leaf t2
+    assert build_decomposition(make_db(("a",), ("a", "b"), ("b",))).depth == 1
+    assert build_decomposition(make_db(("a",), ("b",), ("a", "b"))).depth == 2
